@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -35,6 +36,7 @@ from .games import (
     FullObligationGame,
     Game,
     ThresholdNeighborhoodGame,
+    _as_int,
     cycle_sequence,
     game_from_json,
     is_complete,
@@ -62,8 +64,9 @@ def _round_floats(obj: Any) -> Any:
 
 def _emit(report: dict, fmt: str) -> None:
     report = _round_floats(report)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(text)
         return
     for line in _table_lines(report, ""):
         print(line)
@@ -105,6 +108,22 @@ def _require(data: dict, field: str, where: str) -> Any:
     return data[field]
 
 
+def _finite(value: Any, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"field {field!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cost_model(data: dict) -> CostModel:
     return CostModel(
         tuple(_require(data, "p_star", "cost_model")),
@@ -126,15 +145,16 @@ def _profile_arg(path: str | None, n: int) -> ReliabilityProfile:
 
 def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
     game = _load_game(_require(request, "game", "attack request"))
-    target = int(_require(request, "target", "attack request"))
-    budget = float(_require(request, "budget", "attack request"))
+    target = _as_int(_require(request, "target", "attack request"), "field 'target'")
+    budget = _finite(_require(request, "budget", "attack request"), "budget")
     costs = _cost_model(_require(request, "cost_model", "attack request"))
     mode = _require(request, "mode", "attack request")
     if mode not in ("fractional", "removal"):
         raise DomainError("field 'mode' must be 'fractional' or 'removal'")
     exempt: frozenset[int] = frozenset()
     if request.get("pairwise_protect") is not None:
-        exempt = pairwise_exempt_set(game, int(request["pairwise_protect"]))
+        protect = _as_int(request["pairwise_protect"], "field 'pairwise_protect'")
+        exempt = pairwise_exempt_set(game, protect)
     problem = AttackProblem(game, target, budget, costs, exempt)
     return problem, mode, bool(request.get("assume_large_cutoff", False))
 
@@ -327,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("no-benefit", help="probe removal subsets for a forbidden decrease")
     p.add_argument("game", help="game JSON file")
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", help="baseline profile JSON file; default all ones")
     add_format(p)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -27,7 +30,18 @@ def _as_playerset(players: Coalition, n: int, what: str = "coalition") -> frozen
     return s
 
 
-def _mask_of(players: frozenset[int]) -> int:
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are rejected
+    instead of truncated."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _mask_of(players: Iterable[int]) -> int:
     m = 0
     for x in players:
         m |= 1 << (x - 1)
@@ -92,6 +106,19 @@ class Graph:
             self, "_nbr_mask", tuple(_mask_of(a) for a in self._adj)
         )
 
+    @cached_property
+    def _weight_of(self) -> dict[tuple[int, int], float]:
+        return dict(self.edge_weight_items())
+
+    @cached_property
+    def _wadj(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per player, its ``(neighbor, weight)`` pairs sorted by neighbor."""
+        wadj: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
+        for (u, v), w in self.edge_weight_items():
+            wadj[u].append((v, w))
+            wadj[v].append((u, w))
+        return tuple(tuple(sorted(a)) for a in wadj)
+
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[float]]) -> "Graph":
         """Build from ``[u, v]`` or ``[u, v, w]`` items, normalizing endpoint order."""
@@ -102,7 +129,9 @@ class Graph:
             e = list(e)
             if len(e) not in (2, 3):
                 raise DomainError(f"edge {e} must be [u, v] or [u, v, w]")
-            u, v = int(e[0]), int(e[1])
+            u, v = e[0], e[1]
+            if type(u) is not int or type(v) is not int:
+                u, v = (_as_int(end, f"endpoint of edge {e}") for end in (u, v))
             if u > v:
                 u, v = v, u
             plain.append((u, v))
@@ -138,13 +167,9 @@ class Graph:
         """Weight of edge (u,v); 1.0 for every edge of an unweighted graph."""
         if u > v:
             u, v = v, u
-        if self.weights is None:
-            if v not in self._adj[u]:
-                raise DomainError(f"({u},{v}) is not an edge")
-            return 1.0
         try:
-            return self.weights[self.edges.index((u, v))]
-        except ValueError:
+            return self._weight_of[(u, v)]
+        except KeyError:
             raise DomainError(f"({u},{v}) is not an edge") from None
 
     def edge_weight_items(self) -> list[tuple[tuple[int, int], float]]:
@@ -173,19 +198,21 @@ def ball(graph: Graph, coalition: Coalition, radius: float) -> frozenset[int]:
     s = _as_playerset(coalition, graph.n)
     if not s:
         return frozenset()
+    # Paths are only extended while they stay within the radius; with positive
+    # weights that leaves every distance <= radius as plain Dijkstra finds it.
     dist = {x: 0.0 for x in s}
     pq: list[tuple[float, int]] = [(0.0, x) for x in sorted(s)]
     heapq.heapify(pq)
     while pq:
         d, u = heapq.heappop(pq)
-        if d > dist.get(u, float("inf")):
+        if d > dist[u]:
             continue
-        for v in sorted(graph.neighbors(u)):
-            nd = d + graph.weight(u, v)
-            if nd < dist.get(v, float("inf")):
+        for v, w in graph._wadj[u]:
+            nd = d + w
+            if nd <= radius and nd < dist.get(v, float("inf")):
                 dist[v] = nd
                 heapq.heappush(pq, (nd, v))
-    return frozenset(x for x, d in dist.items() if d <= radius)
+    return frozenset(dist)
 
 
 # graph builders used by the attack solvers and tests
@@ -256,19 +283,28 @@ class CreditInstance:
 
     n: int
     papers: tuple[tuple[frozenset[int], float], ...]
+    _papers_by_author: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError(f"need at least one author, got n={self.n}")
         norm = []
-        for authors, score in self.papers:
+        by_author: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for i, (authors, score) in enumerate(self.papers):
             authors = _as_playerset(authors, self.n, "author set")
             if not authors:
                 raise DomainError("paper with empty author set")
+            if not math.isfinite(score):
+                raise DomainError(f"paper score {score} is not finite")
             if score < 0:
                 raise DomainError(f"paper score {score} is negative")
             norm.append((authors, float(score)))
+            for a in authors:
+                by_author[a].append(i)
         object.__setattr__(self, "papers", tuple(norm))
+        object.__setattr__(self, "_papers_by_author", tuple(map(tuple, by_author)))
 
     @classmethod
     def of(cls, n: int, papers: Iterable[tuple[Iterable[int], float]]) -> "CreditInstance":
@@ -278,7 +314,7 @@ class CreditInstance:
         """Indices (0-based into ``papers``) of the papers authored by x."""
         if not 1 <= x <= self.n:
             raise DomainError(f"player {x} outside 1..{self.n}")
-        return [i for i, (authors, _) in enumerate(self.papers) if x in authors]
+        return list(self._papers_by_author[x])
 
     def coauthors(self, x: int) -> frozenset[int]:
         out: set[int] = set()
@@ -387,6 +423,7 @@ class DistanceCutoffGame(Game):
 
     graph: Graph
     cutoff: float
+    _balls: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _ball_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
     variant = "nc3"
 
@@ -395,10 +432,14 @@ class DistanceCutoffGame(Game):
             raise DomainError("distance-cutoff game needs an edge-weighted graph")
         if not self.cutoff > 0:
             raise DomainError(f"cutoff must be positive, got {self.cutoff}")
-        balls = [0] + [
-            _mask_of(ball(self.graph, {x}, self.cutoff)) for x in range(1, self.graph.n + 1)
+        balls = [()] + [
+            tuple(sorted(ball(self.graph, {x}, self.cutoff)))
+            for x in range(1, self.graph.n + 1)
         ]
-        object.__setattr__(self, "_ball_mask", tuple(balls))
+        object.__setattr__(self, "_balls", tuple(balls))
+        object.__setattr__(
+            self, "_ball_mask", tuple(_mask_of(b) for b in balls)
+        )
 
     @property
     def n(self) -> int:
@@ -408,7 +449,7 @@ class DistanceCutoffGame(Game):
         """Ball of radius ``cutoff`` around x (always contains x)."""
         if not 1 <= x <= self.n:
             raise DomainError(f"player {x} outside 1..{self.n}")
-        return _players_of(self._ball_mask[x])
+        return frozenset(self._balls[x])
 
     def value_mask(self, mask: int) -> float:
         cover = 0
@@ -513,7 +554,7 @@ def game_from_json(data: Mapping) -> Game:
     """
     try:
         variant = data["variant"]
-        n = int(data["n"])
+        n = _as_int(data["n"], "field 'n'")
     except KeyError as exc:
         raise DomainError(f"game file missing field {exc.args[0]!r}") from None
     if variant in _NC_VARIANTS:
@@ -527,7 +568,7 @@ def game_from_json(data: Mapping) -> Game:
         if variant == "nc2":
             if "k" not in data:
                 raise DomainError("variant 'nc2' requires field 'k'")
-            return ThresholdNeighborhoodGame(graph, int(data["k"]))
+            return ThresholdNeighborhoodGame(graph, _as_int(data["k"], "field 'k'"))
         if "d_cut" not in data:
             raise DomainError("variant 'nc3' requires field 'd_cut'")
         return DistanceCutoffGame(graph, float(data["d_cut"]))

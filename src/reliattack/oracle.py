@@ -15,7 +15,6 @@ from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
@@ -271,6 +270,8 @@ def fractional_knapsack_optimum(
         raise DomainError("values and weights must have equal length")
     if not values:
         return 0.0
+    from scipy.optimize import linprog  # loaded here: it costs most of the package import
+
     res = linprog(
         c=-np.asarray(values, dtype=np.float64),
         A_ub=np.asarray(weights, dtype=np.float64)[None, :],

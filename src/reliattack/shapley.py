@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from typing import Callable
 
 import numpy as np
 
@@ -228,10 +229,146 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     )
 
 
+# ---------------------------------------------------------------------------
+# whole-vector closed forms
+#
+# Every closed form except fo sums, over pairs (x, A) of a player and a cover
+# set A, the quantity sum_s P(s players of A - {x} live) * w[s].  A is N[y]
+# for nc1, the cutoff ball of y for nc3, the author set of a paper for fc, and
+# N(y) for nc2.  The vector path evaluates all pairs at once: it buckets them
+# by |A|, runs the _size_pmf recurrence column by column over a block of rows
+# (x's own entry set to 0, which adds no live player and leaves the
+# arithmetic exact) and adds each row's dot product onto x.
+
+# Cap on rows * columns of one pmf block, so a hub's bucket (d pairs of
+# width d) is processed in pieces instead of as one (d, d + 1) array.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _csr(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR form of rows of players: row pointer, the 0-based players of
+    each row in sorted order, and the row number of each entry."""
+    rows = [sorted(r) for r in rows]
+    sizes = [len(r) for r in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    indices = np.fromiter(
+        (z - 1 for r in rows for z in r), dtype=np.int64, count=int(indptr[-1])
+    )
+    return indptr, indices, np.repeat(np.arange(len(rows)), sizes)
+
+
+def _pair_pmf_dots(
+    p: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    pair_x: np.ndarray,
+    pair_a: np.ndarray,
+    weights: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """For each pair (x, A): sum_s P(s players of A - {x} live) * w[s].
+
+    ``pair_x`` holds 0-based players and ``pair_a`` row numbers of the CSR
+    cover sets; ``weights(d)`` gives the weight vectors for |A| = d, shape
+    (d + 1,) or (d + 1, k).  Returns one row per pair, shaped like the weights.
+    """
+    sizes = np.diff(indptr)[pair_a]
+    out = np.zeros((len(pair_x),) + weights(0).shape[1:])
+    for d in np.unique(sizes).tolist():
+        w = weights(d)
+        sel = np.flatnonzero(sizes == d)
+        step = max(1, _BLOCK_ELEMENTS // (d + 1))
+        for lo in range(0, len(sel), step):
+            rows = sel[lo : lo + step]
+            members = indices[indptr[pair_a[rows], None] + np.arange(d)]
+            probs = p[members]
+            probs[members == pair_x[rows, None]] = 0.0
+            pmf = np.zeros((len(rows), d + 1))
+            pmf[:, 0] = 1.0
+            for j in range(d):
+                q = probs[:, j, None]
+                live = pmf[:, : j + 1] * q
+                pmf[:, : j + 1] *= 1.0 - q
+                pmf[:, 1 : j + 2] += live
+            out[rows] = pmf @ w
+    return out
+
+
+def _sizes(d: int) -> np.ndarray:
+    """s + 1 for s = 0..d."""
+    return np.arange(1.0, d + 2.0)
+
+
+def _inverse_weights(d: int) -> np.ndarray:
+    return 1.0 / _sizes(d)
+
+
+def _nc2_pair_weights(k: int):
+    """Alive/dead weights of ``_nc2_inner`` for s1 live players of N(y) - {x}."""
+
+    def weights(d: int) -> np.ndarray:
+        s1 = np.arange(d + 1.0)
+        s = s1 + 1.0
+        alive = np.where(s + 1 - k > 0, (s + 1 - k) / (s * (s + 1)), 0.0)
+        dead = np.where(s1 >= k - 1, 1.0 / (s1 + 1), 0.0)
+        return np.stack([alive, dead], axis=1)
+
+    return weights
+
+
+def _coverage_vector(p: np.ndarray, rows) -> np.ndarray:
+    """p_x * sum_{y in row(x)} E[1 / (1 + live players of row(y) - {x})]."""
+    indptr, ys, xs = _csr(rows)
+    vals = _pair_pmf_dots(p, indptr, ys, xs, ys, _inverse_weights)
+    return p * np.bincount(xs, vals, minlength=len(p))
+
+
+def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
+    graph, k, n = game.graph, game.threshold, len(p)
+    indptr, ys, xs = _csr(graph.neighbors(x) for x in range(1, n + 1))
+    alive, dead = _pair_pmf_dots(p, indptr, ys, xs, ys, _nc2_pair_weights(k)).T
+    py = p[ys]
+    # x's own term: s live neighbours of x, no removal
+    own = np.arange(n)
+    own_term = _pair_pmf_dots(
+        p, indptr, ys, own, own, lambda d: np.minimum(k, _sizes(d)) / _sizes(d)
+    )
+    return p * (np.bincount(xs, py * alive + (1.0 - py) * dead, minlength=n) + own_term)
+
+
+def _credit_vector(game: Game, p: np.ndarray) -> np.ndarray:
+    papers = game.instance.papers
+    indptr, authors, paper = _csr(a for a, _ in papers)
+    scores = np.array([score for _, score in papers])
+    if isinstance(game, FullCreditGame):
+        vals = scores[paper] * _pair_pmf_dots(
+            p, indptr, authors, authors, paper, _inverse_weights
+        )
+        return p * np.bincount(authors, vals, minlength=len(p))
+    prods = np.multiply.reduceat(p[authors], indptr[:-1])
+    vals = (scores / np.diff(indptr) * prods)[paper]
+    return np.bincount(authors, vals, minlength=len(p)).astype(np.float64)
+
+
 def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
-    """Closed-form Shapley values of every player."""
-    p = as_profile(profile, game.n)
-    return ShapleyVector(tuple(shapley_closed(game, p, x) for x in range(1, game.n + 1)))
+    """Closed-form Shapley values of every player, computed for all players
+    at once; :func:`shapley_closed` is the per-player reference path."""
+    prof = as_profile(profile, game.n)
+    p = np.array(prof.values, dtype=np.float64)
+    n = game.n
+    if isinstance(game, ClosedNeighborhoodGame):
+        vec = _coverage_vector(p, [game.graph.closed_neighborhood(x) for x in range(1, n + 1)])
+    elif isinstance(game, ThresholdNeighborhoodGame):
+        vec = _nc2_vector(game, p)
+    elif isinstance(game, DistanceCutoffGame):
+        vec = _coverage_vector(p, game._balls[1:])
+    elif isinstance(game, (FullCreditGame, FullObligationGame)):
+        vec = _credit_vector(game, p)
+    else:
+        raise DomainError(
+            f"no closed form for game variant {game.variant!r}; use shapley_definitional"
+        )
+    return ShapleyVector(tuple(vec.tolist()))
 
 
 def shapley_fc_two_author(instance: CreditInstance, profile: ProfileLike, x: int) -> float:
@@ -291,12 +428,9 @@ def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[fl
     out = [0.0] * graph.n
     out[x - 1] = _nc1_inner(graph, p, x)
     hood_x = graph.closed_neighborhood(x)
-    for j in range(1, graph.n + 1):
-        if j == x:
-            continue
+    ball2 = set().union(*(graph.closed_neighborhood(y) for y in hood_x)) - {x}
+    for j in sorted(ball2):
         common = hood_x & graph.closed_neighborhood(j)
-        if not common:
-            continue
         total = 0.0
         for y in sorted(common):
             others = sorted(graph.closed_neighborhood(y) - {x, j})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reliattack.cli import main
+from reliattack.cli import _emit, main
 
 
 def write(tmp_path, name, payload):
@@ -309,3 +309,51 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestMalformedInput:
+    """Malformed input exits 1 with a message naming the field, instead of
+    being truncated or producing NaN/Infinity or a vacuous pass."""
+
+    @pytest.mark.parametrize("budget", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_budget(self, tmp_path, capsys, budget):
+        path = fc_request(tmp_path)
+        text = open(path).read().replace('"budget": 0.5', f'"budget": {budget}')
+        assert budget in text
+        (tmp_path / "request.json").write_text(text)
+        code, out, err = run(capsys, "attack", path)
+        assert code == 1 and out == ""
+        assert "'budget'" in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"n": 3.7}, "'n'"),
+            ({"n": True}, "'n'"),
+            ({"edges": [[1.9, 2], [1, 3]]}, "edge"),
+            ({"variant": "nc2", "k": 2.5}, "'k'"),
+        ],
+    )
+    def test_non_integral_game_fields(self, tmp_path, capsys, change, field):
+        game = write(tmp_path, "g.json", {**K3, **change})
+        code, out, err = run(capsys, "shapley", game)
+        assert code == 1 and out == ""
+        assert field in err
+
+    def test_non_integral_target(self, tmp_path, capsys):
+        code, _, err = run(capsys, "attack", fc_request(tmp_path, target=1.5))
+        assert code == 1
+        assert "'target'" in err
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_must_be_positive(self, tmp_path, capsys, trials):
+        game = write(tmp_path, "fc.json", FC_GAME)
+        code, out, err = run(capsys, "no-benefit", game, "--target", "1", "--trials", trials)
+        assert code == 1 and out == ""
+        assert "--trials" in err
+
+    def test_reports_refuse_non_finite_floats(self):
+        with pytest.raises(ValueError):
+            _emit({"value": float("nan")}, "json")
+        with pytest.raises(ValueError):
+            _emit({"value": float("inf")}, "table")

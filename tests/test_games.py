@@ -43,6 +43,21 @@ class TestGraph:
         with pytest.raises(DomainError):
             Graph.of(3, [(1, 2), (2, 3, 1.0)])  # mixed weighting
 
+    def test_weight_lookup(self):
+        g = Graph.of(3, [(2, 1, 0.4), (2, 3, 0.7)])
+        assert g.weight(1, 2) == g.weight(2, 1) == 0.4
+        assert g.weight(3, 2) == 0.7
+        assert path_graph(3).weight(2, 1) == 1.0
+        for graph in (g, path_graph(3)):
+            with pytest.raises(DomainError, match="not an edge"):
+                graph.weight(1, 3)
+
+    def test_endpoints_must_be_integers(self):
+        assert Graph.of(3, [(1.0, 2)]) == Graph.of(3, [(1, 2)])
+        for bad in ((1.9, 2), (True, 2), ("1", 2)):
+            with pytest.raises(DomainError, match="endpoint"):
+                Graph.of(3, [bad])
+
     def test_builders(self):
         assert len(complete_graph(5).edges) == 10
         assert star_center(star_graph(5, center=3)) == 3
@@ -84,6 +99,17 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(DomainError):
             ball(path_graph(3), {1}, -0.1)
+
+    def test_two_edge_tie_at_cutoff(self):
+        # 0.4 + 0.6 == 1.0 exactly: player 3 sits on the cutoff and is in;
+        # the direct edge (1, 3) is longer, and player 4 lies beyond the cutoff
+        g = Graph.of(4, [(1, 2, 0.4), (2, 3, 0.6), (1, 3, 1.2), (3, 4, 0.25)])
+        assert ball(g, {1}, 1.0) == {1, 2, 3}
+        assert ball(g, {3}, 1.0) == {1, 2, 3, 4}
+        game = DistanceCutoffGame(g, 1.0)
+        assert game.cutoff_neighborhood(1) == {1, 2, 3}
+        assert game.cutoff_neighborhood(4) == {2, 3, 4}
+        assert char_value(game, {4}) == 3
 
 
 class TestCharValue:
@@ -176,7 +202,18 @@ class TestCoauthors:
         ci = CreditInstance.of(3, [((2,), 1.0)])
         assert coauthor_contributions(ci, 1) == {}
 
+    def test_papers_of(self):
+        ci = CreditInstance.of(3, [((1, 2), 2.0), ((2,), 1.0), ((1, 3), 4.0)])
+        assert ci.papers_of(1) == [0, 2]
+        assert ci.papers_of(2) == [0, 1]
+        ci.papers_of(3).append(0)  # callers get a fresh list
+        assert ci.papers_of(3) == [2]
+        with pytest.raises(DomainError):
+            ci.papers_of(4)
+
     def test_validation(self):
+        with pytest.raises(DomainError, match="finite"):
+            CreditInstance.of(2, [((1,), float("inf"))])
         with pytest.raises(DomainError):
             CreditInstance.of(2, [((), 1.0)])
         with pytest.raises(DomainError):
@@ -240,6 +277,19 @@ class TestJson:
             game_from_json({"variant": "fc", "n": 3})
         with pytest.raises(DomainError, match="papers"):
             game_from_json({"variant": "nc1", "n": 3, "edges": [[1, 2]], "papers": []})
+
+    def test_integer_fields_are_not_truncated(self):
+        nc1 = {"variant": "nc1", "n": 3, "edges": [[1, 2]]}
+        assert game_from_json({**nc1, "n": 3.0}) == game_from_json(nc1)
+        for bad, field in (
+            ({**nc1, "n": 3.7}, "'n'"),
+            ({**nc1, "n": True}, "'n'"),
+            ({**nc1, "edges": [[1.9, 2]]}, "edge"),
+            ({**nc1, "variant": "nc2", "k": 2.5}, "'k'"),
+            ({**nc1, "variant": "nc2", "k": False}, "'k'"),
+        ):
+            with pytest.raises(DomainError, match=field):
+                game_from_json(bad)
 
     def test_subsets_helper(self):
         subs = list(subsets_of({2, 1}))

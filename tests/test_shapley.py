@@ -6,6 +6,7 @@ import pytest
 from reliattack import (
     ClosedNeighborhoodGame,
     CreditInstance,
+    DistanceCutoffGame,
     DomainError,
     FullCreditGame,
     FullObligationGame,
@@ -13,6 +14,7 @@ from reliattack import (
     ReliabilityProfile,
     ResourceLimitError,
     TableGame,
+    ThresholdNeighborhoodGame,
     complete_graph,
     cycle_graph,
     reliability_value,
@@ -25,6 +27,7 @@ from reliattack import (
     shapley_vector_closed,
     star_graph,
 )
+from reliattack import shapley
 from reliattack.oracle import finite_difference
 
 from conftest import random_game, random_graph, random_profile
@@ -109,6 +112,8 @@ class TestClosedForms:
         game = TableGame(1, {(): 0.0, (1,): 1.0})
         with pytest.raises(DomainError, match="definitional"):
             shapley_closed(game, (1.0,), 1)
+        with pytest.raises(DomainError, match="definitional"):
+            shapley_vector_closed(game, (1.0,))
 
     def test_symmetry_under_relabeling(self, rng):
         # swapping two symmetric players permutes the Shapley vector
@@ -139,7 +144,7 @@ class TestClosedForms:
                 )
 
     def test_vector_efficiency(self, rng):
-        for variant in ("nc1", "nc3", "fc", "fo"):
+        for variant in ("nc1", "nc2", "nc3", "fc", "fo"):
             n = rng.randint(2, 6)
             game = random_game(rng, variant, n)
             p = random_profile(rng, n)
@@ -200,7 +205,97 @@ class TestCycleClosedForm:
             )
 
 
+def _with_certain_players(rng, p):
+    """The profile with some entries replaced by exact 0s and 1s."""
+    return ReliabilityProfile(tuple(rng.choice((0.0, 1.0, v, v)) for v in p))
+
+
+def _vector_case(rng, case):
+    if case in ("nc1", "nc2-k1", "nc2-k2", "nc2-k3", "nc3", "fc", "fo"):
+        n = rng.randint(1, 8)
+        game = random_game(rng, "nc2" + case[-1] if case.startswith("nc2") else case, n)
+        return game, _with_certain_players(rng, random_profile(rng, n))
+    if case == "isolated":
+        graph = Graph.of(6, [(1, 2), (2, 3), (1, 3)])  # players 4..6 isolated
+        weighted = Graph.of(6, [(1, 2, 0.5), (2, 3, 0.7)])
+        game = rng.choice(
+            [
+                ClosedNeighborhoodGame(graph),
+                ThresholdNeighborhoodGame(graph, rng.randint(1, 3)),
+                DistanceCutoffGame(weighted, 1.0),
+            ]
+        )
+        return game, random_profile(rng, 6)
+    if case == "star-200":
+        assert 200 * 201 > shapley._BLOCK_ELEMENTS  # the hub's bucket spans several blocks
+        graph = star_graph(200)
+        k = rng.randint(1, 3)
+        game = rng.choice([ClosedNeighborhoodGame(graph), ThresholdNeighborhoodGame(graph, k)])
+        return game, _with_certain_players(rng, random_profile(rng, 200))
+    if case == "credit-edge-cases":
+        # author 5 has no paper; papers 1 and 3 have a single author
+        inst = CreditInstance.of(
+            5, [((1,), 2.0), ((1, 2, 3), 1.5), ((4,), 0.0), ((2, 4), 3.0), ((1, 2), 0.5)]
+        )
+        game = rng.choice([FullCreditGame(inst), FullObligationGame(inst)])
+        return game, _with_certain_players(rng, random_profile(rng, 5))
+    if case == "no-papers":
+        inst = CreditInstance.of(3, [])
+        return rng.choice([FullCreditGame(inst), FullObligationGame(inst)]), random_profile(rng, 3)
+    raise AssertionError(case)
+
+
+class TestVectorPath:
+    """``shapley_vector_closed`` against the per-player ``shapley_closed``."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "nc1", "nc2-k1", "nc2-k2", "nc2-k3", "nc3", "fc", "fo",
+            "isolated", "star-200", "credit-edge-cases", "no-papers",
+        ],
+    )
+    def test_matches_per_player_path(self, rng, case):
+        for _ in range(2 if case == "star-200" else 12):
+            game, p = _vector_case(rng, case)
+            vector = shapley_vector_closed(game, p)
+            assert all(type(v) is float for v in vector)
+            reference = [shapley_closed(game, p, x) for x in range(1, game.n + 1)]
+            assert list(vector) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+def _gradient_nc1_over_all_players(graph, p, x):
+    """The nc1 gradient as a loop over every player j (no distance-two
+    restriction): the reference the restricted loop must reproduce."""
+    out = [0.0] * graph.n
+    out[x - 1] = shapley._nc1_inner(graph, p, x)
+    hood_x = graph.closed_neighborhood(x)
+    for j in range(1, graph.n + 1):
+        if j == x:
+            continue
+        common = hood_x & graph.closed_neighborhood(j)
+        if not common:
+            continue
+        total = 0.0
+        for y in sorted(common):
+            others = sorted(graph.closed_neighborhood(y) - {x, j})
+            pmf = shapley._size_pmf([p[z] for z in others])
+            total += sum(c / ((s + 1) * (s + 2)) for s, c in enumerate(pmf))
+        out[j - 1] = -p[x] * total
+    return tuple(out)
+
+
 class TestGradients:
+    def test_restricted_loop_is_unchanged(self, rng):
+        for _ in range(20):
+            n = rng.randint(1, 12)
+            graph = random_graph(rng, n, p_edge=rng.choice((0.15, 0.3, 0.6)))
+            p = _with_certain_players(rng, random_profile(rng, n))
+            x = rng.randint(1, n)
+            assert shapley_gradient_nc1(graph, p, x) == _gradient_nc1_over_all_players(
+                graph, p, x
+            )
+
     def test_zero_outside_distance_two(self):
         game_graph = cycle_graph(7)
         p = ReliabilityProfile.constant(7, 0.6)
