@@ -55,6 +55,7 @@ from .oracle import (
 from .reliability import (
     ReliabilityProfile,
     as_profile,
+    liveness_transform,
     pi_partial,
     pi_prob,
     reliability_value,

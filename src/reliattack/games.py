@@ -94,9 +94,11 @@ class Graph:
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
                 raise DomainError("weights must be parallel to edges")
-            for w in self.weights:
-                if not w > 0:
-                    raise DomainError(f"edge weight {w} is not strictly positive")
+            for (u, v), w in zip(self.edges, self.weights):
+                if not 0 < w < math.inf:
+                    raise DomainError(
+                        f"edge ({u},{v}) weight {w} is not a finite positive number"
+                    )
         adj = [set() for _ in range(self.n + 1)]
         for u, v in self.edges:
             adj[u].add(v)
@@ -430,8 +432,10 @@ class DistanceCutoffGame(Game):
     def __post_init__(self) -> None:
         if not self.graph.is_weighted:
             raise DomainError("distance-cutoff game needs an edge-weighted graph")
-        if not self.cutoff > 0:
-            raise DomainError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < math.inf:
+            raise DomainError(
+                f"cutoff (field 'd_cut') must be a finite positive number, got {self.cutoff}"
+            )
         balls = [()] + [
             tuple(sorted(ball(self.graph, {x}, self.cutoff)))
             for x in range(1, self.graph.n + 1)

@@ -1,10 +1,12 @@
 """Independent validation machinery for the closed forms and attack solvers.
 
 The fractional oracle never reuses the solvers' code paths: it evaluates the
-target's exact Shapley value from the raw coalition-value table (a
-liveness-transform over all coalitions plus the marginal-weight sum) and
-optimizes by enumerating a budget-feasible grid, then descending with
-improving swaps until no small transfer of probability mass helps.
+target's exact Shapley value from the raw coalition-value table (the
+liveness transform over all coalitions plus the marginal-weight sum) at the
+2^k corners of the attackable coordinates, interpolates every other profile
+from them, and optimizes by enumerating a budget-feasible grid, then
+descending with improving swaps until no small transfer of probability mass
+helps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
-from .reliability import ProfileLike, ReliabilityProfile, as_profile
+from .reliability import ProfileLike, ReliabilityProfile, as_profile, liveness_transform
 
 _GRID_POINT_LIMIT = 4_000_000
 _EVAL_CHUNK = 8192
@@ -53,14 +55,11 @@ class OracleConfig:
 
 
 @lru_cache(maxsize=4)
-def _mask_index(n: int):
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    with_bit = tuple(np.nonzero(masks & (1 << i))[0] for i in range(n))
-    popcount = np.zeros(size, dtype=np.int64)
+def _popcount(n: int) -> np.ndarray:
+    counts = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
-        popcount[with_bit[i]] += 1
-    return masks, with_bit, popcount
+        counts.reshape(-1, 2, 1 << i)[:, 1, :] += 1
+    return counts
 
 
 @lru_cache(maxsize=8)
@@ -72,20 +71,32 @@ def _marginal_weights(n: int) -> tuple[float, ...]:
 def _batch_target_shapley(vtable: np.ndarray, n: int, x: int, profiles: np.ndarray) -> np.ndarray:
     """Exact Shapley value of x for every profile row.
 
-    Transforms the coalition-value table into reliability-extension values by
-    folding in one player's liveness at a time, then contracts against the
-    marginal weights s!(n-1-s)!/n!.
+    Transforms the coalition-value table into reliability-extension values
+    with :func:`liveness_transform`, then contracts against the marginal
+    weights s!(n-1-s)!/n!.
     """
-    masks, with_bit, popcount = _mask_index(n)
-    arr = np.repeat(vtable[None, :], profiles.shape[0], axis=0)
-    for i in range(n):
-        ids = with_bit[i]
-        p_i = profiles[:, i : i + 1]
-        arr[:, ids] = p_i * arr[:, ids] + (1.0 - p_i) * arr[:, ids ^ (1 << i)]
+    arr = liveness_transform(vtable, profiles)
     xbit = 1 << (x - 1)
-    rest = np.nonzero((masks & xbit) == 0)[0]
-    weights = np.asarray(_marginal_weights(n))[popcount[rest]]
+    rest = np.nonzero((np.arange(1 << n) & xbit) == 0)[0]
+    weights = np.asarray(_marginal_weights(n))[_popcount(n)[rest]]
     return (arr[:, rest | xbit] - arr[:, rest]) @ weights
+
+
+def _corner_shapley(
+    vtable: np.ndarray, n: int, x: int, baseline: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Shapley value of x at the 2^k profiles that set the players of
+    ``cols`` to 0 or 1 (bit i of the index for ``cols[i]``) and keep the
+    others at ``baseline``.
+
+    Sh_x is multilinear in every p_j (Owen 1972), so these corner values
+    determine it: its value where the players of ``cols`` take the
+    probabilities q is ``liveness_transform(corners, q)[..., -1]``.
+    """
+    k = len(cols)
+    profiles = np.repeat(baseline[None, :], 1 << k, axis=0)
+    profiles[:, cols] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return _batch_target_shapley(vtable, n, x, profiles)
 
 
 def _grid_axis(baseline: float, resolution: float) -> np.ndarray:
@@ -109,7 +120,8 @@ def fractional_oracle(
     nudges and pairwise transfers of probability mass, step shrinking below
     ``swap_step``) while they keep strictly decreasing the target's Shapley
     value; each accepted move is monotone and the move count is capped by
-    ``max_refinements``.
+    ``max_refinements``.  A plan whose descent stopped at that cap carries
+    the note ``"stopped at max_refinements"``.
     """
     cfg = cfg or OracleConfig()
     game = problem.game
@@ -140,13 +152,13 @@ def fractional_oracle(
         above = np.clip(points - base_p, 0.0, None)
         return (below * base_l + above * base_r).sum(axis=-1)
 
+    corners = _corner_shapley(vtable, n, x, baseline, cols)
+
     def evaluate(points: np.ndarray) -> np.ndarray:
-        full = np.repeat(baseline[None, :], points.shape[0], axis=0)
-        full[:, cols] = points
         out = np.empty(points.shape[0])
         for lo in range(0, points.shape[0], _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, points.shape[0])
-            out[lo:hi] = _batch_target_shapley(vtable, n, x, full[lo:hi])
+            out[lo:hi] = liveness_transform(corners, points[lo:hi])[:, -1]
         return out
 
     if k == 0:
@@ -197,6 +209,7 @@ def fractional_oracle(
     floor_eps = min(cfg.swap_step, cfg.tolerance * 0.1)
     eps = max(cfg.grid_resolution / 2.0, cfg.swap_step)
     steps = 0
+    note = None
     while steps < cfg.max_refinements:
         moves = []
         for i in range(k):
@@ -229,6 +242,8 @@ def fractional_oracle(
         if eps <= floor_eps:
             break
         eps = max(eps / 2.0, floor_eps)
+    else:
+        note = "stopped at max_refinements"
 
     full = baseline.copy()
     full[cols] = point
@@ -237,6 +252,7 @@ def fractional_oracle(
         float(cost_of(point[None, :])[0]),
         value,
         profile=profile,
+        note=note,
     )
 
 

@@ -8,7 +8,9 @@ extension of a game v is ``vbar(S) = sum_{T<=S} v(T) * pi_prob(T, S, p)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .games import Coalition, Game, _as_playerset
@@ -108,30 +110,31 @@ def pi_partial(live: Coalition, among: Coalition, profile: ProfileLike, j: int) 
     return -pi_prob(t, s - {j}, p)
 
 
-def _expected_value_mask(value_mask: Callable[[int], float], pvals: Sequence[float], smask: int) -> float:
-    """Exact expectation of the masked value function over independent
-    liveness of the members of ``smask``; summation in ascending order of the
-    compressed submask index for cross-run determinism."""
-    members = []
-    m = smask
-    while m:
-        low = m & -m
-        members.append(low.bit_length())
-        m ^= low
-    k = len(members)
-    total = 0.0
-    for r in range(1 << k):
-        tmask = 0
-        prob = 1.0
-        for idx, player in enumerate(members):
-            if r >> idx & 1:
-                tmask |= 1 << (player - 1)
-                prob *= pvals[player - 1]
-            else:
-                prob *= 1.0 - pvals[player - 1]
-        if prob:
-            total += value_mask(tmask) * prob
-    return total
+def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Reliability extension of set functions given as tables over submasks.
+
+    ``table`` holds values over the 2^m submasks of m players on its last
+    axis (bit i of an index is player i), ``probs`` their participation
+    probabilities with shape ``(..., m)``; leading axes broadcast, so one
+    call transforms a batch of profile rows.  Folds in each player's
+    liveness in turn, ``v[S | i] <- p_i * v[S | i] + (1 - p_i) * v[S]``,
+    in O(m * 2^m) per row; entry T of the result is
+    ``sum_{U <= T} table[U] * pi_prob(U, T, probs)``.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    m = probs.shape[-1]
+    size = np.shape(table)[-1]
+    if size != 1 << m:
+        raise DomainError(f"table of {size} entries does not span 2^{m} submasks")
+    batch = np.broadcast_shapes(np.shape(table)[:-1], probs.shape[:-1])
+    out = np.array(np.broadcast_to(table, batch + (size,)), dtype=np.float64)
+    for i in range(m):
+        halves = out.reshape(batch + (size >> (i + 1), 2, 1 << i))
+        p_i = probs[..., i, None, None]
+        live = halves[..., 1, :]
+        live *= p_i
+        live += (1.0 - p_i) * halves[..., 0, :]
+    return out
 
 
 def reliability_value(
@@ -143,7 +146,9 @@ def reliability_value(
 ) -> float:
     """Value of the reliability extension of ``game`` at ``coalition``.
 
-    Exact (enumerates the 2^|S| liveness outcomes), so ``|S|`` is limited by
+    Exact: members with p in {0, 1} are fixed (always dead or always live) and
+    the 2^m liveness outcomes of the other m members are enumerated and
+    folded by :func:`liveness_transform`, so ``|S|`` is limited by
     ``subset_cap``; raise the cap deliberately for larger exact runs.
     """
     p = as_profile(profile, game.n)
@@ -152,7 +157,31 @@ def reliability_value(
         raise ResourceLimitError(
             f"coalition size {len(s)} exceeds the exact-expectation subset cap ({subset_cap})"
         )
-    smask = 0
-    for x in s:
-        smask |= 1 << (x - 1)
-    return _expected_value_mask(game.value_mask, p.values, smask)
+    base = 0
+    bits, probs = [], []
+    for x in sorted(s):
+        prob = p[x]
+        if prob == 1.0:
+            base |= 1 << (x - 1)  # always live
+        elif prob:  # always dead when 0: never enumerated
+            bits.append(1 << (x - 1))
+            probs.append(prob)
+    # outcome r sets the bits of r; it is split into a high and a low half so
+    # that only two lists of about 2^(m/2) Python ints are built
+    half = len(bits) // 2
+    lows, highs = _submasks(bits[:half]), _submasks(bits[half:])
+    table = np.fromiter(
+        (game.value_mask(base | hi | lo) for hi in highs for lo in lows),
+        np.float64,
+        count=len(highs) * len(lows),
+    )
+    return float(liveness_transform(table, probs)[-1])
+
+
+def _submasks(bits: list[int]) -> list[int]:
+    """Unions of ``bits`` in compressed-index order (bit i of the index
+    selects ``bits[i]``)."""
+    out = [0]
+    for bit in bits:
+        out += [m | bit for m in out]
+    return out

@@ -32,8 +32,8 @@ from .games import (
 from .reliability import (
     ProfileLike,
     ReliabilityProfile,
-    _expected_value_mask,
     as_profile,
+    liveness_transform,
 )
 
 DEFAULT_PLAYER_CAP = 9
@@ -61,12 +61,22 @@ class ShapleyVector:
         return sum(self.values)
 
 
+def _int_dtype(largest: int) -> np.dtype:
+    """Smallest signed integer dtype that holds ``largest``."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 @lru_cache(maxsize=2)
 def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All n! permutations plus the coalition bitmasks before/after each
-    position, as arrays of shape (n!, n)."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    bits = np.left_shift(np.int64(1), perms)
+    position, as arrays of shape (n!, n) in the smallest integer dtypes that
+    hold n - 1 and 2^n - 1."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, _int_dtype(n - 1), count=factorial(n) * n).reshape(factorial(n), n)
+    bits = np.left_shift(np.ones(1, dtype=_int_dtype((1 << n) - 1)), perms)
     after = np.bitwise_or.accumulate(bits, axis=1)
     before = np.zeros_like(after)
     before[:, 1:] = after[:, :-1]
@@ -75,14 +85,6 @@ def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _value_table(game: Game) -> np.ndarray:
     return np.array([game.value_mask(m) for m in range(1 << game.n)], dtype=np.float64)
-
-
-def _reliability_table(game: Game, p: ReliabilityProfile) -> np.ndarray:
-    vals = p.values
-    return np.array(
-        [_expected_value_mask(game.value_mask, vals, m) for m in range(1 << game.n)],
-        dtype=np.float64,
-    )
 
 
 def shapley_definitional(
@@ -103,10 +105,9 @@ def shapley_definitional(
         raise ResourceLimitError(
             f"n = {n} exceeds the definitional-oracle player cap ({player_cap})"
         )
-    if profile is None:
-        table = _value_table(game)
-    else:
-        table = _reliability_table(game, as_profile(profile, n))
+    table = _value_table(game)
+    if profile is not None:
+        table = liveness_transform(table, as_profile(profile, n).values)
     perms, before, after = _permutation_masks(n)
     marginals = table[after] - table[before]
     acc = np.zeros(n, dtype=np.float64)

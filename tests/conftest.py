@@ -81,6 +81,26 @@ def random_game(rng: random.Random, variant: str, n: int):
     raise ValueError(variant)
 
 
+def enumerated_value(value_mask, pvals, smask):
+    """The loop form of the reliability extension at ``smask``: every liveness
+    outcome of its members, weighted by its probability, summed in ascending
+    order of the compressed outcome index."""
+    members = [i + 1 for i in range(smask.bit_length()) if smask >> i & 1]
+    total = 0.0
+    for r in range(1 << len(members)):
+        tmask = 0
+        prob = 1.0
+        for idx, player in enumerate(members):
+            if r >> idx & 1:
+                tmask |= 1 << (player - 1)
+                prob *= pvals[player - 1]
+            else:
+                prob *= 1.0 - pvals[player - 1]
+        if prob:
+            total += value_mask(tmask) * prob
+    return total
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

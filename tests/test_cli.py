@@ -340,6 +340,23 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert field in err
 
+    @pytest.mark.parametrize(
+        "edges, d_cut, field",
+        [
+            ("[[1, 2, Infinity], [2, 3, 0.5]]", "Infinity", "weight"),
+            ("[[1, 2, NaN], [2, 3, 0.5]]", "1.0", "weight"),
+            ("[[1, 2, 1.0], [2, 3, 0.5]]", "Infinity", "'d_cut'"),
+            ("[[1, 2, 1.0], [2, 3, 0.5]]", "-Infinity", "'d_cut'"),
+            ("[[1, 2, 1.0], [2, 3, 0.5]]", "NaN", "'d_cut'"),
+        ],
+    )
+    def test_non_finite_nc3_fields(self, tmp_path, capsys, edges, d_cut, field):
+        game = tmp_path / "nc3.json"
+        game.write_text(f'{{"variant": "nc3", "n": 3, "edges": {edges}, "d_cut": {d_cut}}}')
+        code, out, err = run(capsys, "shapley", str(game))
+        assert code == 1 and out == ""
+        assert field in err
+
     def test_non_integral_target(self, tmp_path, capsys):
         code, _, err = run(capsys, "attack", fc_request(tmp_path, target=1.5))
         assert code == 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from reliattack import (
@@ -42,6 +44,13 @@ class TestGraph:
             Graph.of(3, [(1, 2, 0.0)])  # nonpositive weight
         with pytest.raises(DomainError):
             Graph.of(3, [(1, 2), (2, 3, 1.0)])  # mixed weighting
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_weights_must_be_finite(self, w):
+        with pytest.raises(DomainError, match="edge \\(1,2\\) weight"):
+            Graph.of(3, [(1, 2, w), (2, 3, 0.5)])
+        with pytest.raises(DomainError, match="finite"):
+            Graph(3, ((1, 2),), (w,))
 
     def test_weight_lookup(self):
         g = Graph.of(3, [(2, 1, 0.4), (2, 3, 0.7)])
@@ -277,6 +286,14 @@ class TestJson:
             game_from_json({"variant": "fc", "n": 3})
         with pytest.raises(DomainError, match="papers"):
             game_from_json({"variant": "nc1", "n": 3, "edges": [[1, 2]], "papers": []})
+
+    @pytest.mark.parametrize("d_cut", [math.inf, -math.inf, math.nan, 0.0])
+    def test_cutoff_must_be_finite_and_positive(self, d_cut):
+        nc3 = {"variant": "nc3", "n": 3, "edges": [[1, 2, 1.0], [2, 3, 0.5]], "d_cut": d_cut}
+        with pytest.raises(DomainError, match="'d_cut'"):
+            game_from_json(nc3)
+        with pytest.raises(DomainError, match="'d_cut'"):
+            DistanceCutoffGame(Graph.of(3, [(1, 2, 1.0)]), d_cut)
 
     def test_integer_fields_are_not_truncated(self):
         nc1 = {"variant": "nc1", "n": 3, "edges": [[1, 2]]}

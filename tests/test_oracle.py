@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from reliattack import (
@@ -10,21 +11,25 @@ from reliattack import (
     CreditInstance,
     DomainError,
     FullCreditGame,
+    FullObligationGame,
     OracleConfig,
     ReliabilityProfile,
     ResourceLimitError,
     complete_graph,
     credit_knapsack_attack,
+    cycle_graph,
     finite_difference,
     fractional_knapsack_optimum,
     fractional_oracle,
     greedy_fractional_attack,
+    liveness_transform,
     shapley_closed,
     star_graph,
 )
+from reliattack import oracle
 from reliattack.shapley import shapley_definitional
 
-from conftest import random_profile
+from conftest import random_profile, random_two_author_credit
 
 
 class TestConfig:
@@ -116,6 +121,44 @@ class TestFractionalOracle:
         assert plan.profile[3] == 0.5
         greedy = credit_knapsack_attack(AttackProblem(game, 1, 0.8, cm, exempt))
         assert abs(plan.achieved - greedy.achieved) <= 1e-6
+
+
+    def test_note_when_refinements_run_out(self):
+        game = ClosedNeighborhoodGame(complete_graph(4))
+        cm = CostModel.uniform((0.31, 0.62, 0.47, 0.58))
+        problem = AttackProblem(game, 1, 0.6, cm)
+        capped = fractional_oracle(problem, OracleConfig(0.25, max_refinements=0))
+        assert capped.note == "stopped at max_refinements"
+        assert fractional_oracle(problem, OracleConfig(0.25)).note is None
+
+
+class TestCornerInterpolation:
+    """Evaluating through the 2^k corner values against the liveness transform
+    of the whole coalition table at every profile row."""
+
+    @pytest.mark.parametrize("case", ["K6", "C7", "fc-two-author", "fo-two-author"])
+    def test_matches_per_row_transform(self, rng, case):
+        if case == "K6":
+            game = ClosedNeighborhoodGame(complete_graph(6))
+        elif case == "C7":
+            game = ClosedNeighborhoodGame(cycle_graph(7))
+        else:
+            inst = random_two_author_credit(rng, 6)
+            game = FullCreditGame(inst) if case == "fc-two-author" else FullObligationGame(inst)
+        n = game.n
+        vtable = np.array([game.value_mask(m) for m in range(1 << n)])
+        baseline = np.array(random_profile(rng, n).values)
+        cols = np.array(sorted(rng.sample(range(n), 5 if n == 6 else 6)))
+        np_rng = np.random.default_rng(rng.randrange(1 << 30))
+        points = np_rng.random((1000, len(cols)))
+        points[:50] = np_rng.integers(0, 2, size=(50, len(cols)))  # exact corners
+        for x in (1, n):
+            corners = oracle._corner_shapley(vtable, n, x, baseline, cols)
+            interpolated = liveness_transform(corners, points)[:, -1]
+            full = np.repeat(baseline[None, :], len(points), axis=0)
+            full[:, cols] = points
+            direct = oracle._batch_target_shapley(vtable, n, x, full)
+            assert interpolated == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestFiniteDifference:

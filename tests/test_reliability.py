@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,14 @@ from reliattack import (
     TableGame,
     char_value,
     complete_graph,
+    liveness_transform,
     pi_partial,
     pi_prob,
     reliability_value,
 )
 from reliattack.games import all_coalitions
 
-from conftest import random_game, random_profile
+from conftest import enumerated_value, random_game, random_profile
 
 
 class TestProfile:
@@ -65,7 +67,88 @@ class TestPiProb:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def submasks(mask):
+    return [t for t in range(mask + 1) if t & mask == t]
+
+
+def players(mask):
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def sparse_profile(rng, m):
+    """Random probabilities with some exact 0s and 1s."""
+    return [rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(m)]
+
+
+class TestLivenessTransform:
+    def test_matches_enumeration(self, rng):
+        for m in range(11):
+            for probs in ([rng.random() for _ in range(m)], sparse_profile(rng, m)):
+                table = np.array([rng.uniform(-2.0, 3.0) for _ in range(1 << m)])
+                out = liveness_transform(table, probs)
+                assert out.shape == table.shape
+                entries = {0, (1 << m) - 1} | {rng.randrange(1 << m) for _ in range(12)}
+                for t in sorted(entries):
+                    expected = sum(
+                        table[u] * pi_prob(players(u), players(t), probs)
+                        for u in submasks(t)
+                    )
+                    assert out[t] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_batched_rows(self, rng):
+        for m in (0, 1, 4, 7):
+            tables = np.array([[rng.random() for _ in range(1 << m)] for _ in range(3)])
+            probs = np.array([sparse_profile(rng, m) for _ in range(3)])
+            out = liveness_transform(tables, probs)
+            for row in range(3):
+                single = liveness_transform(tables[row], probs[row])
+                assert out[row] == pytest.approx(single, rel=1e-12, abs=1e-12)
+            # one table against many profile rows broadcasts
+            shared = liveness_transform(tables[0], probs)
+            for row in range(3):
+                single = liveness_transform(tables[0], probs[row])
+                assert shared[row] == pytest.approx(single, rel=1e-12, abs=1e-12)
+            assert tables[0] == pytest.approx(liveness_transform(tables[0], np.ones(m)))
+
+    def test_input_is_not_modified(self):
+        table = np.array([0.0, 1.0, 2.0, 4.0])
+        liveness_transform(table, [0.5, 0.5])
+        assert table.tolist() == [0.0, 1.0, 2.0, 4.0]
+
+    def test_size_mismatch(self):
+        with pytest.raises(DomainError, match="2\\^2"):
+            liveness_transform(np.zeros(8), [0.5, 0.5])
+
+
 class TestReliabilityValue:
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3", "fc", "fo"])
+    def test_matches_enumeration(self, rng, variant):
+        for _ in range(6):
+            n = rng.randint(1, 9)
+            game = random_game(rng, variant, n)
+            pvals = sparse_profile(rng, n) if rng.random() < 0.5 else random_profile(rng, n).values
+            s = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            smask = sum(1 << (x - 1) for x in s)
+            expected = enumerated_value(game.value_mask, pvals, smask)
+            assert reliability_value(game, pvals, s) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
+    def test_certain_members_are_not_enumerated(self, monkeypatch):
+        calls = []
+        inner = FullObligationGame.value_mask
+        monkeypatch.setattr(
+            FullObligationGame, "value_mask", lambda self, m: calls.append(m) or inner(self, m)
+        )
+        game = FullObligationGame(CreditInstance.of(6, [((1, 2), 1.0), ((2, 5), 2.0)]))
+        assert reliability_value(game, ReliabilityProfile.ones(6), {1, 2, 3, 4, 5}) == 3.0
+        assert calls == [0b11111]
+        calls.clear()
+        p = (1.0, 0.5, 0.0, 0.25, 1.0, 0.0)
+        value = reliability_value(game, p, {1, 2, 3, 4, 5, 6})
+        assert sorted(calls) == [0b10001, 0b10011, 0b11001, 0b11011]
+        assert value == pytest.approx(0.5 * 1.0 + 0.5 * 2.0, abs=1e-15)
+
     def test_certain_profiles_reduce_to_char_value(self, rng):
         for variant in ("nc1", "nc2", "nc3", "fc", "fo"):
             n = rng.randint(2, 6)

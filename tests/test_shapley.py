@@ -1,7 +1,11 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from reliattack import (
     ClosedNeighborhoodGame,
@@ -30,7 +34,7 @@ from reliattack import (
 from reliattack import shapley
 from reliattack.oracle import finite_difference
 
-from conftest import random_game, random_graph, random_profile
+from conftest import enumerated_value, random_game, random_graph, random_profile
 
 
 class TestDefinitional:
@@ -69,6 +73,70 @@ class TestDefinitional:
             sh = shapley_definitional(game, p)
             grand = reliability_value(game, p, set(range(1, n + 1)))
             assert sh.total() == pytest.approx(grand, abs=1e-9)
+
+
+    def test_matches_enumerated_permutation_average(self, rng):
+        for variant in ("nc1", "nc2", "nc3", "fc", "fo"):
+            n = rng.randint(1, 6)
+            game = random_game(rng, variant, n)
+            pvals = random_profile(rng, n).values
+            table = [enumerated_value(game.value_mask, pvals, m) for m in range(1 << n)]
+            expected = [0.0] * n
+            for perm in itertools.permutations(range(n)):
+                before = 0
+                for i in perm:
+                    expected[i] += table[before | 1 << i] - table[before]
+                    before |= 1 << i
+            expected = [v / math.factorial(n) for v in expected]
+            assert list(shapley_definitional(game, pvals)) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
+
+    def test_nine_players_with_small_index_dtypes(self, rng):
+        game = random_game(rng, "nc1", 9)
+        p = random_profile(rng, 9)
+        perms, before, after = shapley._permutation_masks(9)
+        assert (perms.dtype, before.dtype, after.dtype) == (np.int8, np.int16, np.int16)
+        # the same average over int64 index arrays, as built before the
+        # dtypes were narrowed
+        wide = np.array(list(itertools.permutations(range(9))), dtype=np.int64)
+        wide_after = np.bitwise_or.accumulate(np.left_shift(np.int64(1), wide), axis=1)
+        wide_before = np.zeros_like(wide_after)
+        wide_before[:, 1:] = wide_after[:, :-1]
+        assert (perms == wide).all() and (after == wide_after).all()
+        table = shapley.liveness_transform(shapley._value_table(game), p.values)
+        acc = np.zeros(9)
+        np.add.at(acc, wide.ravel(), (table[wide_after] - table[wide_before]).ravel())
+        assert list(shapley_definitional(game, p)) == list(acc / math.factorial(9))
+        assert list(shapley_definitional(game, p)) == pytest.approx(
+            list(shapley_vector_closed(game, p)), abs=1e-9
+        )
+
+    def test_index_dtypes_follow_size(self):
+        assert shapley._int_dtype(127) == np.int8
+        assert shapley._int_dtype(128) == np.int16
+        assert shapley._int_dtype((1 << 15) - 1) == np.int16
+        assert shapley._int_dtype(1 << 15) == np.int32
+        assert shapley._int_dtype(1 << 40) == np.int64
+
+    @seed(20240817)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["nc1", "nc2", "nc3", "fc", "fo"]),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+    )
+    def test_multilinear_in_each_probability(self, variant, n, hrng):
+        # Sh_x of the reliability extension is affine in every p_j, j = x too
+        game = random_game(hrng, variant, n)
+        p = random_profile(hrng, n)
+        j = hrng.randint(1, n)
+        a, b, lam = hrng.random(), hrng.random(), hrng.random()
+        sh_a = shapley_definitional(game, p.with_value(j, a))
+        sh_b = shapley_definitional(game, p.with_value(j, b))
+        sh_mix = shapley_definitional(game, p.with_value(j, lam * a + (1 - lam) * b))
+        for x in range(1, n + 1):
+            assert sh_mix[x] == pytest.approx(lam * sh_a[x] + (1 - lam) * sh_b[x], abs=1e-12)
 
 
 class TestClosedForms:
