@@ -27,7 +27,6 @@ from .games import (
     FullCreditGame,
     FullObligationGame,
     Game,
-    GameSpec,
     Graph,
     TableGame,
     ThresholdNeighborhoodGame,

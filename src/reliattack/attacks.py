@@ -143,7 +143,6 @@ class AttackPlan:
 
 
 def _greedy_raise(
-    costs: CostModel,
     start: ReliabilityProfile,
     order: Sequence[int],
     slopes: dict[int, float],
@@ -235,7 +234,6 @@ def greedy_fractional_attack(
         order = by_baseline
 
     profile, touched = _greedy_raise(
-        problem.costs,
         problem.costs.baseline_profile(),
         order,
         {j: r_slope for j in order},
@@ -312,7 +310,6 @@ def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
     for name, order in orders:
         seq = [j for j in order if j in attackable]
         profile, touched = _greedy_raise(
-            problem.costs,
             base,
             seq,
             {j: r_slope for j in seq},
@@ -373,7 +370,6 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
     candidates = [l for l in sorted(contrib) if l not in problem.exempt]
     order = sorted(candidates, key=lambda l: (-contrib[l] / slope_vec[l - 1], l))
     profile, touched = _greedy_raise(
-        problem.costs,
         problem.costs.baseline_profile(),
         order,
         {l: slope_vec[l - 1] for l in order},
@@ -483,28 +479,9 @@ def fo_removal_exhaustive(
         raise DomainError(f"cost model covers {costs.n} players, instance has {instance.n}")
     if budget < 0:
         raise DomainError(f"budget {budget} is negative")
-    game = FullObligationGame(instance)
     candidates = sorted(instance.coauthors(x) - exempt - {x})
-    if len(candidates) > coauthor_cap:
-        raise ResourceLimitError(
-            f"{len(candidates)} removable coauthors exceed the exhaustive-search cap ({coauthor_cap})"
-        )
-    base = costs.baseline_profile()
-    best: tuple[float, int, tuple[int, ...], float] | None = None
-    for mask in range(1 << len(candidates)):
-        removed = tuple(candidates[i] for i in range(len(candidates)) if mask >> i & 1)
-        cost = costs.removal_cost(removed)
-        if cost > budget + _COST_EPS:
-            continue
-        value = shapley_closed(game, base.with_values({j: 0.0 for j in removed}), x)
-        key = (value, len(removed), removed, cost)
-        if best is None or value < best[0] - _TIE_EPS:
-            best = key
-        elif abs(value - best[0]) <= _TIE_EPS and (len(removed), removed) < (best[1], best[2]):
-            best = key
-    value, _, removed, cost = best
-    return AttackPlan(
-        cost, value, removed=frozenset(removed), order=removed
+    return _removal_exhaustive_over(
+        FullObligationGame(instance), costs, budget, x, candidates, coauthor_cap, "coauthors"
     )
 
 
@@ -515,10 +492,14 @@ def _removal_exhaustive_over(
     x: int,
     candidates: list[int],
     cap: int,
+    what: str,
 ) -> AttackPlan:
+    """Best affordable removal among all subsets of ``candidates`` (called
+    ``what`` in the cap message); ties prefer smaller subsets, then
+    lexicographic order."""
     if len(candidates) > cap:
         raise ResourceLimitError(
-            f"{len(candidates)} removable players exceed the exhaustive-search cap ({cap})"
+            f"{len(candidates)} removable {what} exceed the exhaustive-search cap ({cap})"
         )
     base = costs.baseline_profile()
     best: tuple[float, int, tuple[int, ...], float] | None = None
@@ -559,7 +540,7 @@ def removal_attack(problem: AttackProblem) -> AttackPlan:
         window = pairwise_exempt_set(game, problem.target)
         candidates = sorted(window - problem.exempt)
         return _removal_exhaustive_over(
-            game, problem.costs, problem.budget, problem.target, candidates, cap=16
+            game, problem.costs, problem.budget, problem.target, candidates, 16, "players"
         )
     if isinstance(
         game,

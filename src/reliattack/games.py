@@ -14,8 +14,10 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -46,6 +48,15 @@ def _mask_of(players: Iterable[int]) -> int:
     for x in players:
         m |= 1 << (x - 1)
     return m
+
+
+def _submasks(bits: list[int]) -> list[int]:
+    """Unions of ``bits`` in compressed-index order (bit i of the index
+    selects ``bits[i]``)."""
+    out = [0]
+    for bit in bits:
+        out += [m | bit for m in out]
+    return out
 
 
 def _players_of(mask: int) -> frozenset[int]:
@@ -312,6 +323,19 @@ class CreditInstance:
     def of(cls, n: int, papers: Iterable[tuple[Iterable[int], float]]) -> "CreditInstance":
         return cls(n, tuple((frozenset(a), float(s)) for a, s in papers))
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Per author, the indices of their papers."""
+        return _index_rows(self._papers_by_author)
+
+    @cached_property
+    def _scores(self) -> np.ndarray:
+        return np.array([score for _, score in self.papers], dtype=np.float64)
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        return np.array([len(authors) for authors, _ in self.papers], dtype=np.int64)
+
     def papers_of(self, x: int) -> list[int]:
         """Indices (0-based into ``papers``) of the papers authored by x."""
         if not 1 <= x <= self.n:
@@ -349,6 +373,82 @@ def induced_subgraph_to_credit(graph: Graph) -> CreditInstance:
 # games
 
 
+def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
+    """``players`` as a list, checked to be distinct players of 1..n outside
+    the bitmask ``base``."""
+    if not isinstance(base, int) or not 0 <= base < 1 << n:
+        raise DomainError(f"base mask {base!r} is not a coalition of 1..{n}")
+    out = list(players)
+    seen = base
+    for x in out:
+        if not isinstance(x, int) or not 1 <= x <= n:
+            raise DomainError(f"players contains {x!r}, expected integers in 1..{n}")
+        if seen >> (x - 1) & 1:
+            raise DomainError(f"player {x} is repeated or already in the base")
+        seen |= 1 << (x - 1)
+    return out
+
+
+def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
+    return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
+
+
+def _hits(rows: Sequence[np.ndarray], players: Iterable[int], size: int) -> np.ndarray:
+    """Per element, how many of ``players`` have it in their row."""
+    idx = [rows[x] for x in players]
+    if not idx:
+        return np.zeros(size, np.int64)
+    return np.bincount(np.concatenate(idx), minlength=size)
+
+
+def _codes(rows: Sequence[np.ndarray], players: Sequence[int], size: int) -> np.ndarray:
+    """Per element, the bitmask of the indices i whose ``players[i]`` has it
+    in their row."""
+    codes = np.zeros(size, np.int64)
+    for i, x in enumerate(players):
+        codes[rows[x]] |= 1 << i
+    return codes
+
+
+def _zeta(table: np.ndarray) -> np.ndarray:
+    """Subset sums in place: entry T becomes the sum of the entries U <= T
+    (bitwise), in O(m * 2^m) for 2^m entries."""
+    step = 1
+    while step < table.shape[0]:
+        halves = table.reshape(-1, 2, step)
+        halves[:, 1, :] += halves[:, 0, :]
+        step <<= 1
+    return table
+
+
+@lru_cache(maxsize=4)
+def _popcount(m: int) -> np.ndarray:
+    """Number of set bits of every index below 2^m."""
+    counts = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        counts.reshape(-1, 2, 1 << i)[:, 1, :] += 1
+    return counts
+
+
+def _coverage_values(
+    rows: Sequence[np.ndarray], weights: np.ndarray, players: list[int], base: int
+) -> np.ndarray:
+    """Subset table of a covered-by-any game: a coalition earns the weight of
+    every element in the row of at least one member.
+
+    Elements covered by ``base`` give a constant; every other element adds
+    its weight at the code of its coverers among ``players`` in ``c``, and
+    the coalition T misses exactly the elements whose code lies inside the
+    complement of T, so ``value[T] = const + zeta(c)[full] - zeta(c)[full ^ T]``.
+    """
+    covered = _hits(rows, _players_of(base), len(weights)) > 0
+    codes = _codes(rows, players, len(weights))
+    c = np.bincount(codes[~covered], weights=weights[~covered], minlength=1 << len(players))
+    c[0] = 0.0  # elements that no player here covers never count
+    z = _zeta(c)
+    return weights[covered].sum() + (z[-1] - z[::-1])
+
+
 class Game(ABC):
     """A coalition value function on players ``1..n`` with ``value({}) == 0``."""
 
@@ -361,6 +461,28 @@ class Game(ABC):
     @abstractmethod
     def value_mask(self, mask: int) -> float:
         """Coalition value for a bitmask coalition (bit i-1 <=> player i)."""
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        """Values of the 2^m coalitions between ``base`` and ``base`` plus the
+        m ``players``.
+
+        Entry r is the value of the bitmask coalition ``base`` together with
+        ``players[i]`` for every set bit i of r, the submask order that
+        :func:`reliattack.reliability.liveness_transform` reads.  The players
+        must be distinct and outside ``base``.  This default makes one
+        :meth:`value_mask` call per entry; the five paper games override it
+        with numpy transforms.
+        """
+        bits = [1 << (x - 1) for x in _table_players(self.n, players, base)]
+        # entry r is split into a high and a low half so that only two lists
+        # of about 2^(m/2) Python ints are built
+        half = len(bits) // 2
+        lows, highs = _submasks(bits[:half]), _submasks(bits[half:])
+        return np.fromiter(
+            (self.value_mask(base | hi | lo) for hi in highs for lo in lows),
+            np.float64,
+            count=len(highs) * len(lows),
+        )
 
 
 def char_value(game: Game, coalition: Coalition) -> float:
@@ -389,6 +511,16 @@ class ClosedNeighborhoodGame(Game):
             m ^= low
         return float(cover.bit_count())
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        """Per player, the players it covers: its closed neighborhood."""
+        adj = self.graph._adj
+        return _index_rows([()] + [adj[x] | {x} for x in range(1, self.n + 1)])
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        players = _table_players(self.n, players, base)
+        return _coverage_values(self._rows, np.ones(self.n + 1), players, base)
+
 
 @dataclass(frozen=True)
 class ThresholdNeighborhoodGame(Game):
@@ -416,6 +548,40 @@ class ThresholdNeighborhoodGame(Game):
             if (nbr[x] & mask).bit_count() >= self.threshold:
                 count += 1
         return float(count)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return _index_rows(self.graph._adj)
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        """Outside players are grouped by the code of their neighbors among
+        ``players``, their neighbor count in ``base`` and their own bit; each
+        group costs one pass over the 2^m entries."""
+        players = _table_players(self.n, players, base)
+        m, size = len(players), self.n + 1
+        codes = _codes(self._rows, players, size)
+        in_base = _hits(self._rows, _players_of(base), size)
+        own = np.zeros(size, np.int64)
+        own[players] = 1 << np.arange(m, dtype=np.int64)
+        outside = np.ones(size, bool)
+        outside[0] = False
+        outside[sorted(_players_of(base))] = False
+        groups, counts = np.unique(
+            np.stack([codes, in_base, own], axis=1)[outside], axis=0, return_counts=True
+        )
+        pop = _popcount(m)
+        r = np.arange(1 << m)
+        total = pop + base.bit_count()
+        for (code, b, bit), count in zip(groups.tolist(), counts.tolist()):
+            need = self.threshold - b
+            if need <= 0:
+                total += count if bit == 0 else count * ((r & bit) == 0)
+            elif need <= pop[code]:
+                hit = pop[r & code] >= need
+                if bit:
+                    hit &= (r & bit) == 0
+                total += count * hit
+        return total.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -464,6 +630,14 @@ class DistanceCutoffGame(Game):
             m ^= low
         return float(cover.bit_count())
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, ...]:
+        return _index_rows(self._balls)
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        players = _table_players(self.n, players, base)
+        return _coverage_values(self._rows, np.ones(self.n + 1), players, base)
+
 
 @dataclass(frozen=True)
 class FullCreditGame(Game):
@@ -488,6 +662,11 @@ class FullCreditGame(Game):
             for (_, score), am in zip(self.instance.papers, self._auth_masks)
             if am & mask
         )
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        players = _table_players(self.n, players, base)
+        inst = self.instance
+        return _coverage_values(inst._rows, inst._scores, players, base)
 
 
 @dataclass(frozen=True)
@@ -514,6 +693,19 @@ class FullObligationGame(Game):
             if am & mask == am
         )
 
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        """Papers whose authors all lie in ``base`` plus ``players`` add their
+        score at the code of their authors among ``players``; entry T is then
+        the subset sum at T."""
+        players = _table_players(self.n, players, base)
+        inst = self.instance
+        size = len(inst.papers)
+        reach = _hits(inst._rows, [*players, *_players_of(base)], size)
+        inside = reach == inst._sizes
+        codes = _codes(inst._rows, players, size)
+        c = np.bincount(codes[inside], weights=inst._scores[inside], minlength=1 << len(players))
+        return _zeta(c.astype(np.float64, copy=False))  # integer when no paper is inside
+
 
 class TableGame(Game):
     """Explicit subset -> value table; for oracle cross-tests only."""
@@ -537,9 +729,6 @@ class TableGame(Game):
             return self._table[key]
         except KeyError:
             raise DomainError(f"table has no value for coalition {sorted(key)}") from None
-
-
-GameSpec = Game  # the dispatchable union of the variants above
 
 
 # ---------------------------------------------------------------------------

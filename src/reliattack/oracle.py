@@ -20,6 +20,7 @@ import numpy as np
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
+from .games import _popcount
 from .reliability import ProfileLike, ReliabilityProfile, as_profile, liveness_transform
 
 _GRID_POINT_LIMIT = 4_000_000
@@ -52,14 +53,6 @@ class OracleConfig:
             raise DomainError("max_refinements must be nonnegative")
         if self.tolerance <= 0:
             raise DomainError("tolerance must be positive")
-
-
-@lru_cache(maxsize=4)
-def _popcount(n: int) -> np.ndarray:
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        counts.reshape(-1, 2, 1 << i)[:, 1, :] += 1
-    return counts
 
 
 @lru_cache(maxsize=8)
@@ -99,6 +92,28 @@ def _corner_shapley(
     return _batch_target_shapley(vtable, n, x, profiles)
 
 
+def _swap_directions(k: int) -> np.ndarray:
+    """The swap moves as rows of +-1 steps, in the order whose first argmin
+    wins ties: each single-player nudge up then down, then for every pair
+    i < j the transfers (+, +), (+, -), (-, +), (-, -).  With piecewise
+    costs a coordinate below its baseline refunds budget by moving up, so
+    (+, +) and (-, -) are legitimate surface moves too."""
+    rows = []
+    for i in range(k):
+        for si in (1.0, -1.0):
+            row = np.zeros(k)
+            row[i] = si
+            rows.append(row)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    row = np.zeros(k)
+                    row[i], row[j] = si, sj
+                    rows.append(row)
+    return np.array(rows).reshape(-1, k)
+
+
 def _grid_axis(baseline: float, resolution: float) -> np.ndarray:
     steps = int(round(1.0 / resolution))
     pts = {min(1.0, i * resolution) for i in range(steps + 1)}
@@ -136,7 +151,7 @@ def fractional_oracle(
         raise ResourceLimitError(
             f"{k} attackable players exceed the oracle cap ({attackable_cap})"
         )
-    vtable = np.array([game.value_mask(m) for m in range(1 << n)], dtype=np.float64)
+    vtable = game.subset_values(range(1, n + 1))
     costs = problem.costs
     baseline = np.array(costs.p_star, dtype=np.float64)
     x = problem.target
@@ -148,8 +163,8 @@ def fractional_oracle(
     base_p = baseline[cols]
 
     def cost_of(points: np.ndarray) -> np.ndarray:
-        below = np.clip(base_p - points, 0.0, None)
-        above = np.clip(points - base_p, 0.0, None)
+        below = np.maximum(base_p - points, 0.0)
+        above = np.maximum(points - base_p, 0.0)
         return (below * base_l + above * base_r).sum(axis=-1)
 
     corners = _corner_shapley(vtable, n, x, baseline, cols)
@@ -208,27 +223,11 @@ def fractional_oracle(
     # improving-swap descent along the budget-feasibility surface
     floor_eps = min(cfg.swap_step, cfg.tolerance * 0.1)
     eps = max(cfg.grid_resolution / 2.0, cfg.swap_step)
+    directions = _swap_directions(k)
     steps = 0
     note = None
     while steps < cfg.max_refinements:
-        moves = []
-        for i in range(k):
-            for direction in (eps, -eps):
-                cand = point.copy()
-                cand[i] = min(1.0, max(0.0, cand[i] + direction))
-                moves.append(cand)
-        # pairwise transfers in every sign combination: with piecewise costs a
-        # coordinate below its baseline refunds budget by moving up, so
-        # (+eps, +eps) and (-eps, -eps) are legitimate surface moves too
-        for i in range(k):
-            for j in range(i + 1, k):
-                for di in (eps, -eps):
-                    for dj in (eps, -eps):
-                        cand = point.copy()
-                        cand[i] = min(1.0, max(0.0, cand[i] + di))
-                        cand[j] = min(1.0, max(0.0, cand[j] + dj))
-                        moves.append(cand)
-        cands = np.array(moves)
+        cands = np.clip(point + eps * directions, 0.0, 1.0)
         cands = cands[np.abs(cands - point).sum(axis=1) > 1e-15]
         cands = cands[cost_of(cands) <= budget + 1e-12]
         if cands.size:

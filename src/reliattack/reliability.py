@@ -146,10 +146,11 @@ def reliability_value(
 ) -> float:
     """Value of the reliability extension of ``game`` at ``coalition``.
 
-    Exact: members with p in {0, 1} are fixed (always dead or always live) and
-    the 2^m liveness outcomes of the other m members are enumerated and
-    folded by :func:`liveness_transform`, so ``|S|`` is limited by
-    ``subset_cap``; raise the cap deliberately for larger exact runs.
+    Exact: members with p in {0, 1} are fixed (always dead or always live),
+    the values of the 2^m liveness outcomes of the other m members come from
+    :meth:`Game.subset_values` and are folded by :func:`liveness_transform`,
+    so ``|S|`` is limited by ``subset_cap``; raise the cap deliberately for
+    larger exact runs.
     """
     p = as_profile(profile, game.n)
     s = _as_playerset(coalition, game.n)
@@ -158,30 +159,12 @@ def reliability_value(
             f"coalition size {len(s)} exceeds the exact-expectation subset cap ({subset_cap})"
         )
     base = 0
-    bits, probs = [], []
+    players, probs = [], []
     for x in sorted(s):
         prob = p[x]
         if prob == 1.0:
             base |= 1 << (x - 1)  # always live
         elif prob:  # always dead when 0: never enumerated
-            bits.append(1 << (x - 1))
+            players.append(x)
             probs.append(prob)
-    # outcome r sets the bits of r; it is split into a high and a low half so
-    # that only two lists of about 2^(m/2) Python ints are built
-    half = len(bits) // 2
-    lows, highs = _submasks(bits[:half]), _submasks(bits[half:])
-    table = np.fromiter(
-        (game.value_mask(base | hi | lo) for hi in highs for lo in lows),
-        np.float64,
-        count=len(highs) * len(lows),
-    )
-    return float(liveness_transform(table, probs)[-1])
-
-
-def _submasks(bits: list[int]) -> list[int]:
-    """Unions of ``bits`` in compressed-index order (bit i of the index
-    selects ``bits[i]``)."""
-    out = [0]
-    for bit in bits:
-        out += [m | bit for m in out]
-    return out
+    return float(liveness_transform(game.subset_values(players, base), probs)[-1])

@@ -83,10 +83,6 @@ def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, before, after
 
 
-def _value_table(game: Game) -> np.ndarray:
-    return np.array([game.value_mask(m) for m in range(1 << game.n)], dtype=np.float64)
-
-
 def shapley_definitional(
     game: Game,
     profile: ProfileLike | None = None,
@@ -105,7 +101,7 @@ def shapley_definitional(
         raise ResourceLimitError(
             f"n = {n} exceeds the definitional-oracle player cap ({player_cap})"
         )
-    table = _value_table(game)
+    table = game.subset_values(range(1, n + 1))
     if profile is not None:
         table = liveness_transform(table, as_profile(profile, n).values)
     perms, before, after = _permutation_masks(n)

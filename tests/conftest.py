@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from reliattack import (
     ClosedNeighborhoodGame,
@@ -16,6 +17,11 @@ from reliattack import (
     ReliabilityProfile,
     ThresholdNeighborhoodGame,
 )
+
+# Every property test draws the same examples on every run: the examples come
+# from a hash of the test, and no database of earlier failures is replayed.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_graph(rng: random.Random, n: int, p_edge: float = 0.5, weighted: bool = False) -> Graph:

@@ -1,6 +1,10 @@
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from reliattack import (
     ClosedNeighborhoodGame,
@@ -27,9 +31,9 @@ from reliattack import (
     star_center,
     star_graph,
 )
-from reliattack.games import all_coalitions, subsets_of
+from reliattack.games import Game, all_coalitions, subsets_of
 
-from conftest import random_credit, random_graph, random_weighted_graph
+from conftest import random_credit, random_game, random_graph, random_weighted_graph
 
 
 class TestGraph:
@@ -273,6 +277,17 @@ class TestJson:
         for game in (FullCreditGame(ci), FullObligationGame(ci)):
             assert game_from_json(game_to_json(game)) == game
 
+    @seed(20240817)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["nc1", "nc2", "nc3", "fc", "fo"]),
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+    )
+    def test_round_trip_property(self, variant, n, hrng):
+        game = random_game(hrng, variant, n)
+        assert game_from_json(json.loads(json.dumps(game_to_json(game)))) == game
+
     def test_field_errors(self):
         with pytest.raises(DomainError, match="variant"):
             game_from_json({"n": 3})
@@ -311,3 +326,119 @@ class TestJson:
     def test_subsets_helper(self):
         subs = list(subsets_of({2, 1}))
         assert subs == [frozenset(), {1}, {2}, {1, 2}]
+
+
+def loop_table(game, players, base):
+    """The reference subset table: one ``value_mask`` call per entry."""
+    return np.array([
+        game.value_mask(base | sum(1 << (x - 1) for i, x in enumerate(players) if r >> i & 1))
+        for r in range(1 << len(players))
+    ])
+
+
+def random_split(rng, n):
+    """Random ``players`` in random order and a random ``base`` mask outside them."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    m = rng.randint(0, n)
+    base = sum(1 << (x - 1) for x in order[m:] if rng.random() < 0.5)
+    return order[:m], base
+
+
+class TestSubsetValues:
+    """Each game's numpy table builder against the ``value_mask`` loop; exact
+    on integer-valued games, 1e-12 on credit scores."""
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc21", "nc22", "nc23", "nc3", "fc", "fo"])
+    def test_matches_value_mask_loop(self, rng, variant):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            game = random_game(rng, variant, n)
+            players, base = random_split(rng, n)
+            got = game.subset_values(players, base)
+            expected = loop_table(game, players, base)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            if variant in ("fc", "fo"):
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            else:
+                assert got.tolist() == expected.tolist()
+
+    def test_no_players(self, rng):
+        for variant in ("nc1", "nc22", "nc3", "fc", "fo"):
+            game = random_game(rng, variant, 6)
+            for base in (0, 0b101101, 0b111111):
+                got = game.subset_values([], base)
+                assert got.tolist() == pytest.approx([game.value_mask(base)], abs=1e-12)
+
+    def test_table_game_loops_over_value_mask(self, rng):
+        n = 5
+        table = {coalition: float(rng.randint(0, 9)) for coalition in all_coalitions(n)}
+        table[frozenset()] = 0.0
+        game = TableGame(n, table)
+        for _ in range(10):
+            players, base = random_split(rng, n)
+            assert game.subset_values(players, base).tolist() == loop_table(game, players, base).tolist()
+
+    def test_tie_at_cutoff_and_isolated_players(self):
+        # 0.4 + 0.6 reaches the cutoff 1.0 exactly; player 5 has no edge
+        g = Graph.of(5, [(1, 2, 0.4), (2, 3, 0.6), (1, 3, 1.2), (3, 4, 0.25)])
+        nc3 = DistanceCutoffGame(g, 1.0)
+        plain = Graph.of(5, [(1, 2), (2, 3), (3, 4)])
+        games = [nc3, ClosedNeighborhoodGame(plain)] + [
+            ThresholdNeighborhoodGame(plain, k) for k in (1, 2, 3)
+        ]
+        for game in games:
+            for players, base in (([5, 1, 3], 0), ([4, 1], 0b10100), ([5], 0b00110)):
+                got = game.subset_values(players, base)
+                assert got.tolist() == loop_table(game, players, base).tolist()
+        assert nc3.subset_values([1]).tolist() == [0.0, 3.0]
+
+    def test_papers_reaching_outside(self):
+        # papers with authors outside base and players; author 6 has no paper
+        inst = CreditInstance.of(
+            6, [((1, 2), 1.5), ((2, 3, 4), 2.25), ((5,), 0.5), ((1, 4), 3.0), ((3,), 1.0)]
+        )
+        for game in (FullCreditGame(inst), FullObligationGame(inst)):
+            for players, base in (([4, 2], 0b00001), ([6, 3], 0), ([3, 1, 6], 0b01010)):
+                got = game.subset_values(players, base)
+                assert got == pytest.approx(loop_table(game, players, base), rel=1e-12, abs=1e-12)
+        fo = FullObligationGame(inst)
+        assert fo.subset_values([4, 2], 0b00001).tolist() == [0.0, 3.0, 1.5, 4.5]
+        empty = CreditInstance.of(3, [])
+        for game in (FullCreditGame(empty), FullObligationGame(empty)):
+            got = game.subset_values([1, 3], 0b10)
+            assert got.dtype == np.float64 and got.tolist() == [0.0] * 4
+
+    def test_oracle_and_definitional_tables(self, rng, monkeypatch):
+        from reliattack import AttackProblem, CostModel, OracleConfig, fractional_oracle
+        from reliattack import oracle, shapley
+
+        seen = []
+        corner, transform = oracle._corner_shapley, shapley.liveness_transform
+        monkeypatch.setattr(
+            oracle, "_corner_shapley", lambda vtable, *a: seen.append(vtable) or corner(vtable, *a)
+        )
+        monkeypatch.setattr(
+            shapley, "liveness_transform", lambda table, p: seen.append(table) or transform(table, p)
+        )
+        for variant in ("nc1", "nc2", "nc3", "fc", "fo"):
+            n = rng.randint(2, 6)
+            game = random_game(rng, variant, n)
+            p = [rng.uniform(0.1, 1.0) for _ in range(n)]
+            ones = (1.0,) * n
+            problem = AttackProblem(game, 1, 0.5, CostModel(tuple(p), ones, ones, ones))
+            seen.clear()
+            fractional_oracle(problem, OracleConfig(0.25), attackable_cap=6)
+            shapley.shapley_definitional(game, p)
+            expected = [game.value_mask(m) for m in range(1 << n)]
+            assert len(seen) == 2
+            for table in seen:
+                assert table == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_rejects_bad_players(self):
+        game = ClosedNeighborhoodGame(path_graph(4))
+        for players, base in (([1, 1], 0), ([2], 0b10), ([0], 0), ([5], 0), ([1], 1 << 4), ([1.0], 0)):
+            with pytest.raises(DomainError):
+                game.subset_values(players, base)
+            with pytest.raises(DomainError):
+                Game.subset_values(game, players, base)

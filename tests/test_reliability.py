@@ -136,17 +136,21 @@ class TestReliabilityValue:
 
     def test_certain_members_are_not_enumerated(self, monkeypatch):
         calls = []
-        inner = FullObligationGame.value_mask
-        monkeypatch.setattr(
-            FullObligationGame, "value_mask", lambda self, m: calls.append(m) or inner(self, m)
-        )
+        inner = FullObligationGame.subset_values
+
+        def spy(self, players, base=0):
+            players = list(players)
+            calls.append((players, base))
+            return inner(self, players, base)
+
+        monkeypatch.setattr(FullObligationGame, "subset_values", spy)
         game = FullObligationGame(CreditInstance.of(6, [((1, 2), 1.0), ((2, 5), 2.0)]))
         assert reliability_value(game, ReliabilityProfile.ones(6), {1, 2, 3, 4, 5}) == 3.0
-        assert calls == [0b11111]
+        assert calls == [([], 0b11111)]
         calls.clear()
         p = (1.0, 0.5, 0.0, 0.25, 1.0, 0.0)
         value = reliability_value(game, p, {1, 2, 3, 4, 5, 6})
-        assert sorted(calls) == [0b10001, 0b10011, 0b11001, 0b11011]
+        assert calls == [([2, 4], 0b10001)]
         assert value == pytest.approx(0.5 * 1.0 + 0.5 * 2.0, abs=1e-15)
 
     def test_certain_profiles_reduce_to_char_value(self, rng):

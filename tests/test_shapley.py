@@ -104,7 +104,7 @@ class TestDefinitional:
         wide_before = np.zeros_like(wide_after)
         wide_before[:, 1:] = wide_after[:, :-1]
         assert (perms == wide).all() and (after == wide_after).all()
-        table = shapley.liveness_transform(shapley._value_table(game), p.values)
+        table = shapley.liveness_transform(game.subset_values(range(1, 10)), p.values)
         acc = np.zeros(9)
         np.add.at(acc, wide.ravel(), (table[wide_after] - table[wide_before]).ravel())
         assert list(shapley_definitional(game, p)) == list(acc / math.factorial(9))
@@ -219,6 +219,29 @@ class TestClosedForms:
             total = shapley_vector_closed(game, p).total()
             grand = reliability_value(game, p, set(range(1, n + 1)))
             assert total == pytest.approx(grand, abs=1e-9)
+
+    @seed(20240817)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["nc1", "nc2", "nc3", "fc", "fo"]),
+        st.integers(1, 12),
+        st.randoms(use_true_random=False),
+    )
+    def test_efficiency_property(self, variant, n, hrng):
+        game = random_game(hrng, variant, n)
+        p = [hrng.choice((0.0, 1.0, hrng.random(), hrng.random())) for _ in range(n)]
+        total = shapley_vector_closed(game, p).total()
+        assert total == pytest.approx(reliability_value(game, p, range(1, n + 1)), abs=1e-9)
+
+    @seed(20240817)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+    def test_threshold_one_is_nc1_property(self, n, p_edge, hrng):
+        graph = random_graph(hrng, n, p_edge)
+        p = random_profile(hrng, n)
+        nc2 = shapley_vector_closed(ThresholdNeighborhoodGame(graph, 1), p)
+        nc1 = shapley_vector_closed(ClosedNeighborhoodGame(graph), p)
+        assert list(nc2) == pytest.approx(list(nc1), abs=1e-12)
 
 
 class TestTwoAuthorFormula:
