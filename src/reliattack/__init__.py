@@ -22,6 +22,7 @@ from .attacks import (
 from .errors import DomainError, ResourceLimitError
 from .games import (
     ClosedNeighborhoodGame,
+    CoverageGame,
     CreditInstance,
     DistanceCutoffGame,
     FullCreditGame,

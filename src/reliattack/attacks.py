@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ResourceLimitError
 from .games import (
     ClosedNeighborhoodGame,
+    CoverageGame,
     CreditInstance,
     DistanceCutoffGame,
     FullCreditGame,
@@ -25,7 +26,8 @@ from .games import (
     Game,
     ThresholdNeighborhoodGame,
     _as_playerset,
-    ball,
+    _require_two_authors,
+    coauthor_contributions,
     cycle_sequence,
     is_complete,
     star_center,
@@ -353,21 +355,13 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
         raise DomainError(
             f"knapsack attack applies to credit games only, got {game.variant!r}"
         )
-    inst = game.instance
     x = problem.target
-    contrib: dict[int, float] = {}
-    for i in inst.papers_of(x):
-        authors, score = inst.papers[i]
-        if len(authors) != 2:
-            raise DomainError(
-                f"paper {sorted(authors)} of player {x} has {len(authors)} authors, expected 2"
-            )
-        (l,) = authors - {x}
-        contrib[l] = contrib.get(l, 0.0) + score
+    _require_two_authors(game.instance, x)
+    contrib = coauthor_contributions(game.instance, x)
 
     raising = isinstance(game, FullCreditGame)
     slope_vec = problem.costs.R if raising else problem.costs.L
-    candidates = [l for l in sorted(contrib) if l not in problem.exempt]
+    candidates = [l for l in contrib if l not in problem.exempt]
     order = sorted(candidates, key=lambda l: (-contrib[l] / slope_vec[l - 1], l))
     profile, touched = _greedy_raise(
         problem.costs.baseline_profile(),
@@ -386,18 +380,25 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
 
 def pairwise_exempt_set(game: Game, y: int) -> frozenset[int]:
     """Players whose reliabilities contribute to the Shapley value of y and
-    are therefore untouchable in a pairwise attack protecting y."""
+    are therefore untouchable in a pairwise attack protecting y.
+
+    In a coverage game these are exactly y and the coverers of every element
+    y covers; in the threshold game the distance-two ball of y, and in the
+    full-obligation game y and its coauthors."""
     if not 1 <= y <= game.n:
         raise DomainError(f"player {y} outside 1..{game.n}")
-    if isinstance(game, (ClosedNeighborhoodGame, ThresholdNeighborhoodGame)):
+    if isinstance(game, CoverageGame):
+        out = {y}
+        for e in game._covers[y].tolist():
+            out.update(game._coverers[e].tolist())
+        return frozenset(out)
+    if isinstance(game, ThresholdNeighborhoodGame):
         graph = game.graph
         out = {y} | graph.neighbors(y)
         for v in list(out):
             out |= graph.neighbors(v)
         return frozenset(out)
-    if isinstance(game, DistanceCutoffGame):
-        return ball(game.graph, {y}, 2.0 * game.cutoff) | {y}
-    if isinstance(game, (FullCreditGame, FullObligationGame)):
+    if isinstance(game, FullObligationGame):
         return game.instance.coauthors(y) | {y}
     raise DomainError(f"pairwise exemption undefined for variant {game.variant!r}")
 
@@ -428,10 +429,7 @@ def removal_no_benefit_check(
     no-benefit theorems hold.  ``trials=None`` enumerates every removal
     subset; an integer samples that many random subsets (seeded).
     """
-    if not isinstance(
-        game,
-        (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame, FullCreditGame),
-    ):
+    if not isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
         raise DomainError(
             f"no-benefit check covers nc1/nc2/nc3/fc, not {game.variant!r}"
         )
@@ -542,10 +540,7 @@ def removal_attack(problem: AttackProblem) -> AttackPlan:
         return _removal_exhaustive_over(
             game, problem.costs, problem.budget, problem.target, candidates, 16, "players"
         )
-    if isinstance(
-        game,
-        (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame, FullCreditGame),
-    ):
+    if isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
         base = problem.costs.baseline_profile()
         return AttackPlan(
             0.0,

@@ -132,6 +132,12 @@ class Graph:
             wadj[v].append((u, w))
         return tuple(tuple(sorted(a)) for a in wadj)
 
+    @cached_property
+    def _closed_rows(self) -> tuple[np.ndarray, ...]:
+        """Per player, its closed neighborhood as a sorted index array
+        (entry 0 is empty)."""
+        return _index_rows([()] + [a | {x} for x, a in enumerate(self._adj) if x])
+
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[float]]) -> "Graph":
         """Build from ``[u, v]`` or ``[u, v, w]`` items, normalizing endpoint order."""
@@ -361,6 +367,16 @@ def coauthor_contributions(instance: CreditInstance, x: int) -> dict[int, float]
     return {l: contrib[l] for l in sorted(contrib)}
 
 
+def _require_two_authors(instance: CreditInstance, x: int) -> None:
+    """Raise unless every paper of x has exactly two authors."""
+    for i in instance.papers_of(x):
+        authors = instance.papers[i][0]
+        if len(authors) != 2:
+            raise DomainError(
+                f"paper {sorted(authors)} of player {x} has {len(authors)} authors, expected 2"
+            )
+
+
 def induced_subgraph_to_credit(graph: Graph) -> CreditInstance:
     """One two-author paper per edge, scored by the edge weight, so that the
     full-obligation game on the result reproduces the induced-subgraph game."""
@@ -391,6 +407,15 @@ def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
 
 def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
     return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
+
+
+def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
+    """Per element 0..size-1, the sorted indices of the rows that hold it."""
+    flat = np.concatenate(rows)
+    owners = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    ends = np.cumsum(np.bincount(flat, minlength=size))
+    # splitting at all size ends leaves one empty piece after the last
+    return tuple(np.split(owners[np.argsort(flat, kind="stable")], ends)[:-1])
 
 
 def _hits(rows: Sequence[np.ndarray], players: Iterable[int], size: int) -> np.ndarray:
@@ -490,8 +515,41 @@ def char_value(game: Game, coalition: Coalition) -> float:
     return game.value(coalition)
 
 
+class CoverageGame(Game):
+    """Weighted coverage: a coalition earns the weight of every element that
+    at least one member covers.
+
+    A subclass supplies the incidence as ``_covers``, per player the sorted
+    array of the elements it covers (entry 0 is empty), and ``_weights``, one
+    weight per element.  Who covers an element, ``_coverers``, is read off
+    the transpose of ``_covers`` and never recomputed, so the value, the
+    closed forms and the exempt set all see one relation.
+    """
+
+    _covers: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """Unless a subclass says otherwise, the elements are the players
+        1..n, each of weight 1 (element 0 is never covered)."""
+        return np.ones(self.n + 1)
+
+    @cached_property
+    def _coverers(self) -> tuple[np.ndarray, ...]:
+        """Per element, the sorted players that cover it."""
+        return _transpose(self._covers, len(self._weights))
+
+    def value_mask(self, mask: int) -> float:
+        covered = _hits(self._covers, _players_of(mask), len(self._weights)) > 0
+        return float(self._weights[covered].sum())
+
+    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
+        players = _table_players(self.n, players, base)
+        return _coverage_values(self._covers, self._weights, players, base)
+
+
 @dataclass(frozen=True)
-class ClosedNeighborhoodGame(Game):
+class ClosedNeighborhoodGame(CoverageGame):
     """Value of S is the number of players in S or adjacent to S."""
 
     graph: Graph
@@ -501,25 +559,13 @@ class ClosedNeighborhoodGame(Game):
     def n(self) -> int:
         return self.graph.n
 
-    def value_mask(self, mask: int) -> float:
-        cover = mask
-        m = mask
-        nbr = self.graph._nbr_mask
-        while m:
-            low = m & -m
-            cover |= nbr[low.bit_length()]
-            m ^= low
-        return float(cover.bit_count())
+    @property
+    def _covers(self) -> tuple[np.ndarray, ...]:
+        return self.graph._closed_rows
 
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        """Per player, the players it covers: its closed neighborhood."""
-        adj = self.graph._adj
-        return _index_rows([()] + [adj[x] | {x} for x in range(1, self.n + 1)])
-
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        players = _table_players(self.n, players, base)
-        return _coverage_values(self._rows, np.ones(self.n + 1), players, base)
+    # N[.] comes from symmetric integer adjacency with no float sums, so y is
+    # in N[x] exactly when x is in N[y]: the rows are their own transpose
+    _coverers = _covers
 
 
 @dataclass(frozen=True)
@@ -585,14 +631,19 @@ class ThresholdNeighborhoodGame(Game):
 
 
 @dataclass(frozen=True)
-class DistanceCutoffGame(Game):
+class DistanceCutoffGame(CoverageGame):
     """Value of S is the size of the ball of radius ``cutoff`` around S in a
-    weighted graph (distance ties at the cutoff included)."""
+    weighted graph (distance ties at the cutoff included).
+
+    Player x covers the ball computed from x.  Float path sums are not
+    symmetric (0.1 + 0.2 + 0.3 > 0.6), so at a tie y may lie in the ball of
+    x while x misses the ball of y; the coverers of y are therefore the
+    transpose of the balls, not the ball of y.
+    """
 
     graph: Graph
     cutoff: float
-    _balls: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _ball_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _covers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     variant = "nc3"
 
     def __post_init__(self) -> None:
@@ -602,14 +653,8 @@ class DistanceCutoffGame(Game):
             raise DomainError(
                 f"cutoff (field 'd_cut') must be a finite positive number, got {self.cutoff}"
             )
-        balls = [()] + [
-            tuple(sorted(ball(self.graph, {x}, self.cutoff)))
-            for x in range(1, self.graph.n + 1)
-        ]
-        object.__setattr__(self, "_balls", tuple(balls))
-        object.__setattr__(
-            self, "_ball_mask", tuple(_mask_of(b) for b in balls)
-        )
+        balls = [ball(self.graph, {x}, self.cutoff) for x in range(1, self.graph.n + 1)]
+        object.__setattr__(self, "_covers", _index_rows([()] + balls))
 
     @property
     def n(self) -> int:
@@ -619,54 +664,27 @@ class DistanceCutoffGame(Game):
         """Ball of radius ``cutoff`` around x (always contains x)."""
         if not 1 <= x <= self.n:
             raise DomainError(f"player {x} outside 1..{self.n}")
-        return frozenset(self._balls[x])
-
-    def value_mask(self, mask: int) -> float:
-        cover = 0
-        m = mask
-        while m:
-            low = m & -m
-            cover |= self._ball_mask[low.bit_length()]
-            m ^= low
-        return float(cover.bit_count())
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        return _index_rows(self._balls)
-
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        players = _table_players(self.n, players, base)
-        return _coverage_values(self._rows, np.ones(self.n + 1), players, base)
+        return frozenset(self._covers[x].tolist())
 
 
 @dataclass(frozen=True)
-class FullCreditGame(Game):
+class FullCreditGame(CoverageGame):
     """A coalition earns every paper with at least one of its authors."""
 
     instance: CreditInstance
-    _auth_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     variant = "fc"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_auth_masks", tuple(_mask_of(a) for a, _ in self.instance.papers)
-        )
 
     @property
     def n(self) -> int:
         return self.instance.n
 
-    def value_mask(self, mask: int) -> float:
-        return sum(
-            score
-            for (_, score), am in zip(self.instance.papers, self._auth_masks)
-            if am & mask
-        )
+    @property
+    def _covers(self) -> tuple[np.ndarray, ...]:
+        return self.instance._rows
 
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        players = _table_players(self.n, players, base)
-        inst = self.instance
-        return _coverage_values(inst._rows, inst._scores, players, base)
+    @property
+    def _weights(self) -> np.ndarray:
+        return self.instance._scores
 
 
 @dataclass(frozen=True)
@@ -674,24 +692,16 @@ class FullObligationGame(Game):
     """A coalition earns a paper only if it contains all of its authors."""
 
     instance: CreditInstance
-    _auth_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     variant = "fo"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_auth_masks", tuple(_mask_of(a) for a, _ in self.instance.papers)
-        )
 
     @property
     def n(self) -> int:
         return self.instance.n
 
     def value_mask(self, mask: int) -> float:
-        return sum(
-            score
-            for (_, score), am in zip(self.instance.papers, self._auth_masks)
-            if am & mask == am
-        )
+        inst = self.instance
+        inside = _hits(inst._rows, _players_of(mask), len(inst.papers)) == inst._sizes
+        return float(inst._scores[inside].sum())
 
     def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
         """Papers whose authors all lie in ``base`` plus ``players`` add their

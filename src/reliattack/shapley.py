@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -21,13 +21,14 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .games import (
     ClosedNeighborhoodGame,
+    CoverageGame,
     CreditInstance,
-    DistanceCutoffGame,
-    FullCreditGame,
     FullObligationGame,
     Game,
     Graph,
     ThresholdNeighborhoodGame,
+    _require_two_authors,
+    coauthor_contributions,
 )
 from .reliability import (
     ProfileLike,
@@ -128,25 +129,13 @@ def _size_pmf(probs: list[float]) -> list[float]:
     return pmf
 
 
-def _dead_weight_poly(probs: list[float]) -> list[float]:
-    """poly[s] = sum over the size-s subsets S of prod_{l in S} (1 - p_l)."""
-    poly = [1.0]
-    for q in probs:
-        dead = 1.0 - q
-        nxt = [0.0] * (len(poly) + 1)
-        for s, c in enumerate(poly):
-            nxt[s] += c
-            nxt[s + 1] += c * dead
-        poly = nxt
-    return poly
-
-
-def _nc1_inner(graph: Graph, p: ReliabilityProfile, x: int) -> float:
+def _coverage_inner(game: CoverageGame, p: ReliabilityProfile, x: int) -> float:
+    """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
+    L counts the live coverers of e other than x; Sh_x is p_x times this."""
     total = 0.0
-    for y in sorted(graph.closed_neighborhood(x)):
-        others = sorted(graph.closed_neighborhood(y) - {x})
-        pmf = _size_pmf([p[z] for z in others])
-        total += sum(c / (s + 1) for s, c in enumerate(pmf))
+    for e in game._covers[x].tolist():
+        pmf = _size_pmf([p[z] for z in game._coverers[e].tolist() if z != x])
+        total += float(game._weights[e]) * sum(c / (s + 1) for s, c in enumerate(pmf))
     return total
 
 
@@ -169,28 +158,6 @@ def _nc2_inner(game: ThresholdNeighborhoodGame, p: ReliabilityProfile, x: int) -
     return total
 
 
-def _nc3_inner(game: DistanceCutoffGame, p: ReliabilityProfile, x: int) -> float:
-    total = 0.0
-    for y in sorted(game.cutoff_neighborhood(x)):
-        others = sorted(game.cutoff_neighborhood(y) - {x})
-        pmf = _size_pmf([p[z] for z in others])
-        total += sum(c / (s + 1) for s, c in enumerate(pmf))
-    return total
-
-
-def _fc_closed(game: FullCreditGame, p: ReliabilityProfile, x: int) -> float:
-    inst = game.instance
-    total = 0.0
-    for i in inst.papers_of(x):
-        authors, score = inst.papers[i]
-        nk = len(authors)
-        poly = _dead_weight_poly([p[l] for l in sorted(authors - {x})])
-        total += score * sum(
-            c / ((nk - s) * comb(nk, s)) for s, c in enumerate(poly)
-        )
-    return p[x] * total
-
-
 def _fo_closed(game: FullObligationGame, p: ReliabilityProfile, x: int) -> float:
     total = 0.0
     for i in game.instance.papers_of(x):
@@ -211,14 +178,10 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     p = as_profile(profile, game.n)
     if not 1 <= player <= game.n:
         raise DomainError(f"player {player} outside 1..{game.n}")
-    if isinstance(game, ClosedNeighborhoodGame):
-        return p[player] * _nc1_inner(game.graph, p, player)
+    if isinstance(game, CoverageGame):
+        return p[player] * _coverage_inner(game, p, player)
     if isinstance(game, ThresholdNeighborhoodGame):
         return p[player] * _nc2_inner(game, p, player)
-    if isinstance(game, DistanceCutoffGame):
-        return p[player] * _nc3_inner(game, p, player)
-    if isinstance(game, FullCreditGame):
-        return _fc_closed(game, p, player)
     if isinstance(game, FullObligationGame):
         return _fo_closed(game, p, player)
     raise DomainError(
@@ -230,8 +193,8 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
 # whole-vector closed forms
 #
 # Every closed form except fo sums, over pairs (x, A) of a player and a cover
-# set A, the quantity sum_s P(s players of A - {x} live) * w[s].  A is N[y]
-# for nc1, the cutoff ball of y for nc3, the author set of a paper for fc, and
+# set A, the quantity sum_s P(s players of A - {x} live) * w[s].  A is the set
+# of coverers of an element x covers in the coverage games (nc1, nc3, fc) and
 # N(y) for nc2.  The vector path evaluates all pairs at once: it buckets them
 # by |A|, runs the _size_pmf recurrence column by column over a block of rows
 # (x's own entry set to 0, which adds no live player and leaves the
@@ -313,11 +276,17 @@ def _nc2_pair_weights(k: int):
     return weights
 
 
-def _coverage_vector(p: np.ndarray, rows) -> np.ndarray:
-    """p_x * sum_{y in row(x)} E[1 / (1 + live players of row(y) - {x})]."""
-    indptr, ys, xs = _csr(rows)
-    vals = _pair_pmf_dots(p, indptr, ys, xs, ys, _inverse_weights)
-    return p * np.bincount(xs, vals, minlength=len(p))
+def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
+    """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
+    coverers of e other than x)], with the coverers as CSR cover sets."""
+    coverers, covers = game._coverers, game._covers
+    indptr = np.zeros(len(coverers) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in coverers], out=indptr[1:])
+    members = np.concatenate((np.empty(0, np.intp), *coverers)) - 1  # no elements: no rows
+    elements = np.concatenate(covers)
+    xs = np.repeat(np.arange(-1, len(covers) - 1), [len(c) for c in covers])
+    vals = _pair_pmf_dots(p, indptr, members, xs, elements, _inverse_weights)
+    return p * np.bincount(xs, game._weights[elements] * vals, minlength=len(p))
 
 
 def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
@@ -333,17 +302,11 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
     return p * (np.bincount(xs, py * alive + (1.0 - py) * dead, minlength=n) + own_term)
 
 
-def _credit_vector(game: Game, p: np.ndarray) -> np.ndarray:
-    papers = game.instance.papers
-    indptr, authors, paper = _csr(a for a, _ in papers)
-    scores = np.array([score for _, score in papers])
-    if isinstance(game, FullCreditGame):
-        vals = scores[paper] * _pair_pmf_dots(
-            p, indptr, authors, authors, paper, _inverse_weights
-        )
-        return p * np.bincount(authors, vals, minlength=len(p))
+def _fo_vector(game: FullObligationGame, p: np.ndarray) -> np.ndarray:
+    inst = game.instance
+    indptr, authors, paper = _csr(a for a, _ in inst.papers)
     prods = np.multiply.reduceat(p[authors], indptr[:-1])
-    vals = (scores / np.diff(indptr) * prods)[paper]
+    vals = (inst._scores / np.diff(indptr) * prods)[paper]
     return np.bincount(authors, vals, minlength=len(p)).astype(np.float64)
 
 
@@ -352,15 +315,12 @@ def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
     at once; :func:`shapley_closed` is the per-player reference path."""
     prof = as_profile(profile, game.n)
     p = np.array(prof.values, dtype=np.float64)
-    n = game.n
-    if isinstance(game, ClosedNeighborhoodGame):
-        vec = _coverage_vector(p, [game.graph.closed_neighborhood(x) for x in range(1, n + 1)])
+    if isinstance(game, CoverageGame):
+        vec = _coverage_vector(game, p)
     elif isinstance(game, ThresholdNeighborhoodGame):
         vec = _nc2_vector(game, p)
-    elif isinstance(game, DistanceCutoffGame):
-        vec = _coverage_vector(p, game._balls[1:])
-    elif isinstance(game, (FullCreditGame, FullObligationGame)):
-        vec = _credit_vector(game, p)
+    elif isinstance(game, FullObligationGame):
+        vec = _fo_vector(game, p)
     else:
         raise DomainError(
             f"no closed form for game variant {game.variant!r}; use shapley_definitional"
@@ -372,18 +332,9 @@ def shapley_fc_two_author(instance: CreditInstance, profile: ProfileLike, x: int
     """Full-credit Shapley value of x when all of x's papers have exactly two
     authors: ``p_x * sum_l C(x,l) * (2 - p_l) / 2``."""
     p = as_profile(profile, instance.n)
-    if not 1 <= x <= instance.n:
-        raise DomainError(f"player {x} outside 1..{instance.n}")
-    contrib: dict[int, float] = {}
-    for i in instance.papers_of(x):
-        authors, score = instance.papers[i]
-        if len(authors) != 2:
-            raise DomainError(
-                f"paper {sorted(authors)} of player {x} has {len(authors)} authors, expected 2"
-            )
-        (l,) = authors - {x}
-        contrib[l] = contrib.get(l, 0.0) + score
-    return p[x] * sum(contrib[l] * (2.0 - p[l]) / 2.0 for l in sorted(contrib))
+    _require_two_authors(instance, x)
+    contrib = coauthor_contributions(instance, x)
+    return p[x] * sum(c * (2.0 - p[l]) / 2.0 for l, c in contrib.items())
 
 
 def shapley_cycle_closed(profile: ProfileLike) -> float:
@@ -412,6 +363,26 @@ def shapley_cycle_closed(profile: ProfileLike) -> float:
 # gradients
 
 
+def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tuple[float, ...]:
+    """The entry for x is the inner sum of Sh_x = p_x * inner.  For j != x,
+    dSh_x/dp_j = -p_x * sum over the elements e covered by x and j of
+    w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
+    other than x and j."""
+    out = [0.0] * game.n
+    out[x - 1] = _coverage_inner(game, p, x)
+    totals: dict[int, float] = {}
+    for e in game._covers[x].tolist():
+        others = [z for z in game._coverers[e].tolist() if z != x]
+        w = float(game._weights[e])
+        for j in others:
+            pmf = _size_pmf([p[z] for z in others if z != j])
+            term = sum(c / ((s + 1) * (s + 2)) for s, c in enumerate(pmf))
+            totals[j] = totals.get(j, 0.0) + w * term
+    for j, total in totals.items():
+        out[j - 1] = -p[x] * total
+    return tuple(out)
+
+
 def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[float, ...]:
     """Gradient of the closed-neighborhood Shapley value of x in every p_j.
 
@@ -419,41 +390,23 @@ def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[fl
     ball of x; the entry for x itself is the (nonnegative) derivative in the
     target's own reliability.
     """
-    p = as_profile(profile, graph.n)
-    if not 1 <= x <= graph.n:
-        raise DomainError(f"player {x} outside 1..{graph.n}")
-    out = [0.0] * graph.n
-    out[x - 1] = _nc1_inner(graph, p, x)
-    hood_x = graph.closed_neighborhood(x)
-    ball2 = set().union(*(graph.closed_neighborhood(y) for y in hood_x)) - {x}
-    for j in sorted(ball2):
-        common = hood_x & graph.closed_neighborhood(j)
-        total = 0.0
-        for y in sorted(common):
-            others = sorted(graph.closed_neighborhood(y) - {x, j})
-            pmf = _size_pmf([p[z] for z in others])
-            total += sum(c / ((s + 1) * (s + 2)) for s, c in enumerate(pmf))
-        out[j - 1] = -p[x] * total
-    return tuple(out)
-
-
-def _central_difference(f, p: ReliabilityProfile, j: int, h: float) -> float:
-    lo = max(0.0, p[j] - h)
-    hi = min(1.0, p[j] + h)
-    return (f(p.with_value(j, hi)) - f(p.with_value(j, lo))) / (hi - lo)
+    return shapley_gradient(ClosedNeighborhoodGame(graph), profile, x)
 
 
 def shapley_gradient(game: Game, profile: ProfileLike, x: int, *, step: float = 1e-6) -> tuple[float, ...]:
     """Gradient of the closed-form Shapley value of x in every p_j.
 
-    Analytic for the closed-neighborhood game; the other variants are
-    differentiated numerically (central differences of the closed form) as a
-    cross-check surface.
+    Analytic for the coverage games (nc1, nc3 and fc); the threshold and
+    full-obligation games are differentiated numerically (central
+    differences of the closed form with step ``step``) as a cross-check
+    surface.
     """
     p = as_profile(profile, game.n)
-    if isinstance(game, ClosedNeighborhoodGame):
-        return shapley_gradient_nc1(game.graph, p, x)
+    if not 1 <= x <= game.n:
+        raise DomainError(f"player {x} outside 1..{game.n}")
+    if isinstance(game, CoverageGame):
+        return _coverage_gradient(game, p, x)
+    from .oracle import finite_difference  # oracle imports attacks, which imports this module
+
     f = lambda q: shapley_closed(game, q, x)
-    return tuple(
-        _central_difference(f, p, j, step) for j in range(1, game.n + 1)
-    )
+    return tuple(finite_difference(f, p, j, step) for j in range(1, game.n + 1))

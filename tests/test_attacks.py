@@ -31,10 +31,11 @@ from reliattack import (
     removal_attack,
     removal_no_benefit_check,
     shapley_closed,
+    shapley_definitional,
     star_graph,
 )
 
-from conftest import random_profile, random_two_author_credit
+from conftest import random_game, random_profile, random_two_author_credit
 
 BMC_WEIGHTS = [2, 1]
 BMC_SETS = [({1}, 1), ({1, 2}, 2)]
@@ -305,11 +306,28 @@ class TestPairwiseExemptSet:
     def test_cycle_distance_two_ball(self):
         assert pairwise_exempt_set(nc1(cycle_graph(7)), 1) == {6, 7, 1, 2, 3}
 
-    def test_nc3_uses_doubled_cutoff(self):
+    def test_nc3_shares_a_cover_set(self):
         g = Graph(4, ((1, 2), (2, 3), (3, 4)), (1.0, 1.0, 1.0))
-        game = DistanceCutoffGame(g, 0.8)
-        # ball of radius 1.6 around 1 reaches only node 2
-        assert pairwise_exempt_set(game, 1) == {1, 2}
+        # every ball of radius 0.8 is a single player, so only p_1 enters Sh_1
+        assert pairwise_exempt_set(DistanceCutoffGame(g, 0.8), 1) == {1}
+        # at radius 1.0 player 1 covers 1 and 2, which 2 and 3 cover too
+        assert pairwise_exempt_set(DistanceCutoffGame(g, 1.0), 1) == {1, 2, 3}
+
+    def test_outside_players_leave_the_value_unchanged(self, rng):
+        checked = 0
+        for variant in ("nc1", "nc3", "fc"):
+            for _ in range(10):
+                n = rng.randint(2, 6)
+                game = random_game(rng, variant, n)
+                p = random_profile(rng, n)
+                y = rng.randint(1, n)
+                before = shapley_definitional(game, p)[y]
+                for j in sorted(set(range(1, n + 1)) - pairwise_exempt_set(game, y)):
+                    for v in (0.0, 1.0):
+                        after = shapley_definitional(game, p.with_value(j, v))[y]
+                        assert after == pytest.approx(before, abs=1e-12), (variant, j, v)
+                        checked += 1
+        assert checked > 0
 
 
 class TestRemovalNoBenefit:

@@ -442,3 +442,26 @@ class TestSubsetValues:
                 game.subset_values(players, base)
             with pytest.raises(DomainError):
                 Game.subset_values(game, players, base)
+
+
+class TestCoverageIncidence:
+    def test_coverers_transpose_covers(self, rng):
+        # path sums from 4 reach 1 at exactly 0.6; from 1 they reach 4 at
+        # 0.6000000000000001, past the cutoff
+        tie = DistanceCutoffGame(Graph.of(4, [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.3)]), 0.6)
+        assert tie._covers[1].tolist() == [1, 2, 3] and tie._covers[4].tolist() == [1, 2, 3, 4]
+        assert tie._coverers[1].tolist() == [1, 2, 3, 4] and tie._coverers[4].tolist() == [2, 3, 4]
+        games = [tie, FullCreditGame(CreditInstance.of(3, []))] + [
+            random_game(rng, variant, rng.randint(1, 8))
+            for variant in ("nc1", "nc3", "fc")
+            for _ in range(10)
+        ]
+        for game in games:
+            size = len(game._weights)
+            assert len(game._covers) == game.n + 1 and len(game._covers[0]) == 0
+            assert len(game._coverers) == size
+            for row in (*game._covers, *game._coverers):
+                assert (np.diff(row) > 0).all()
+            covers = {(x, e) for x in range(game.n + 1) for e in game._covers[x].tolist()}
+            coverers = {(x, e) for e in range(size) for x in game._coverers[e].tolist()}
+            assert covers == coverers

@@ -244,6 +244,50 @@ class TestClosedForms:
         assert list(nc2) == pytest.approx(list(nc1), abs=1e-12)
 
 
+TIE_WEIGHTS = (0.1, 0.2, 0.3, 0.6, 0.7)
+
+
+def tie_path_game():
+    """Path 1-2-3-4 with weights 0.1, 0.2, 0.3 and cutoff 0.6: summed from 4
+    the path to 1 is 0.6, summed from 1 it is 0.6000000000000001, so 4 covers
+    1 but 1 does not cover 4."""
+    return DistanceCutoffGame(Graph.of(4, [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.3)]), 0.6)
+
+
+class TestDistanceTies:
+    """nc3 at floating-point distance ties, where the ball from x and the
+    ball from y disagree; every path must follow ``value_mask``."""
+
+    def test_path_case(self):
+        game = tie_path_game()
+        p = ReliabilityProfile.ones(4)
+        expected = [0.75, 13 / 12, 13 / 12, 13 / 12]
+        closed = [shapley_closed(game, p, x) for x in range(1, 5)]
+        assert closed == pytest.approx(expected, abs=1e-12)
+        assert list(shapley_vector_closed(game, p)) == pytest.approx(expected, abs=1e-12)
+        assert list(shapley_definitional(game, p)) == pytest.approx(expected, abs=1e-12)
+
+    @seed(20240817)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_matches_definitional_at_ties(self, data):
+        # a path 1-2-...-n plus chords, so that many path sums meet the cutoff
+        n = data.draw(st.integers(2, 7))
+        weight = st.sampled_from(TIE_WEIGHTS)
+        chords = [(u, v) for u in range(1, n + 1) for v in range(u + 2, n + 1)]
+        if chords:
+            chords = sorted(data.draw(st.sets(st.sampled_from(chords))))
+        edges = [(u, u + 1) for u in range(1, n)] + chords
+        graph = Graph.of(n, [(u, v, data.draw(weight)) for u, v in edges])
+        cutoff = sum(data.draw(st.lists(weight, min_size=1, max_size=3)))
+        game = DistanceCutoffGame(graph, cutoff)
+        probability = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+        p = data.draw(st.lists(probability, min_size=n, max_size=n))
+        closed = [shapley_closed(game, p, x) for x in range(1, n + 1)]
+        assert closed == pytest.approx(list(shapley_definitional(game, p)), abs=1e-9)
+        assert list(shapley_vector_closed(game, p)) == pytest.approx(closed, abs=1e-9)
+
+
 class TestTwoAuthorFormula:
     def test_single_paper(self):
         ci = CreditInstance.of(2, [((1, 2), 2.0)])
@@ -359,7 +403,12 @@ def _gradient_nc1_over_all_players(graph, p, x):
     """The nc1 gradient as a loop over every player j (no distance-two
     restriction): the reference the restricted loop must reproduce."""
     out = [0.0] * graph.n
-    out[x - 1] = shapley._nc1_inner(graph, p, x)
+    total = 0.0
+    for y in sorted(graph.closed_neighborhood(x)):
+        others = sorted(graph.closed_neighborhood(y) - {x})
+        pmf = shapley._size_pmf([p[z] for z in others])
+        total += sum(c / (s + 1) for s, c in enumerate(pmf))
+    out[x - 1] = total
     hood_x = graph.closed_neighborhood(x)
     for j in range(1, graph.n + 1):
         if j == x:
@@ -408,6 +457,16 @@ class TestGradients:
                     continue
                 fd = finite_difference(lambda q: shapley_closed(game, q, x), p, j, 1e-6)
                 assert grad[j - 1] == pytest.approx(fd, abs=1e-5)
+        for variant in ("nc3", "fc"):
+            for _ in range(8):
+                n = rng.randint(2, 7)
+                game = random_game(rng, variant, n)
+                p = random_profile(rng, n, lo=0.05, hi=0.95)
+                x = rng.randint(1, n)
+                grad = shapley_gradient(game, p, x)
+                for j in range(1, n + 1):
+                    fd = finite_difference(lambda q: shapley_closed(game, q, x), p, j, 1e-6)
+                    assert grad[j - 1] == pytest.approx(fd, abs=1e-5), (variant, j)
 
     def test_triangle_symmetry(self):
         p = ReliabilityProfile((1.0, 0.5, 0.5))
