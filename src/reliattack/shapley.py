@@ -282,7 +282,8 @@ def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
     coverers, covers = game._coverers, game._covers
     indptr = np.zeros(len(coverers) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in coverers], out=indptr[1:])
-    members = np.concatenate((np.empty(0, np.intp), *coverers)) - 1  # no elements: no rows
+    # the leading empty array lets an instance without elements concatenate
+    members = np.concatenate((np.empty(0, np.intp), *coverers)) - 1
     elements = np.concatenate(covers)
     xs = np.repeat(np.arange(-1, len(covers) - 1), [len(c) for c in covers])
     vals = _pair_pmf_dots(p, indptr, members, xs, elements, _inverse_weights)
