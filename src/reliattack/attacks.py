@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ResourceLimitError
 from .games import (
     ClosedNeighborhoodGame,
@@ -461,6 +463,16 @@ def removal_no_benefit_check(
     return RemovalCheck(True, count, baseline)
 
 
+def _affordable_masks(prices: Sequence[float], budget: float) -> np.ndarray:
+    """The bitmasks over ``prices`` whose total price is within ``budget``,
+    in increasing order.  A mask's total adds its prices in increasing bit
+    order, as a left-to-right sum over the set bits does."""
+    totals = np.zeros(1 << len(prices))
+    for i, price in enumerate(prices):
+        totals[1 << i : 2 << i] = totals[: 1 << i] + price
+    return np.flatnonzero(totals <= budget + _COST_EPS)
+
+
 def fo_removal_exhaustive(
     instance: CreditInstance,
     costs: CostModel,
@@ -500,19 +512,16 @@ def _removal_exhaustive_over(
             f"{len(candidates)} removable {what} exceed the exhaustive-search cap ({cap})"
         )
     base = costs.baseline_profile()
-    best: tuple[float, int, tuple[int, ...], float] | None = None
-    for mask in range(1 << len(candidates)):
+    best: tuple[float, int, tuple[int, ...]] | None = None
+    for mask in _affordable_masks([costs.c[j - 1] for j in candidates], budget).tolist():
         removed = tuple(candidates[i] for i in range(len(candidates)) if mask >> i & 1)
-        cost = costs.removal_cost(removed)
-        if cost > budget + _COST_EPS:
-            continue
         value = shapley_closed(game, base.with_values({j: 0.0 for j in removed}), x)
         if best is None or value < best[0] - _TIE_EPS:
-            best = (value, len(removed), removed, cost)
+            best = (value, len(removed), removed)
         elif abs(value - best[0]) <= _TIE_EPS and (len(removed), removed) < (best[1], best[2]):
-            best = (value, len(removed), removed, cost)
-    value, _, removed, cost = best
-    return AttackPlan(cost, value, removed=frozenset(removed), order=removed)
+            best = (value, len(removed), removed)
+    value, _, removed = best
+    return AttackPlan(costs.removal_cost(removed), value, removed=frozenset(removed), order=removed)
 
 
 def removal_attack(problem: AttackProblem) -> AttackPlan:
@@ -665,11 +674,8 @@ def bmc_solve_exact(
     if m > set_cap:
         raise ResourceLimitError(f"{m} sets exceed the exhaustive-coverage cap ({set_cap})")
     best: tuple[float, int, tuple[int, ...]] | None = None
-    for mask in range(1 << m):
+    for mask in _affordable_masks([cost for _, cost in norm], budget).tolist():
         chosen = tuple(j + 1 for j in range(m) if mask >> j & 1)
-        cost = sum(norm[j - 1][1] for j in chosen)
-        if cost > budget + _COST_EPS:
-            continue
         weight = covered_weight(element_weights, sets, chosen)
         if best is None or weight > best[0] + _TIE_EPS:
             best = (weight, len(chosen), chosen)

@@ -138,6 +138,16 @@ class Graph:
         (entry 0 is empty)."""
         return _index_rows([()] + [a | {x} for x, a in enumerate(self._adj) if x])
 
+    @cached_property
+    def _closed_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_closed_rows`` in CSR form (row 0 is empty)."""
+        return _csr(self._closed_rows)
+
+    @cached_property
+    def _nbr_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The neighbors of players 1..n in CSR form, row x - 1 for x."""
+        return _csr(_index_rows(self._adj[1:]))
+
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[float]]) -> "Graph":
         """Build from ``[u, v]`` or ``[u, v, w]`` items, normalizing endpoint order."""
@@ -335,6 +345,11 @@ class CreditInstance:
         return _index_rows(self._papers_by_author)
 
     @cached_property
+    def _author_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The authors of each paper in CSR form, one row per paper."""
+        return _csr(_index_rows(authors for authors, _ in self.papers))
+
+    @cached_property
     def _scores(self) -> np.ndarray:
         return np.array([score for _, score in self.papers], dtype=np.float64)
 
@@ -407,6 +422,17 @@ def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
 
 def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
     return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
+
+
+def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR form of index rows of players: row pointer, the 0-based players of
+    each row in row order, and the row number of each entry."""
+    sizes = [len(r) for r in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    # the leading empty array lets an empty list of rows concatenate
+    indices = np.concatenate((np.empty(0, np.intp), *rows)) - 1
+    return indptr, indices, np.repeat(np.arange(len(rows)), sizes)
 
 
 def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
@@ -539,6 +565,11 @@ class CoverageGame(Game):
         """Per element, the sorted players that cover it."""
         return _transpose(self._covers, len(self._weights))
 
+    @cached_property
+    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_coverers`` in CSR form, one row per element."""
+        return _csr(self._coverers)
+
     def value_mask(self, mask: int) -> float:
         covered = _hits(self._covers, _players_of(mask), len(self._weights)) > 0
         return float(self._weights[covered].sum())
@@ -566,6 +597,10 @@ class ClosedNeighborhoodGame(CoverageGame):
     # N[.] comes from symmetric integer adjacency with no float sums, so y is
     # in N[x] exactly when x is in N[y]: the rows are their own transpose
     _coverers = _covers
+
+    @property
+    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.graph._closed_csr
 
 
 @dataclass(frozen=True)
@@ -685,6 +720,10 @@ class FullCreditGame(CoverageGame):
     @property
     def _weights(self) -> np.ndarray:
         return self.instance._scores
+
+    @property
+    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.instance._author_csr
 
 
 @dataclass(frozen=True)

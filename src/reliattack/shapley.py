@@ -113,6 +113,92 @@ def shapley_definitional(
 
 
 # ---------------------------------------------------------------------------
+# Owen's integral for the coverage games (nc1, nc3, fc)
+#
+# If L counts the live players of a set B, then E[1 / (1 + L)] is the
+# integral over [0, 1] of prod_{z in B} (1 - p_z + p_z t) dt (Owen's
+# multilinear extension), and E[1 / ((1 + L)(2 + L))] is the same integral
+# with the extra factor (1 - t).  Both integrands are polynomials, so
+# Gauss-Legendre quadrature computes them exactly.
+
+# Cap on the entries of one block (rows * |A| * nodes for Owen's integrand,
+# rows * (|A| + 1) for nc2's pmf), so a large bucket or set is processed in
+# pieces instead of as one huge array.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+@lru_cache(maxsize=256)
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of q-point Gauss-Legendre quadrature on [0, 1],
+    exact for polynomials of degree up to 2q - 1.
+
+    Newton's method on the roots of the Legendre polynomial P_q, evaluated
+    by its three-term recurrence; numpy's polynomial package would cost
+    about 2 MB of memory per process.
+    """
+    x = np.cos(np.pi * (np.arange(q) + 0.75) / (q + 0.5))
+    step = np.inf
+    for _ in range(100):
+        lower, value = np.ones(q), x
+        for k in range(2, q + 1):
+            lower, value = value, ((2 * k - 1) * x * value - (k - 1) * lower) / k
+        # P_q'(x); (x - 1)(x + 1) because x * x - 1 cancels near the ends
+        slope = q * (x * value - lower) / ((x - 1.0) * (x + 1.0))
+        # stopping only after the slope is evaluated at the last node keeps
+        # the weights consistent with the nodes
+        if np.abs(step).max() <= 1e-15:
+            break
+        step = value / slope
+        x = x - step
+    t, w = (1.0 - x) / 2.0, 1.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _owen_blocks(game: CoverageGame, p: np.ndarray, elements: np.ndarray):
+    """Owen's integrand over the cover sets of ``elements``, in blocks.
+
+    The elements are bucketed by the size a of their cover set A, and a
+    bucket is cut into blocks of about ``_BLOCK_ELEMENTS`` entries: several
+    sets at all Q = ceil(a / 2) nodes, or one set at some of its nodes when
+    a set alone is larger.  A block yields ``(e, members, logs, total, t,
+    w)``: its elements, their 0-based coverers of shape (rows, a),
+    log(1 - p_z + p_z t) at the block's nodes t, of shape (rows, a, len(t)),
+    the sum of those logs over each set, and the nodes and their weights w.
+    An integral is the sum of its weighted values over all the blocks of
+    its set.  A caller leaves a player's factor out of the product by
+    subtracting its log from the total; every factor is at least t > 0, so
+    exact 0s and 1s are safe.  Q nodes integrate the product over A minus
+    one player exactly, and (1 - t) times the product over A minus two.
+    """
+    indptr, indices, _ = game._coverer_csr
+    sizes = indptr[elements + 1] - indptr[elements]
+    # the distinct sizes by bincount: np.unique imports numpy.ma, which costs
+    # a short-lived process about 15 ms
+    for a in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+        t, w = _gauss_legendre((a + 1) // 2)
+        sel = elements[sizes == a]
+        step = max(1, _BLOCK_ELEMENTS // (a * len(t)))
+        span = max(1, _BLOCK_ELEMENTS // a)  # nodes per block of one set
+        for lo in range(0, len(sel), step):
+            e = sel[lo : lo + step]
+            members = indices[indptr[e, None] + np.arange(a)]
+            for q in range(0, len(t), span):
+                nodes = t[q : q + span]
+                logs = np.log1p(p[members][..., None] * (nodes - 1.0))
+                yield e, members, logs, logs.sum(axis=1), nodes, w[q : q + span]
+
+
+def _coverage_inner(game: CoverageGame, p: np.ndarray, x: int) -> float:
+    """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
+    L counts the live coverers of e other than x; Sh_x is p_x times this."""
+    total = 0.0
+    for e, members, logs, sums, _, w in _owen_blocks(game, p, game._covers[x]):
+        total += game._weights[e] @ (np.exp(sums - logs[members == x - 1]) @ w)
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
 # closed forms
 
 
@@ -127,16 +213,6 @@ def _size_pmf(probs: list[float]) -> list[float]:
             nxt[s + 1] += c * q
         pmf = nxt
     return pmf
-
-
-def _coverage_inner(game: CoverageGame, p: ReliabilityProfile, x: int) -> float:
-    """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
-    L counts the live coverers of e other than x; Sh_x is p_x times this."""
-    total = 0.0
-    for e in game._covers[x].tolist():
-        pmf = _size_pmf([p[z] for z in game._coverers[e].tolist() if z != x])
-        total += float(game._weights[e]) * sum(c / (s + 1) for s, c in enumerate(pmf))
-    return total
 
 
 def _nc2_inner(game: ThresholdNeighborhoodGame, p: ReliabilityProfile, x: int) -> float:
@@ -179,7 +255,7 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     if not 1 <= player <= game.n:
         raise DomainError(f"player {player} outside 1..{game.n}")
     if isinstance(game, CoverageGame):
-        return p[player] * _coverage_inner(game, p, player)
+        return p[player] * _coverage_inner(game, np.array(p.values), player)
     if isinstance(game, ThresholdNeighborhoodGame):
         return p[player] * _nc2_inner(game, p, player)
     if isinstance(game, FullObligationGame):
@@ -192,30 +268,12 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
 # ---------------------------------------------------------------------------
 # whole-vector closed forms
 #
-# Every closed form except fo sums, over pairs (x, A) of a player and a cover
-# set A, the quantity sum_s P(s players of A - {x} live) * w[s].  A is the set
-# of coverers of an element x covers in the coverage games (nc1, nc3, fc) and
-# N(y) for nc2.  The vector path evaluates all pairs at once: it buckets them
-# by |A|, runs the _size_pmf recurrence column by column over a block of rows
-# (x's own entry set to 0, which adds no live player and leaves the
-# arithmetic exact) and adds each row's dot product onto x.
-
-# Cap on rows * columns of one pmf block, so a hub's bucket (d pairs of
-# width d) is processed in pieces instead of as one (d, d + 1) array.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _csr(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR form of rows of players: row pointer, the 0-based players of
-    each row in sorted order, and the row number of each entry."""
-    rows = [sorted(r) for r in rows]
-    sizes = [len(r) for r in rows]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    indices = np.fromiter(
-        (z - 1 for r in rows for z in r), dtype=np.int64, count=int(indptr[-1])
-    )
-    return indptr, indices, np.repeat(np.arange(len(rows)), sizes)
+# nc2's closed form sums, over pairs (x, A) of a player and a set A = N(y),
+# the quantity sum_s P(s players of A - {x} live) * w[s].  The vector path
+# evaluates all pairs at once: it buckets them by |A|, runs the _size_pmf
+# recurrence column by column over a block of rows (x's own entry set to 0,
+# which adds no live player and leaves the arithmetic exact) and adds each
+# row's dot product onto x.  The coverage games use Owen's integral instead.
 
 
 def _pair_pmf_dots(
@@ -234,7 +292,7 @@ def _pair_pmf_dots(
     """
     sizes = np.diff(indptr)[pair_a]
     out = np.zeros((len(pair_x),) + weights(0).shape[1:])
-    for d in np.unique(sizes).tolist():
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
         w = weights(d)
         sel = np.flatnonzero(sizes == d)
         step = max(1, _BLOCK_ELEMENTS // (d + 1))
@@ -259,10 +317,6 @@ def _sizes(d: int) -> np.ndarray:
     return np.arange(1.0, d + 2.0)
 
 
-def _inverse_weights(d: int) -> np.ndarray:
-    return 1.0 / _sizes(d)
-
-
 def _nc2_pair_weights(k: int):
     """Alive/dead weights of ``_nc2_inner`` for s1 live players of N(y) - {x}."""
 
@@ -278,21 +332,18 @@ def _nc2_pair_weights(k: int):
 
 def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
     """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
-    coverers of e other than x)], with the coverers as CSR cover sets."""
-    coverers, covers = game._coverers, game._covers
-    indptr = np.zeros(len(coverers) + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in coverers], out=indptr[1:])
-    # the leading empty array lets an instance without elements concatenate
-    members = np.concatenate((np.empty(0, np.intp), *coverers)) - 1
-    elements = np.concatenate(covers)
-    xs = np.repeat(np.arange(-1, len(covers) - 1), [len(c) for c in covers])
-    vals = _pair_pmf_dots(p, indptr, members, xs, elements, _inverse_weights)
-    return p * np.bincount(xs, game._weights[elements] * vals, minlength=len(p))
+    coverers of e other than x)], for every player x."""
+    inner = np.zeros(len(p))
+    elements = np.arange(len(game._weights))
+    for e, members, logs, total, _, w in _owen_blocks(game, p, elements):
+        vals = game._weights[e][:, None] * (np.exp(total[:, None, :] - logs) @ w)
+        inner += np.bincount(members.ravel(), vals.ravel(), minlength=len(p))
+    return p * inner
 
 
 def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
     graph, k, n = game.graph, game.threshold, len(p)
-    indptr, ys, xs = _csr(graph.neighbors(x) for x in range(1, n + 1))
+    indptr, ys, xs = graph._nbr_csr
     alive, dead = _pair_pmf_dots(p, indptr, ys, xs, ys, _nc2_pair_weights(k)).T
     py = p[ys]
     # x's own term: s live neighbours of x, no removal
@@ -305,7 +356,7 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
 
 def _fo_vector(game: FullObligationGame, p: np.ndarray) -> np.ndarray:
     inst = game.instance
-    indptr, authors, paper = _csr(a for a, _ in inst.papers)
+    indptr, authors, paper = inst._author_csr
     prods = np.multiply.reduceat(p[authors], indptr[:-1])
     vals = (inst._scores / np.diff(indptr) * prods)[paper]
     return np.bincount(authors, vals, minlength=len(p)).astype(np.float64)
@@ -369,19 +420,16 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     dSh_x/dp_j = -p_x * sum over the elements e covered by x and j of
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
     other than x and j."""
-    out = [0.0] * game.n
-    out[x - 1] = _coverage_inner(game, p, x)
-    totals: dict[int, float] = {}
-    for e in game._covers[x].tolist():
-        others = [z for z in game._coverers[e].tolist() if z != x]
-        w = float(game._weights[e])
-        for j in others:
-            pmf = _size_pmf([p[z] for z in others if z != j])
-            term = sum(c / ((s + 1) * (s + 2)) for s, c in enumerate(pmf))
-            totals[j] = totals.get(j, 0.0) + w * term
-    for j, total in totals.items():
-        out[j - 1] = -p[x] * total
-    return tuple(out)
+    inner, slopes = 0.0, np.zeros(game.n)
+    for e, members, logs, sums, t, w in _owen_blocks(game, np.array(p.values), game._covers[x]):
+        rest = sums - logs[members == x - 1]
+        inner += game._weights[e] @ (np.exp(rest) @ w)
+        # x's own column is meaningless here; its entry is the inner sum
+        pairs = game._weights[e][:, None] * (np.exp(rest[:, None, :] - logs) @ (w * (1.0 - t)))
+        slopes += np.bincount(members.ravel(), pairs.ravel(), minlength=game.n)
+    out = 0.0 - p[x] * slopes  # unlike -y, 0.0 - y keeps unrelated players at +0.0
+    out[x - 1] = inner
+    return tuple(out.tolist())
 
 
 def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[float, ...]:

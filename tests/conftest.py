@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import settings
@@ -105,6 +107,69 @@ def enumerated_value(value_mask, pvals, smask):
         if prob:
             total += value_mask(tmask) * prob
     return total
+
+
+def size_pmf(probs, one=1):
+    """Distribution of the number of live players among independent players,
+    each live with probability q / one for its q in ``probs``: pmf[s] =
+    P(exactly s live) * one^len(probs).  Exact for integers and Fractions."""
+    pmf = [1]
+    for q in probs:
+        nxt = [0] * (len(pmf) + 1)
+        for s, c in enumerate(pmf):
+            nxt[s] += c * (one - q)
+            nxt[s + 1] += c * q
+        pmf = nxt
+    return pmf
+
+
+@lru_cache(maxsize=1024)
+def _pmf_moments(probs: tuple[float, ...]) -> tuple[Fraction, Fraction]:
+    """E[1 / (1 + L)] and E[1 / ((1 + L)(2 + L))] for the number L of live
+    players among ``probs`` (a sorted tuple, so equal multisets share an
+    entry), summed exactly over the size pmf.  Floats are dyadic, so each
+    probability is an integer over the largest denominator, and the pmf
+    runs in integers."""
+    fracs = [Fraction(q) for q in probs]
+    one = max((f.denominator for f in fracs), default=1)
+    pmf = size_pmf([f.numerator * (one // f.denominator) for f in fracs], one)
+    scale = Fraction(1, one ** len(fracs))
+    return (
+        scale * sum(Fraction(c, s + 1) for s, c in enumerate(pmf)),
+        scale * sum(Fraction(c, (s + 1) * (s + 2)) for s, c in enumerate(pmf)),
+    )
+
+
+def _moments(profile, players):
+    return _pmf_moments(tuple(sorted(profile[z] for z in players)))
+
+
+def coverage_inner(game, profile, x) -> Fraction:
+    """The pmf reference for a coverage game's inner sum (Sh_x = p_x *
+    inner): over the elements e that x covers, w_e * E[1 / (1 + L)] with L
+    the live coverers of e other than x.  Exact rational arithmetic on the
+    float profile and weights."""
+    total = Fraction(0)
+    for e in game._covers[x].tolist():
+        others = [z for z in game._coverers[e].tolist() if z != x]
+        total += Fraction(float(game._weights[e])) * _moments(profile, others)[0]
+    return total
+
+
+def coverage_gradient(game, profile, x) -> list[Fraction]:
+    """The pmf reference for ``shapley_gradient`` on a coverage game: entry
+    x - 1 is the inner sum, and entry j - 1 is -p_x times the sum over the
+    elements e covered by x and j of w_e * E[1 / ((1 + L)(2 + L))], with L
+    the live coverers of e other than x and j.  Exact, as above."""
+    out = [Fraction(0)] * game.n
+    for e in game._covers[x].tolist():
+        w = Fraction(float(game._weights[e]))
+        others = [z for z in game._coverers[e].tolist() if z != x]
+        for j in others:
+            out[j - 1] -= w * _moments(profile, [z for z in others if z != j])[1]
+    out = [Fraction(profile[x]) * v for v in out]
+    out[x - 1] = coverage_inner(game, profile, x)
+    return out
 
 
 @pytest.fixture

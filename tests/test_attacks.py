@@ -4,6 +4,7 @@ import random
 import pytest
 
 from reliattack import (
+    AttackPlan,
     AttackProblem,
     ClosedNeighborhoodGame,
     CostModel,
@@ -35,7 +36,9 @@ from reliattack import (
     star_graph,
 )
 
-from conftest import random_game, random_profile, random_two_author_credit
+from reliattack import attacks
+
+from conftest import random_game, random_graph, random_profile, random_two_author_credit
 
 BMC_WEIGHTS = [2, 1]
 BMC_SETS = [({1}, 1), ({1, 2}, 2)]
@@ -508,3 +511,109 @@ class TestBmc:
                 assert baseline - after == pytest.approx(
                     covered_weight(weights, sets, family), abs=1e-9
                 )
+
+
+def _removal_loop(game, costs, budget, x, candidates):
+    """The exhaustive removal search as one loop over every subset mask,
+    pricing each subset before evaluating it: the reference for the search
+    that enumerates only affordable masks."""
+    base = costs.baseline_profile()
+    best = None
+    for mask in range(1 << len(candidates)):
+        removed = tuple(candidates[i] for i in range(len(candidates)) if mask >> i & 1)
+        cost = costs.removal_cost(removed)
+        if cost > budget + 1e-12:
+            continue
+        value = shapley_closed(game, base.with_values({j: 0.0 for j in removed}), x)
+        if best is None or value < best[0] - 1e-12:
+            best = (value, len(removed), removed, cost)
+        elif abs(value - best[0]) <= 1e-12 and (len(removed), removed) < (best[1], best[2]):
+            best = (value, len(removed), removed, cost)
+    value, _, removed, cost = best
+    return AttackPlan(cost, value, removed=frozenset(removed), order=removed)
+
+
+def _bmc_loop(weights, sets, budget):
+    """``bmc_solve_exact`` as one loop over every subset mask."""
+    best = None
+    for mask in range(1 << len(sets)):
+        chosen = tuple(j + 1 for j in range(len(sets)) if mask >> j & 1)
+        if sum(float(sets[j - 1][1]) for j in chosen) > budget + 1e-12:
+            continue
+        weight = covered_weight(weights, sets, chosen)
+        if best is None or weight > best[0] + 1e-12:
+            best = (weight, len(chosen), chosen)
+        elif abs(weight - best[0]) <= 1e-12 and (len(chosen), chosen) < (best[1], best[2]):
+            best = (weight, len(chosen), chosen)
+    return best[2], best[0]
+
+
+class TestAffordableEnumeration:
+    """Searching only the affordable masks gives the plans of the loop over
+    every mask, ties and float sums at the budget included."""
+
+    # at 1e4 one ulp of a total exceeds the 1e-12 slack, so the order in
+    # which a subset's prices are added decides ties at the budget
+    PRICES = (0.0, 0.1, 0.2, 0.3, 0.7, 1.0, 1e4 + 0.1, 2e4 + 0.2, 3e4 + 0.3)
+
+    def _costs(self, rng, n):
+        return CostModel(
+            tuple(rng.choice((0.4, 0.8, 1.0)) for _ in range(n)),
+            (1.0,) * n,
+            (1.0,) * n,
+            tuple(rng.choice(self.PRICES) for _ in range(n)),
+        )
+
+    def _budget(self, rng, costs):
+        # often exactly a sum of prices, so totals land on the budget
+        return sum(rng.sample(costs.c, rng.randint(0, len(costs.c))))
+
+    def test_masks_price_left_to_right(self, rng):
+        for _ in range(10):
+            prices = [rng.choice(self.PRICES) for _ in range(8)]
+            totals = [sum(p for i, p in enumerate(prices) if m >> i & 1) for m in range(256)]
+            for budget in rng.sample(totals, 20):
+                affordable = [m for m, total in enumerate(totals) if total <= budget + 1e-12]
+                assert attacks._affordable_masks(prices, budget).tolist() == affordable
+
+    def test_fo(self, rng):
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            papers = [
+                (rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))), rng.choice((1.0, 2.0, 2.5)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            inst = CreditInstance.of(n, papers)
+            costs = self._costs(rng, n)
+            budget = self._budget(rng, costs)
+            exempt = frozenset(j for j in range(2, n + 1) if rng.random() < 0.2)
+            plan = fo_removal_exhaustive(inst, costs, budget, 1, exempt=exempt)
+            candidates = sorted(inst.coauthors(1) - exempt)
+            assert plan == _removal_loop(FullObligationGame(inst), costs, budget, 1, candidates)
+
+    def test_nc2(self, rng):
+        for _ in range(30):
+            n = rng.randint(2, 8)
+            game = ThresholdNeighborhoodGame(random_graph(rng, n), rng.randint(2, 3))
+            costs = self._costs(rng, n)
+            budget = self._budget(rng, costs)
+            x = rng.randint(1, n)
+            plan = removal_attack(AttackProblem(game, x, budget, costs))
+            candidates = sorted(pairwise_exempt_set(game, x) - {x})
+            assert plan == _removal_loop(game, costs, budget, x, candidates)
+
+    def test_bmc(self, rng):
+        for _ in range(30):
+            n_elem = rng.randint(1, 6)
+            weights = [rng.randint(1, 4) for _ in range(n_elem)]
+            sets = [
+                ({u for u in range(1, n_elem + 1) if rng.random() < 0.4}, rng.randint(1, 3))
+                for _ in range(rng.randint(0, 7))
+            ]
+            k, threshold = rng.randint(1, 6), rng.randint(1, 8)
+            red = bmc_reduce(weights, sets, k, threshold)
+            plan = fo_removal_exhaustive(red.instance, red.costs, red.budget, 1)
+            candidates = list(range(2, red.instance.n + 1))
+            game = FullObligationGame(red.instance)
+            assert plan == _removal_loop(game, red.costs, red.budget, 1, candidates)
+            assert bmc_solve_exact(weights, sets, k) == _bmc_loop(weights, sets, k)

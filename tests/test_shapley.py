@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +37,14 @@ from reliattack import (
 from reliattack import shapley
 from reliattack.oracle import finite_difference
 
-from conftest import enumerated_value, random_game, random_graph, random_profile
+from conftest import (
+    coverage_gradient,
+    coverage_inner,
+    enumerated_value,
+    random_game,
+    random_graph,
+    random_profile,
+)
 
 
 class TestDefinitional:
@@ -397,6 +407,62 @@ class TestVectorPath:
             assert all(type(v) is float for v in vector)
             reference = [shapley_closed(game, p, x) for x in range(1, game.n + 1)]
             assert list(vector) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+            if game.variant in ("nc1", "nc3", "fc"):
+                # the pure-Python pmf form, independent of Owen's integral
+                pmf = [float(p[x] * coverage_inner(game, p, x)) for x in range(1, game.n + 1)]
+                assert list(vector) == pytest.approx(pmf, rel=1e-12, abs=1e-12)
+
+
+class TestOwenQuadrature:
+    """The coverage paths (Owen's integral by Gauss-Legendre quadrature)
+    against the exact rational size-pmf reference in conftest."""
+
+    def test_nodes_integrate_monomials_exactly(self):
+        for q in range(1, 161):
+            t, w = shapley._gauss_legendre(q)
+            s = np.arange(2 * q)
+            integrals = (t[None, :] ** s[:, None]) @ w
+            assert integrals * (s + 1) == pytest.approx(np.ones(2 * q), rel=1e-13), q
+
+    @pytest.mark.parametrize(
+        "graph",
+        [complete_graph(n) for n in (1, 2, 5, 6, 31, 60)] + [star_graph(301)],
+        ids=lambda g: f"n{g.n}-m{len(g.edges)}",
+    )
+    def test_matches_exact_pmf(self, graph, rng):
+        # K60's bucket (60 sets of 60 coverers, 30 nodes) spans several
+        # blocks; the star's hub set (301 coverers, 151 nodes) is itself cut
+        # along its nodes, and its leaf sets have 2 coverers
+        assert 60 * 60 * 30 > shapley._BLOCK_ELEMENTS and 301 * 151 > shapley._BLOCK_ELEMENTS
+        game = ClosedNeighborhoodGame(graph)
+        p = ReliabilityProfile(
+            tuple(rng.choice((0.0, 1.0, 0.125, 0.375, 0.5, 0.875)) for _ in range(graph.n))
+        )
+        inner = [coverage_inner(game, p, x) for x in range(1, game.n + 1)]
+        exact = [float(p[x] * inner[x - 1]) for x in range(1, game.n + 1)]
+        assert list(shapley_vector_closed(game, p)) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        for x in {1, 2, game.n} & set(range(1, game.n + 1)):
+            assert shapley_closed(game, p, x) == pytest.approx(exact[x - 1], rel=1e-12, abs=1e-12)
+            reference = [float(v) for v in coverage_gradient(game, p, x)]
+            assert shapley_gradient(game, p, x) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    def test_imports_no_numpy_subpackage(self):
+        # numpy.polynomial would add about 2 MB to every process, and
+        # numpy.ma (behind np.unique) about 15 ms to every CLI request
+        code = (
+            "import sys\n"
+            "from reliattack import *\n"
+            "for game in (ClosedNeighborhoodGame(complete_graph(9)),"
+            " FullCreditGame(CreditInstance.of(3, [((1, 2, 3), 1.0)]))):\n"
+            "    p = [0.5] * game.n\n"
+            "    shapley_closed(game, p, 1); shapley_vector_closed(game, p)\n"
+            "    shapley_gradient(game, p, 1)\n"
+            "print('numpy.polynomial' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(shapley.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "False False\n"), out.stderr
 
 
 def _gradient_nc1_over_all_players(graph, p, x):
@@ -432,9 +498,11 @@ class TestGradients:
             graph = random_graph(rng, n, p_edge=rng.choice((0.15, 0.3, 0.6)))
             p = _with_certain_players(rng, random_profile(rng, n))
             x = rng.randint(1, n)
-            assert shapley_gradient_nc1(graph, p, x) == _gradient_nc1_over_all_players(
-                graph, p, x
-            )
+            grad = shapley_gradient_nc1(graph, p, x)
+            reference = _gradient_nc1_over_all_players(graph, p, x)
+            assert grad == pytest.approx(reference, rel=1e-12, abs=1e-12)
+            # outside the distance-two ball the entries are exactly zero
+            assert all(g == 0.0 for g, r in zip(grad, reference) if r == 0.0)
 
     def test_zero_outside_distance_two(self):
         game_graph = cycle_graph(7)
