@@ -173,9 +173,8 @@ def _owen_blocks(game: CoverageGame, p: np.ndarray, elements: np.ndarray):
     """
     indptr, indices, _ = game._coverer_csr
     sizes = indptr[elements + 1] - indptr[elements]
-    # the distinct sizes by bincount: np.unique imports numpy.ma, which costs
-    # a short-lived process about 15 ms
-    for a in (np.flatnonzero(np.bincount(sizes)[1:]) + 1).tolist():
+    # np.unique would import numpy.ma, about 15 ms for a short-lived process
+    for a in sorted(set(sizes.tolist()) - {0}):
         t, w = _gauss_legendre((a + 1) // 2)
         sel = elements[sizes == a]
         step = max(1, _BLOCK_ELEMENTS // (a * len(t)))
@@ -193,8 +192,8 @@ def _coverage_inner(game: CoverageGame, p: np.ndarray, x: int) -> float:
     """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
     L counts the live coverers of e other than x; Sh_x is p_x times this."""
     total = 0.0
-    for e, members, logs, sums, _, w in _owen_blocks(game, p, game._covers[x]):
-        total += game._weights[e] @ (np.exp(sums - logs[members == x - 1]) @ w)
+    for e, _, _, sums, t, w in _owen_blocks(game, p, game._covers[x]):
+        total += game._weights[e] @ (np.exp(sums - np.log1p(p[x - 1] * (t - 1.0))) @ w)
     return float(total)
 
 
@@ -292,7 +291,7 @@ def _pair_pmf_dots(
     """
     sizes = np.diff(indptr)[pair_a]
     out = np.zeros((len(pair_x),) + weights(0).shape[1:])
-    for d in np.flatnonzero(np.bincount(sizes)).tolist():
+    for d in sorted(set(sizes.tolist())):
         w = weights(d)
         sel = np.flatnonzero(sizes == d)
         step = max(1, _BLOCK_ELEMENTS // (d + 1))
@@ -422,7 +421,7 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     other than x and j."""
     inner, slopes = 0.0, np.zeros(game.n)
     for e, members, logs, sums, t, w in _owen_blocks(game, np.array(p.values), game._covers[x]):
-        rest = sums - logs[members == x - 1]
+        rest = sums - np.log1p(p[x] * (t - 1.0))
         inner += game._weights[e] @ (np.exp(rest) @ w)
         # x's own column is meaningless here; its entry is the inner sum
         pairs = game._weights[e][:, None] * (np.exp(rest[:, None, :] - logs) @ (w * (1.0 - t)))
