@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 import numpy as np
 
@@ -113,17 +112,17 @@ def shapley_definitional(
 
 
 # ---------------------------------------------------------------------------
-# Owen's integral for the coverage games (nc1, nc3, fc)
+# Owen's integral
 #
 # If L counts the live players of a set B, then E[1 / (1 + L)] is the
 # integral over [0, 1] of prod_{z in B} (1 - p_z + p_z t) dt (Owen's
 # multilinear extension), and E[1 / ((1 + L)(2 + L))] is the same integral
 # with the extra factor (1 - t).  Both integrands are polynomials, so
-# Gauss-Legendre quadrature computes them exactly.
+# Gauss-Legendre quadrature computes them exactly.  The coverage games
+# (nc1, nc3, fc) and the threshold game nc2 all read these integrals.
 
-# Cap on the entries of one block (rows * |A| * nodes for Owen's integrand,
-# rows * (|A| + 1) for nc2's pmf), so a large bucket or set is processed in
-# pieces instead of as one huge array.
+# Cap on the entries of one block (rows * |A| * nodes), so a large bucket or
+# set is processed in pieces instead of as one huge array.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -155,45 +154,51 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _owen_blocks(game: CoverageGame, p: np.ndarray, elements: np.ndarray):
-    """Owen's integrand over the cover sets of ``elements``, in blocks.
+def _owen_blocks(csr: tuple[np.ndarray, ...], p: np.ndarray, rows: np.ndarray, extra: int = 0):
+    """Owen's integrand over the sets ``rows`` of a CSR of sets, in blocks.
 
-    The elements are bucketed by the size a of their cover set A, and a
-    bucket is cut into blocks of about ``_BLOCK_ELEMENTS`` entries: several
-    sets at all Q = ceil(a / 2) nodes, or one set at some of its nodes when
-    a set alone is larger.  A block yields ``(e, members, logs, total, t,
-    w)``: its elements, their 0-based coverers of shape (rows, a),
-    log(1 - p_z + p_z t) at the block's nodes t, of shape (rows, a, len(t)),
-    the sum of those logs over each set, and the nodes and their weights w.
-    An integral is the sum of its weighted values over all the blocks of
-    its set.  A caller leaves a player's factor out of the product by
-    subtracting its log from the total; every factor is at least t > 0, so
-    exact 0s and 1s are safe.  Q nodes integrate the product over A minus
-    one player exactly, and (1 - t) times the product over A minus two.
+    The rows are bucketed by the size a of their set A.  The integrands
+    have degree a - 1 + ``extra`` (extra is 0 for the coverage games and 1
+    for nc2), so Q = (a - 1 + extra) // 2 + 1 nodes integrate them exactly,
+    and a bucket is cut into groups of rows that share them.  A group yields
+    ``(e, members, blocks)``: its rows, their 0-based players of shape
+    (rows, a), and a generator of node blocks of about ``_BLOCK_ELEMENTS``
+    entries (all Q nodes, or some of them when one set alone is larger).  A
+    node block is ``(logs, total, t, w)``: log(1 - p_z + p_z t) at the
+    block's nodes t, of shape (rows, a, len(t)), the sum of those logs over
+    each set, and the nodes and their weights w.  An integral is the sum of
+    its weighted values over all the node blocks of its set.  A caller
+    leaves a player's factor out of the product by subtracting its log from
+    the total; every factor is at least t > 0, so exact 0s and 1s are safe.
     """
-    indptr, indices, _ = game._coverer_csr
-    sizes = indptr[elements + 1] - indptr[elements]
+    indptr, indices, _ = csr
+    sizes = indptr[rows + 1] - indptr[rows]
     # np.unique would import numpy.ma, about 15 ms for a short-lived process
     for a in sorted(set(sizes.tolist()) - {0}):
-        t, w = _gauss_legendre((a + 1) // 2)
-        sel = elements[sizes == a]
+        t, w = _gauss_legendre((a - 1 + extra) // 2 + 1)
+        sel = rows[sizes == a]
         step = max(1, _BLOCK_ELEMENTS // (a * len(t)))
         span = max(1, _BLOCK_ELEMENTS // a)  # nodes per block of one set
         for lo in range(0, len(sel), step):
             e = sel[lo : lo + step]
             members = indices[indptr[e, None] + np.arange(a)]
-            for q in range(0, len(t), span):
-                nodes = t[q : q + span]
-                logs = np.log1p(p[members][..., None] * (nodes - 1.0))
-                yield e, members, logs, logs.sum(axis=1), nodes, w[q : q + span]
+            yield e, members, _owen_nodes(p[members], t, w, span)
+
+
+def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
+    for q in range(0, len(t), span):
+        nodes = t[q : q + span]
+        logs = np.log1p(probs[..., None] * (nodes - 1.0))
+        yield logs, logs.sum(axis=1), nodes, w[q : q + span]
 
 
 def _coverage_inner(game: CoverageGame, p: np.ndarray, x: int) -> float:
     """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
     L counts the live coverers of e other than x; Sh_x is p_x times this."""
     total = 0.0
-    for e, _, _, sums, t, w in _owen_blocks(game, p, game._covers[x]):
-        total += game._weights[e] @ (np.exp(sums - np.log1p(p[x - 1] * (t - 1.0))) @ w)
+    for e, _, blocks in _owen_blocks(game._coverer_csr, p, game._covers[x]):
+        for _, sums, t, w in blocks:
+            total += game._weights[e] @ (np.exp(sums - np.log1p(p[x - 1] * (t - 1.0))) @ w)
     return float(total)
 
 
@@ -267,66 +272,8 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
 # ---------------------------------------------------------------------------
 # whole-vector closed forms
 #
-# nc2's closed form sums, over pairs (x, A) of a player and a set A = N(y),
-# the quantity sum_s P(s players of A - {x} live) * w[s].  The vector path
-# evaluates all pairs at once: it buckets them by |A|, runs the _size_pmf
-# recurrence column by column over a block of rows (x's own entry set to 0,
-# which adds no live player and leaves the arithmetic exact) and adds each
-# row's dot product onto x.  The coverage games use Owen's integral instead.
-
-
-def _pair_pmf_dots(
-    p: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    pair_x: np.ndarray,
-    pair_a: np.ndarray,
-    weights: Callable[[int], np.ndarray],
-) -> np.ndarray:
-    """For each pair (x, A): sum_s P(s players of A - {x} live) * w[s].
-
-    ``pair_x`` holds 0-based players and ``pair_a`` row numbers of the CSR
-    cover sets; ``weights(d)`` gives the weight vectors for |A| = d, shape
-    (d + 1,) or (d + 1, k).  Returns one row per pair, shaped like the weights.
-    """
-    sizes = np.diff(indptr)[pair_a]
-    out = np.zeros((len(pair_x),) + weights(0).shape[1:])
-    for d in sorted(set(sizes.tolist())):
-        w = weights(d)
-        sel = np.flatnonzero(sizes == d)
-        step = max(1, _BLOCK_ELEMENTS // (d + 1))
-        for lo in range(0, len(sel), step):
-            rows = sel[lo : lo + step]
-            members = indices[indptr[pair_a[rows], None] + np.arange(d)]
-            probs = p[members]
-            probs[members == pair_x[rows, None]] = 0.0
-            pmf = np.zeros((len(rows), d + 1))
-            pmf[:, 0] = 1.0
-            for j in range(d):
-                q = probs[:, j, None]
-                live = pmf[:, : j + 1] * q
-                pmf[:, : j + 1] *= 1.0 - q
-                pmf[:, 1 : j + 2] += live
-            out[rows] = pmf @ w
-    return out
-
-
-def _sizes(d: int) -> np.ndarray:
-    """s + 1 for s = 0..d."""
-    return np.arange(1.0, d + 2.0)
-
-
-def _nc2_pair_weights(k: int):
-    """Alive/dead weights of ``_nc2_inner`` for s1 live players of N(y) - {x}."""
-
-    def weights(d: int) -> np.ndarray:
-        s1 = np.arange(d + 1.0)
-        s = s1 + 1.0
-        alive = np.where(s + 1 - k > 0, (s + 1 - k) / (s * (s + 1)), 0.0)
-        dead = np.where(s1 >= k - 1, 1.0 / (s1 + 1), 0.0)
-        return np.stack([alive, dead], axis=1)
-
-    return weights
+# All players at once: the coverage games and nc2 by one pass of Owen's
+# kernel over their sets, fo by one product per paper.
 
 
 def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
@@ -334,23 +281,56 @@ def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
     coverers of e other than x)], for every player x."""
     inner = np.zeros(len(p))
     elements = np.arange(len(game._weights))
-    for e, members, logs, total, _, w in _owen_blocks(game, p, elements):
-        vals = game._weights[e][:, None] * (np.exp(total[:, None, :] - logs) @ w)
-        inner += np.bincount(members.ravel(), vals.ravel(), minlength=len(p))
+    for e, members, blocks in _owen_blocks(game._coverer_csr, p, elements):
+        for logs, total, _, w in blocks:
+            vals = game._weights[e][:, None] * (np.exp(total[:, None, :] - logs) @ w)
+            inner += np.bincount(members.ravel(), vals.ravel(), minlength=len(p))
     return p * inner
 
 
+def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``probs`` (shape (rows, a)), P(s players of the row
+    live) and, for each j, P(s players of the row other than its j-th live),
+    for s < m: shapes (rows, m) and (rows, a, m).  Prefix and suffix pmfs
+    truncated at m, combined without division, so exact 0s and 1s are safe."""
+    rows, a = probs.shape
+    both = np.stack((probs, probs[:, ::-1]))  # the suffixes are prefixes of the reversed rows
+    pmf = np.zeros((2, rows, a + 1, m))  # pmf[:, :, j, s]: s of the first j live
+    pmf[:, :, 0, :1] = 1.0
+    pmf[:, :, 1:, :1] = np.cumprod(1.0 - both, axis=2)[..., None]
+    if m > 1:  # the columns s >= 1 need the recurrence
+        for j in range(a):
+            q = both[:, :, j, None]
+            pmf[:, :, j + 1, 1:] = pmf[:, :, j, 1:] * (1.0 - q) + pmf[:, :, j, :-1] * q
+    pre, suf = pmf[0, :, :a], pmf[1, :, a - 1 :: -1]  # players before j, after j
+    loo = np.empty((rows, a, m))
+    for s in range(m):
+        loo[..., s] = (pre[..., : s + 1] * suf[..., s::-1]).sum(axis=2)
+    return pmf[0, :, a], loo
+
+
 def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
-    graph, k, n = game.graph, game.threshold, len(p)
-    indptr, ys, xs = graph._nbr_csr
-    alive, dead = _pair_pmf_dots(p, indptr, ys, xs, ys, _nc2_pair_weights(k)).T
-    py = p[ys]
-    # x's own term: s live neighbours of x, no removal
-    own = np.arange(n)
-    own_term = _pair_pmf_dots(
-        p, indptr, ys, own, own, lambda d: np.minimum(k, _sizes(d)) / _sizes(d)
-    )
-    return p * (np.bincount(xs, py * alive + (1.0 - py) * dead, minlength=n) + own_term)
+    """``_nc2_inner`` for every player by Owen's integral.  With A = N(y) and
+    L the live players of A - {x}, the pair term of (x, y) is
+    E[1 / (1 + L)] - k p_y E[1 / ((1 + L)(2 + L))] and y's own term is
+    k E[1 / (1 + live players of A)], both less the threshold's correction
+    at the sizes s < k - 1, where the true weights are 0 and 1."""
+    k, n = game.threshold, len(p)
+    csr = game.graph._nbr_csr
+    inner = (np.diff(csr[0]) == 0).astype(np.float64)  # an isolated player's own term
+    for ys, members, blocks in _owen_blocks(csr, p, np.arange(n), 1):
+        py = p[ys, None]
+        full, loo = _low_order_pmfs(p[members], min(k - 1, members.shape[1] + 1))
+        s1 = np.arange(1.0, full.shape[1] + 1.0)
+        own = full @ (1.0 - k / s1)
+        pair = k * py * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
+        for logs, total, t, w in blocks:
+            f = np.exp(total[:, None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
+            pair += f[..., 0] - k * py * f[..., 1]
+            own += k * (np.exp(total) @ w)
+        inner[ys] += own
+        inner += np.bincount(members.ravel(), pair.ravel(), minlength=n)
+    return p * inner
 
 
 def _fo_vector(game: FullObligationGame, p: np.ndarray) -> np.ndarray:
@@ -420,12 +400,13 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
     other than x and j."""
     inner, slopes = 0.0, np.zeros(game.n)
-    for e, members, logs, sums, t, w in _owen_blocks(game, np.array(p.values), game._covers[x]):
-        rest = sums - np.log1p(p[x] * (t - 1.0))
-        inner += game._weights[e] @ (np.exp(rest) @ w)
-        # x's own column is meaningless here; its entry is the inner sum
-        pairs = game._weights[e][:, None] * (np.exp(rest[:, None, :] - logs) @ (w * (1.0 - t)))
-        slopes += np.bincount(members.ravel(), pairs.ravel(), minlength=game.n)
+    for e, members, blocks in _owen_blocks(game._coverer_csr, np.array(p.values), game._covers[x]):
+        for logs, sums, t, w in blocks:
+            rest = sums - np.log1p(p[x] * (t - 1.0))
+            inner += game._weights[e] @ (np.exp(rest) @ w)
+            # x's own column is meaningless here; its entry is the inner sum
+            pairs = game._weights[e][:, None] * (np.exp(rest[:, None, :] - logs) @ (w * (1.0 - t)))
+            slopes += np.bincount(members.ravel(), pairs.ravel(), minlength=game.n)
     out = 0.0 - p[x] * slopes  # unlike -y, 0.0 - y keeps unrelated players at +0.0
     out[x - 1] = inner
     return tuple(out.tolist())

@@ -123,20 +123,25 @@ def size_pmf(probs, one=1):
     return pmf
 
 
-@lru_cache(maxsize=1024)
-def _pmf_moments(probs: tuple[float, ...]) -> tuple[Fraction, Fraction]:
-    """E[1 / (1 + L)] and E[1 / ((1 + L)(2 + L))] for the number L of live
-    players among ``probs`` (a sorted tuple, so equal multisets share an
-    entry), summed exactly over the size pmf.  Floats are dyadic, so each
-    probability is an integer over the largest denominator, and the pmf
-    runs in integers."""
+@lru_cache(maxsize=4096)
+def _integer_pmf(probs: tuple[float, ...]) -> tuple[list[int], int]:
+    """``size_pmf`` of ``probs`` (a sorted tuple, so equal multisets share an
+    entry) in integers, and the scale that divides it.  Floats are dyadic,
+    so each probability is an integer over the largest denominator."""
     fracs = [Fraction(q) for q in probs]
     one = max((f.denominator for f in fracs), default=1)
     pmf = size_pmf([f.numerator * (one // f.denominator) for f in fracs], one)
-    scale = Fraction(1, one ** len(fracs))
+    return pmf, one ** len(fracs)
+
+
+@lru_cache(maxsize=1024)
+def _pmf_moments(probs: tuple[float, ...]) -> tuple[Fraction, Fraction]:
+    """E[1 / (1 + L)] and E[1 / ((1 + L)(2 + L))] for the number L of live
+    players among ``probs``, summed exactly over the size pmf."""
+    pmf, scale = _integer_pmf(probs)
     return (
-        scale * sum(Fraction(c, s + 1) for s, c in enumerate(pmf)),
-        scale * sum(Fraction(c, (s + 1) * (s + 2)) for s, c in enumerate(pmf)),
+        Fraction(1, scale) * sum(Fraction(c, s + 1) for s, c in enumerate(pmf)),
+        Fraction(1, scale) * sum(Fraction(c, (s + 1) * (s + 2)) for s, c in enumerate(pmf)),
     )
 
 
@@ -170,6 +175,35 @@ def coverage_gradient(game, profile, x) -> list[Fraction]:
     out = [Fraction(profile[x]) * v for v in out]
     out[x - 1] = coverage_inner(game, profile, x)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _nc2_pair(probs: tuple[float, ...], py: Fraction, k: int) -> Fraction:
+    """The sum over s1 live players among ``probs`` of P(s1) * (p_y *
+    alive(s1) + (1 - p_y) * dead(s1)), the threshold weights of the pair
+    term, exactly."""
+    pmf, scale = _integer_pmf(probs)
+    total = Fraction(0)
+    for s1, c in enumerate(pmf):
+        alive = Fraction(s1 + 2 - k, (s1 + 1) * (s1 + 2)) if s1 + 2 > k else 0
+        dead = Fraction(1, s1 + 1) if s1 >= k - 1 else 0
+        total += c * (py * alive + (1 - py) * dead)
+    return total / scale
+
+
+def nc2_inner(game, profile, x) -> Fraction:
+    """The pmf reference for the threshold game's inner sum (Sh_x = p_x *
+    inner), term by term as ``shapley._nc2_inner``: for each neighbour y of x
+    the pair term over the live players of N(y) - {x}, plus x's own term
+    sum_s P(s of N(x) live) * min(k, s + 1) / (s + 1).  Exact rational
+    arithmetic on the float profile."""
+    graph, k = game.graph, game.threshold
+    total = Fraction(0)
+    for y in sorted(graph.neighbors(x)):
+        others = tuple(sorted(profile[z] for z in graph.neighbors(y) - {x}))
+        total += _nc2_pair(others, Fraction(profile[y]), k)
+    pmf, scale = _integer_pmf(tuple(sorted(profile[z] for z in graph.neighbors(x))))
+    return total + sum(c * Fraction(min(k, s + 1), s + 1) for s, c in enumerate(pmf)) / scale
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from reliattack import (
     ThresholdNeighborhoodGame,
     complete_graph,
     cycle_graph,
+    path_graph,
     reliability_value,
     shapley_closed,
     shapley_cycle_closed,
@@ -41,6 +42,7 @@ from conftest import (
     coverage_gradient,
     coverage_inner,
     enumerated_value,
+    nc2_inner,
     random_game,
     random_graph,
     random_profile,
@@ -160,6 +162,18 @@ class TestClosedForms:
             for x in range(1, n + 1):
                 assert shapley_closed(game, p, x) == pytest.approx(reference[x], abs=1e-9)
 
+    @pytest.mark.parametrize("variant", ["nc1", "nc21", "nc22", "nc23", "nc3", "fc", "fo"])
+    def test_matches_definitional_with_certain_players(self, rng, variant):
+        for _ in range(12):
+            n = rng.randint(2, 7)
+            game = random_game(rng, variant, n)
+            p = _with_certain_players(rng, random_profile(rng, n))
+            reference = shapley_definitional(game, p)
+            vector = shapley_vector_closed(game, p)
+            for x in range(1, n + 1):
+                assert shapley_closed(game, p, x) == pytest.approx(reference[x], abs=1e-9)
+                assert vector[x] == pytest.approx(reference[x], abs=1e-9)
+
     def test_fo_single_paper_certain(self):
         game = FullObligationGame(CreditInstance.of(2, [((1, 2), 2.0)]))
         assert shapley_closed(game, ReliabilityProfile.ones(2), 1) == pytest.approx(1.0)
@@ -252,6 +266,41 @@ class TestClosedForms:
         nc2 = shapley_vector_closed(ThresholdNeighborhoodGame(graph, 1), p)
         nc1 = shapley_vector_closed(ClosedNeighborhoodGame(graph), p)
         assert list(nc2) == pytest.approx(list(nc1), abs=1e-12)
+
+
+def _vertex_transitive_graph(name):
+    """C5-C7, K_n, the cube Q3 and the Petersen graph, players 1..n."""
+    if name[0] in "CK":
+        return (cycle_graph if name[0] == "C" else complete_graph)(int(name[1:]))
+    import networkx as nx
+
+    g = nx.hypercube_graph(3) if name == "Q3" else nx.petersen_graph()
+    label = {v: i for i, v in enumerate(sorted(g.nodes()), 1)}
+    return Graph.of(len(label), [(label[u], label[v]) for u, v in g.edges()])
+
+
+class TestVertexTransitive:
+    """Every automorphism of the graph maps a player's value onto another's,
+    so with a constant profile all players of a vertex-transitive graph have
+    the same value."""
+
+    @pytest.mark.parametrize("name", ["C5", "C6", "C7", "K2", "K5", "K8", "Q3", "petersen"])
+    def test_equal_values_summing_to_the_grand_value(self, name):
+        graph = _vertex_transitive_graph(name)
+        n = graph.n
+        unit = Graph.of(n, [(u, v, 1.0) for u, v in graph.edges])
+        games = [
+            ClosedNeighborhoodGame(graph),
+            *(ThresholdNeighborhoodGame(graph, k) for k in (1, 2, 3)),
+            DistanceCutoffGame(unit, 2.0),
+        ]
+        for game in games:
+            for q in (0.3, 0.875, 1.0):
+                p = ReliabilityProfile.constant(n, q)
+                values = list(shapley_vector_closed(game, p))
+                assert values == pytest.approx([values[0]] * n, rel=1e-12, abs=1e-12)
+                grand = reliability_value(game, p, range(1, n + 1))
+                assert sum(values) == pytest.approx(grand, abs=1e-9)
 
 
 TIE_WEIGHTS = (0.1, 0.2, 0.3, 0.6, 0.7)
@@ -453,7 +502,8 @@ class TestOwenQuadrature:
             "import sys\n"
             "from reliattack import *\n"
             "for game in (ClosedNeighborhoodGame(complete_graph(9)),"
-            " FullCreditGame(CreditInstance.of(3, [((1, 2, 3), 1.0)]))):\n"
+            " FullCreditGame(CreditInstance.of(3, [((1, 2, 3), 1.0)])),"
+            " ThresholdNeighborhoodGame(complete_graph(9), 2)):\n"
             "    p = [0.5] * game.n\n"
             "    shapley_closed(game, p, 1); shapley_vector_closed(game, p)\n"
             "    shapley_gradient(game, p, 1)\n"
@@ -463,6 +513,33 @@ class TestOwenQuadrature:
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert (out.returncode, out.stdout) == (0, "False False\n"), out.stderr
+
+
+class TestThresholdQuadrature:
+    """The nc2 vector (Owen's integral plus the threshold's low-order
+    correction) against the exact rational size-pmf reference in conftest."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "graph",
+        [complete_graph(n) for n in (1, 2, 3, 4, 5, 6, 31, 60)]
+        + [star_graph(301), path_graph(7), Graph.of(7, [(1, 2), (2, 3), (1, 3), (4, 5)])],
+        ids=lambda g: f"n{g.n}-m{len(g.edges)}",
+    )
+    def test_matches_exact_pmf(self, graph, k, rng):
+        # |N(y)| runs over odd and even sizes; K60's bucket (60 sets of 59,
+        # 30 nodes) spans several groups of rows, the star's hub set (300
+        # players, 151 nodes) is cut along its nodes, and the last graph
+        # has isolated players; k = 5 is above the largest degree of most
+        assert 60 * 59 * 30 > shapley._BLOCK_ELEMENTS and 300 * 151 > shapley._BLOCK_ELEMENTS
+        game = ThresholdNeighborhoodGame(graph, k)
+        p = ReliabilityProfile(
+            tuple(rng.choice((0.0, 1.0, 0.125, 0.375, 0.5, 0.875)) for _ in range(graph.n))
+        )
+        exact = [float(p[x] * nc2_inner(game, p, x)) for x in range(1, game.n + 1)]
+        assert list(shapley_vector_closed(game, p)) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        for x in {1, 2, game.n} & set(range(1, game.n + 1)):
+            assert shapley_closed(game, p, x) == pytest.approx(exact[x - 1], rel=1e-12, abs=1e-12)
 
 
 def _gradient_nc1_over_all_players(graph, p, x):
