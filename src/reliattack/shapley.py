@@ -314,13 +314,16 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
     L the live players of A - {x}, the pair term of (x, y) is
     E[1 / (1 + L)] - k p_y E[1 / ((1 + L)(2 + L))] and y's own term is
     k E[1 / (1 + live players of A)], both less the threshold's correction
-    at the sizes s < k - 1, where the true weights are 0 and 1."""
-    k, n = game.threshold, len(p)
+    at the sizes s < k - 1, where the true weights are 0 and 1.  A k above
+    |A| + 1 is cut to |A| + 1: the weights stay all 0 and 1, and the terms
+    that cancel stay of size |A|, not k."""
+    n = len(p)
     csr = game.graph._nbr_csr
     inner = (np.diff(csr[0]) == 0).astype(np.float64)  # an isolated player's own term
     for ys, members, blocks in _owen_blocks(csr, p, np.arange(n), 1):
+        k = min(game.threshold, members.shape[1] + 1)
         py = p[ys, None]
-        full, loo = _low_order_pmfs(p[members], min(k - 1, members.shape[1] + 1))
+        full, loo = _low_order_pmfs(p[members], k - 1)
         s1 = np.arange(1.0, full.shape[1] + 1.0)
         own = full @ (1.0 - k / s1)
         pair = k * py * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
