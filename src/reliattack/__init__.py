@@ -32,15 +32,11 @@ from .games import (
     TableGame,
     ThresholdNeighborhoodGame,
     ball,
-    boundary,
-    char_value,
     coauthor_contributions,
     complete_graph,
     cycle_graph,
     cycle_sequence,
     game_from_json,
-    game_to_json,
-    induced_subgraph_to_credit,
     is_complete,
     path_graph,
     star_center,
@@ -48,7 +44,6 @@ from .games import (
 )
 from .oracle import (
     OracleConfig,
-    finite_difference,
     fractional_knapsack_optimum,
     fractional_oracle,
 )
@@ -56,8 +51,6 @@ from .reliability import (
     ReliabilityProfile,
     as_profile,
     liveness_transform,
-    pi_partial,
-    pi_prob,
     reliability_value,
 )
 from .shapley import (

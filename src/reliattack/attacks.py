@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .games import (
     FullObligationGame,
     Game,
     ThresholdNeighborhoodGame,
+    _as_finite,
+    _as_int,
     _as_playerset,
     _require_two_authors,
     coauthor_contributions,
@@ -39,6 +41,9 @@ from .shapley import shapley_closed, shapley_cycle_closed
 
 _COST_EPS = 1e-12
 _TIE_EPS = 1e-12
+_NO_BENEFIT_SLACK = 1e-9
+_COAUTHOR_CAP = 24
+_SET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,8 @@ class CostModel:
 
     ``p_star`` are baseline reliabilities in (0, 1]; lowering player j below
     baseline costs ``L[j-1]`` per unit, raising costs ``R[j-1]`` per unit,
-    and removal (forcing p_j = 0) costs ``c[j-1]``.
+    and removal (forcing p_j = 0) costs ``c[j-1]``.  Every entry must be a
+    finite number.
     """
 
     p_star: tuple[float, ...]
@@ -56,10 +62,10 @@ class CostModel:
     c: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_star", tuple(float(v) for v in self.p_star))
-        object.__setattr__(self, "L", tuple(float(v) for v in self.L))
-        object.__setattr__(self, "R", tuple(float(v) for v in self.R))
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        for name, label in (("p_star", "p*"), ("L", "L"), ("R", "R"), ("c", "c")):
+            values = getattr(self, name)
+            entries = (_as_finite(v, f"{label}_{i}") for i, v in enumerate(values, start=1))
+            object.__setattr__(self, name, tuple(entries))
         n = len(self.p_star)
         if not (len(self.L) == len(self.R) == len(self.c) == n):
             raise DomainError("cost model vectors must all have length n")
@@ -423,7 +429,6 @@ def removal_no_benefit_check(
     *,
     profile: ProfileLike | None = None,
     seed: int = 0,
-    slack: float = 1e-9,
 ) -> RemovalCheck:
     """Check that no removal subset decreases the target's Shapley value.
 
@@ -458,7 +463,7 @@ def removal_no_benefit_check(
         value = shapley_closed(
             game, base_profile.with_values({j: 0.0 for j in removed}), x
         )
-        if value < baseline - slack:
+        if value < baseline - _NO_BENEFIT_SLACK:
             return RemovalCheck(False, count, baseline, removed, value)
     return RemovalCheck(True, count, baseline)
 
@@ -473,6 +478,23 @@ def _affordable_masks(prices: Sequence[float], budget: float) -> np.ndarray:
     return np.flatnonzero(totals <= budget + _COST_EPS)
 
 
+def _best_affordable(
+    prices: Sequence[float], budget: float, score: Callable[[tuple[int, ...]], float]
+) -> tuple[float, tuple[int, ...]]:
+    """The least ``score`` over the affordable subsets of indices into
+    ``prices``, and the subset that attains it.  Scores within ``_TIE_EPS``
+    tie; a tie prefers the smaller subset, then the lexicographically first."""
+    best: tuple[float, tuple[int, ...]] | None = None
+    for mask in _affordable_masks(prices, budget).tolist():
+        chosen = tuple(i for i in range(len(prices)) if mask >> i & 1)
+        value = score(chosen)
+        if best is None or value < best[0] - _TIE_EPS or (
+            abs(value - best[0]) <= _TIE_EPS and (len(chosen), chosen) < (len(best[1]), best[1])
+        ):
+            best = (value, chosen)
+    return best
+
+
 def fo_removal_exhaustive(
     instance: CreditInstance,
     costs: CostModel,
@@ -480,7 +502,6 @@ def fo_removal_exhaustive(
     x: int,
     *,
     exempt: frozenset[int] = frozenset(),
-    coauthor_cap: int = 24,
 ) -> AttackPlan:
     """Exact optimal removal attack on the full-obligation game by exhaustive
     search over affordable coauthor subsets; ties prefer smaller subsets,
@@ -491,7 +512,7 @@ def fo_removal_exhaustive(
         raise DomainError(f"budget {budget} is negative")
     candidates = sorted(instance.coauthors(x) - exempt - {x})
     return _removal_exhaustive_over(
-        FullObligationGame(instance), costs, budget, x, candidates, coauthor_cap, "coauthors"
+        FullObligationGame(instance), costs, budget, x, candidates, _COAUTHOR_CAP, "coauthors"
     )
 
 
@@ -504,23 +525,22 @@ def _removal_exhaustive_over(
     cap: int,
     what: str,
 ) -> AttackPlan:
-    """Best affordable removal among all subsets of ``candidates`` (called
-    ``what`` in the cap message); ties prefer smaller subsets, then
-    lexicographic order."""
+    """Best affordable removal among all subsets of the sorted ``candidates``
+    (called ``what`` in the cap message), by the tie rule of
+    :func:`_best_affordable`."""
     if len(candidates) > cap:
         raise ResourceLimitError(
             f"{len(candidates)} removable {what} exceed the exhaustive-search cap ({cap})"
         )
     base = costs.baseline_profile()
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for mask in _affordable_masks([costs.c[j - 1] for j in candidates], budget).tolist():
-        removed = tuple(candidates[i] for i in range(len(candidates)) if mask >> i & 1)
-        value = shapley_closed(game, base.with_values({j: 0.0 for j in removed}), x)
-        if best is None or value < best[0] - _TIE_EPS:
-            best = (value, len(removed), removed)
-        elif abs(value - best[0]) <= _TIE_EPS and (len(removed), removed) < (best[1], best[2]):
-            best = (value, len(removed), removed)
-    value, _, removed = best
+    value, chosen = _best_affordable(
+        [costs.c[j - 1] for j in candidates],
+        budget,
+        lambda chosen: shapley_closed(
+            game, base.with_values({candidates[i]: 0.0 for i in chosen}), x
+        ),
+    )
+    removed = tuple(candidates[i] for i in chosen)
     return AttackPlan(costs.removal_cost(removed), value, removed=frozenset(removed), order=removed)
 
 
@@ -580,10 +600,13 @@ class BMCReduction:
     threshold: float
 
 
-def _positive_int(value, what: str) -> int:
-    if value != int(value) or int(value) <= 0:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
+def _at_least(value, what: str, least: int) -> int:
+    """``value`` as an integer (see :func:`reliattack.games._as_int`) of at
+    least ``least``."""
+    out = _as_int(value, what)
+    if out < least:
+        raise DomainError(f"{what} must be at least {least}, got {value!r}")
+    return out
 
 
 def _validate_cover_input(
@@ -591,22 +614,21 @@ def _validate_cover_input(
     sets: Sequence[tuple[Iterable[int], float]],
     *,
     positive_costs: bool,
-) -> list[tuple[frozenset[int], float]]:
-    n_elem = len(element_weights)
-    for i, w in enumerate(element_weights, start=1):
-        _positive_int(w, f"weight of element {i}")
+) -> tuple[list[int], list[tuple[frozenset[int], float]]]:
+    """The element weights as positive integers, and the sets as
+    (members, cost) with integer members in range and integer costs
+    (positive if ``positive_costs``, else nonnegative)."""
+    weights = [
+        _at_least(w, f"weight of element {i}", 1) for i, w in enumerate(element_weights, start=1)
+    ]
     norm = []
     for j, (members, cost) in enumerate(sets, start=1):
-        members = frozenset(members)
+        members = frozenset(_as_int(u, f"element of set {j}") for u in members)
         for u in members:
-            if not isinstance(u, int) or not 1 <= u <= n_elem:
-                raise DomainError(f"set {j} references element {u!r}, expected 1..{n_elem}")
-        if positive_costs:
-            cost = _positive_int(cost, f"cost of set {j}")
-        elif cost != int(cost) or int(cost) < 0:
-            raise DomainError(f"cost of set {j} must be a nonnegative integer, got {cost!r}")
-        norm.append((members, float(int(cost))))
-    return norm
+            if not 1 <= u <= len(weights):
+                raise DomainError(f"set {j} references element {u!r}, expected 1..{len(weights)}")
+        norm.append((members, float(_at_least(cost, f"cost of set {j}", int(positive_costs)))))
+    return weights, norm
 
 
 def covered_weight(
@@ -637,14 +659,14 @@ def bmc_reduce(
     paper contributes exactly the element weight to the target's baseline
     Shapley value.  All baselines are 1; removal prices are the set costs.
     """
-    norm = _validate_cover_input(element_weights, sets, positive_costs=True)
-    budget = _positive_int(budget, "budget k")
-    threshold = _positive_int(threshold, "threshold L")
+    weights, norm = _validate_cover_input(element_weights, sets, positive_costs=True)
+    budget = _at_least(budget, "budget k", 1)
+    threshold = _at_least(threshold, "threshold L", 1)
     n = 1 + len(norm)
     papers = []
-    for i, w in enumerate(element_weights, start=1):
+    for i, w in enumerate(weights, start=1):
         authors = {1} | {j + 1 for j, (members, _) in enumerate(norm, start=1) if i in members}
-        papers.append((authors, len(authors) * int(w)))
+        papers.append((authors, len(authors) * w))
     instance = CreditInstance.of(n, papers)
     costs = CostModel(
         (1.0,) * n,
@@ -659,27 +681,21 @@ def bmc_solve_exact(
     element_weights: Sequence[float],
     sets: Sequence[tuple[Iterable[int], float]],
     budget: float,
-    *,
-    set_cap: int = 24,
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustively maximize covered weight under the cost budget.
 
     Returns the chosen set ids (1-based) and the covered weight; ties prefer
     fewer sets, then lexicographic order.
     """
-    norm = _validate_cover_input(element_weights, sets, positive_costs=False)
-    if budget != int(budget) or budget < 0:
-        raise DomainError(f"budget must be a nonnegative integer, got {budget!r}")
-    m = len(norm)
-    if m > set_cap:
-        raise ResourceLimitError(f"{m} sets exceed the exhaustive-coverage cap ({set_cap})")
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for mask in _affordable_masks([cost for _, cost in norm], budget).tolist():
-        chosen = tuple(j + 1 for j in range(m) if mask >> j & 1)
-        weight = covered_weight(element_weights, sets, chosen)
-        if best is None or weight > best[0] + _TIE_EPS:
-            best = (weight, len(chosen), chosen)
-        elif abs(weight - best[0]) <= _TIE_EPS and (len(chosen), chosen) < (best[1], best[2]):
-            best = (weight, len(chosen), chosen)
-    weight, _, chosen = best
-    return chosen, weight
+    weights, norm = _validate_cover_input(element_weights, sets, positive_costs=False)
+    budget = _at_least(budget, "budget", 0)
+    if len(norm) > _SET_CAP:
+        raise ResourceLimitError(
+            f"{len(norm)} sets exceed the exhaustive-coverage cap ({_SET_CAP})"
+        )
+    neg_weight, chosen = _best_affordable(
+        [cost for _, cost in norm],
+        budget,
+        lambda chosen: -covered_weight(weights, norm, [j + 1 for j in chosen]),
+    )
+    return tuple(j + 1 for j in chosen), -neg_weight

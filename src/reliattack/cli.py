@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any
@@ -36,6 +35,7 @@ from .games import (
     FullObligationGame,
     Game,
     ThresholdNeighborhoodGame,
+    _as_finite,
     _as_int,
     cycle_sequence,
     game_from_json,
@@ -108,12 +108,6 @@ def _require(data: dict, field: str, where: str) -> Any:
     return data[field]
 
 
-def _finite(value: Any, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DomainError(f"field {field!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -146,7 +140,7 @@ def _profile_arg(path: str | None, n: int) -> ReliabilityProfile:
 def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
     game = _load_game(_require(request, "game", "attack request"))
     target = _as_int(_require(request, "target", "attack request"), "field 'target'")
-    budget = _finite(_require(request, "budget", "attack request"), "budget")
+    budget = _as_finite(_require(request, "budget", "attack request"), "field 'budget'")
     costs = _cost_model(_require(request, "cost_model", "attack request"))
     mode = _require(request, "mode", "attack request")
     if mode not in ("fractional", "removal"):

@@ -9,7 +9,6 @@ machinery iterates over.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import numbers
 from abc import ABC, abstractmethod
@@ -41,6 +40,19 @@ def _as_int(value, what: str) -> int:
         if isinstance(value, numbers.Real) and float(value).is_integer():
             return int(value)
     raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_finite(value, what: str) -> float:
+    """``value`` as a float; bools, non-numbers and infinite or NaN values
+    are rejected."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond the float range
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise DomainError(f"{what} must be a finite number, got {value!r}")
 
 
 def _mask_of(players: Iterable[int]) -> int:
@@ -120,10 +132,6 @@ class Graph:
         )
 
     @cached_property
-    def _weight_of(self) -> dict[tuple[int, int], float]:
-        return dict(self.edge_weight_items())
-
-    @cached_property
     def _wadj(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Per player, its ``(neighbor, weight)`` pairs sorted by neighbor."""
         wadj: list[list[tuple[int, float]]] = [[] for _ in range(self.n + 1)]
@@ -192,28 +200,10 @@ class Graph:
     def closed_neighborhood(self, x: int) -> frozenset[int]:
         return self.neighbors(x) | {x}
 
-    def weight(self, u: int, v: int) -> float:
-        """Weight of edge (u,v); 1.0 for every edge of an unweighted graph."""
-        if u > v:
-            u, v = v, u
-        try:
-            return self._weight_of[(u, v)]
-        except KeyError:
-            raise DomainError(f"({u},{v}) is not an edge") from None
-
     def edge_weight_items(self) -> list[tuple[tuple[int, int], float]]:
         if self.weights is None:
             return [(e, 1.0) for e in self.edges]
         return list(zip(self.edges, self.weights))
-
-
-def boundary(graph: Graph, coalition: Coalition) -> frozenset[int]:
-    """Players outside the coalition adjacent to at least one member."""
-    s = _as_playerset(coalition, graph.n)
-    out: set[int] = set()
-    for x in s:
-        out |= graph.neighbors(x)
-    return frozenset(out - s)
 
 
 def ball(graph: Graph, coalition: Coalition, radius: float) -> frozenset[int]:
@@ -392,14 +382,6 @@ def _require_two_authors(instance: CreditInstance, x: int) -> None:
             )
 
 
-def induced_subgraph_to_credit(graph: Graph) -> CreditInstance:
-    """One two-author paper per edge, scored by the edge weight, so that the
-    full-obligation game on the result reproduces the induced-subgraph game."""
-    return CreditInstance.of(
-        graph.n, [((u, v), w) for (u, v), w in graph.edge_weight_items()]
-    )
-
-
 # ---------------------------------------------------------------------------
 # games
 
@@ -534,11 +516,6 @@ class Game(ABC):
             np.float64,
             count=len(highs) * len(lows),
         )
-
-
-def char_value(game: Game, coalition: Coalition) -> float:
-    """Characteristic-function value of the coalition under the given game."""
-    return game.value(coalition)
 
 
 class CoverageGame(Game):
@@ -695,12 +672,6 @@ class DistanceCutoffGame(CoverageGame):
     def n(self) -> int:
         return self.graph.n
 
-    def cutoff_neighborhood(self, x: int) -> frozenset[int]:
-        """Ball of radius ``cutoff`` around x (always contains x)."""
-        if not 1 <= x <= self.n:
-            raise DomainError(f"player {x} outside 1..{self.n}")
-        return frozenset(self._covers[x].tolist())
-
 
 @dataclass(frozen=True)
 class FullCreditGame(CoverageGame):
@@ -831,41 +802,3 @@ def game_from_json(data: Mapping) -> Game:
         return FullCreditGame(inst) if variant == "fc" else FullObligationGame(inst)
     raise DomainError(f"unknown game variant {variant!r}")
 
-
-def game_to_json(game: Game) -> dict:
-    """Inverse of :func:`game_from_json` for the five wire variants."""
-    if isinstance(game, (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame)):
-        g = game.graph
-        if g.is_weighted:
-            edges = [[u, v, w] for (u, v), w in zip(g.edges, g.weights)]
-        else:
-            edges = [[u, v] for u, v in g.edges]
-        out: dict = {"variant": game.variant, "n": g.n, "edges": edges}
-        if isinstance(game, ThresholdNeighborhoodGame):
-            out["k"] = game.threshold
-        if isinstance(game, DistanceCutoffGame):
-            out["d_cut"] = game.cutoff
-        return out
-    if isinstance(game, (FullCreditGame, FullObligationGame)):
-        return {
-            "variant": game.variant,
-            "n": game.n,
-            "papers": [
-                {"authors": sorted(a), "score": s} for a, s in game.instance.papers
-            ],
-        }
-    raise DomainError(f"game variant {game.variant!r} has no JSON form")
-
-
-def all_coalitions(n: int) -> Iterable[frozenset[int]]:
-    """Every coalition of 1..n in bitmask order (deterministic)."""
-    for mask in range(1 << n):
-        yield _players_of(mask)
-
-
-def subsets_of(players: Coalition) -> Iterable[frozenset[int]]:
-    """All subsets of the given player set, smallest first, deterministic."""
-    ordered = sorted(set(players))
-    for r in range(len(ordered) + 1):
-        for combo in itertools.combinations(ordered, r):
-            yield frozenset(combo)

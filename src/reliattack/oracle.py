@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
 from .games import _popcount
-from .reliability import ProfileLike, ReliabilityProfile, as_profile, liveness_transform
+from .reliability import ReliabilityProfile, liveness_transform
 
 _GRID_POINT_LIMIT = 4_000_000
 _EVAL_CHUNK = 8192
@@ -253,23 +253,6 @@ def fractional_oracle(
         profile=profile,
         note=note,
     )
-
-
-def finite_difference(
-    f: Callable[[ReliabilityProfile], float],
-    profile: ProfileLike,
-    j: int,
-    h: float,
-) -> float:
-    """Central-difference slope of f in p_j, one-sided at the [0,1] boundary."""
-    if h <= 0:
-        raise DomainError(f"step h must be positive, got {h}")
-    p = as_profile(profile)
-    if not 1 <= j <= p.n:
-        raise DomainError(f"player {j} outside 1..{p.n}")
-    lo = max(0.0, p[j] - h)
-    hi = min(1.0, p[j] + h)
-    return (f(p.with_value(j, hi)) - f(p.with_value(j, lo))) / (hi - lo)
 
 
 def fractional_knapsack_optimum(

@@ -1,8 +1,10 @@
 """Reliability extension: independent per-player participation.
 
-For a profile ``p`` and coalitions ``T <= S``, ``pi_prob(T, S, p)`` is the
-probability that exactly the players of T are live among S.  The reliability
-extension of a game v is ``vbar(S) = sum_{T<=S} v(T) * pi_prob(T, S, p)``.
+For a profile ``p`` and coalitions ``T <= S``, the probability that exactly
+the players of T are live among S is
+``pi(T, S, p) = prod_{i in T} p_i * prod_{i in S - T} (1 - p_i)``.  The
+reliability extension of a game v is
+``vbar(S) = sum_{T<=S} v(T) * pi(T, S, p)``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class ReliabilityProfile:
     @classmethod
     def ones(cls, n: int) -> "ReliabilityProfile":
         return cls((1.0,) * n)
-
-    @classmethod
-    def constant(cls, n: int, p: float) -> "ReliabilityProfile":
-        return cls((p,) * n)
 
     @property
     def n(self) -> int:
@@ -76,40 +74,6 @@ def as_profile(p: ProfileLike, n: int | None = None) -> ReliabilityProfile:
     return prof
 
 
-def pi_prob(live: Coalition, among: Coalition, profile: ProfileLike) -> float:
-    """Probability that exactly ``live`` is the live subset of ``among``."""
-    p = as_profile(profile)
-    t = _as_playerset(live, p.n, "live set")
-    s = _as_playerset(among, p.n, "host set")
-    if not t <= s:
-        raise DomainError("live set must be a subset of the host set")
-    prob = 1.0
-    for i in sorted(s):
-        prob *= p[i] if i in t else 1.0 - p[i]
-    return prob
-
-
-def pi_partial(live: Coalition, among: Coalition, profile: ProfileLike, j: int) -> float:
-    """Partial derivative of ``pi_prob(live, among, p)`` in ``p_j``.
-
-    Equals ``pi_prob(live - j, among - j)`` when j is live,
-    ``-pi_prob(live, among - j)`` when j is in the host set but not live,
-    and 0 when j is outside the host set.
-    """
-    p = as_profile(profile)
-    t = _as_playerset(live, p.n, "live set")
-    s = _as_playerset(among, p.n, "host set")
-    if not t <= s:
-        raise DomainError("live set must be a subset of the host set")
-    if not 1 <= j <= p.n:
-        raise DomainError(f"player {j} outside 1..{p.n}")
-    if j not in s:
-        return 0.0
-    if j in t:
-        return pi_prob(t - {j}, s - {j}, p)
-    return -pi_prob(t, s - {j}, p)
-
-
 def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Reliability extension of set functions given as tables over submasks.
 
@@ -119,7 +83,8 @@ def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     call transforms a batch of profile rows.  Folds in each player's
     liveness in turn, ``v[S | i] <- p_i * v[S | i] + (1 - p_i) * v[S]``,
     in O(m * 2^m) per row; entry T of the result is
-    ``sum_{U <= T} table[U] * pi_prob(U, T, probs)``.
+    ``sum_{U <= T} table[U] * pi(U, T, probs)``, pi as in the module
+    docstring.
     """
     probs = np.asarray(probs, dtype=np.float64)
     m = probs.shape[-1]

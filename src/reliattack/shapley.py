@@ -36,7 +36,7 @@ from .reliability import (
     liveness_transform,
 )
 
-DEFAULT_PLAYER_CAP = 9
+_PLAYER_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class ShapleyVector:
 
     def __iter__(self):
         return iter(self.values)
-
-    def total(self) -> float:
-        return sum(self.values)
 
 
 def _int_dtype(largest: int) -> np.dtype:
@@ -83,23 +80,18 @@ def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, before, after
 
 
-def shapley_definitional(
-    game: Game,
-    profile: ProfileLike | None = None,
-    *,
-    player_cap: int = DEFAULT_PLAYER_CAP,
-) -> ShapleyVector:
+def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> ShapleyVector:
     """Shapley vector by full permutation enumeration (never sampling).
 
     With a profile, the marginals are exact expectations of the reliability
     extension; without one, the game itself is used.  Enumerating n! * 2^n
     terms is intentional - this is the oracle everything else is checked
-    against - so n is limited by ``player_cap``.
+    against - so n is limited to ``_PLAYER_CAP``.
     """
     n = game.n
-    if n > player_cap:
+    if n > _PLAYER_CAP:
         raise ResourceLimitError(
-            f"n = {n} exceeds the definitional-oracle player cap ({player_cap})"
+            f"n = {n} exceeds the definitional-oracle player cap ({_PLAYER_CAP})"
         )
     table = game.subset_values(range(1, n + 1))
     if profile is not None:
@@ -425,20 +417,21 @@ def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[fl
     return shapley_gradient(ClosedNeighborhoodGame(graph), profile, x)
 
 
-def shapley_gradient(game: Game, profile: ProfileLike, x: int, *, step: float = 1e-6) -> tuple[float, ...]:
+def shapley_gradient(game: Game, profile: ProfileLike, x: int) -> tuple[float, ...]:
     """Gradient of the closed-form Shapley value of x in every p_j.
 
-    Analytic for the coverage games (nc1, nc3 and fc); the threshold and
-    full-obligation games are differentiated numerically (central
-    differences of the closed form with step ``step``) as a cross-check
-    surface.
+    Analytic for the coverage games (nc1, nc3 and fc).  For the threshold
+    and full-obligation games entry j is ``Sh_x(p_j = 1) - Sh_x(p_j = 0)``
+    of the closed form: Sh_x is multilinear in every p_j (Owen 1972), so
+    this two-point difference is the derivative exactly.
     """
     p = as_profile(profile, game.n)
     if not 1 <= x <= game.n:
         raise DomainError(f"player {x} outside 1..{game.n}")
     if isinstance(game, CoverageGame):
         return _coverage_gradient(game, p, x)
-    from .oracle import finite_difference  # oracle imports attacks, which imports this module
-
-    f = lambda q: shapley_closed(game, q, x)
-    return tuple(finite_difference(f, p, j, step) for j in range(1, game.n + 1))
+    return tuple(
+        shapley_closed(game, p.with_value(j, 1.0), x)
+        - shapley_closed(game, p.with_value(j, 0.0), x)
+        for j in range(1, game.n + 1)
+    )

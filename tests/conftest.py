@@ -1,10 +1,12 @@
-"""Shared random-instance generators; everything is seeded and deterministic."""
+"""Shared random-instance generators and the test references; everything
+is seeded and deterministic."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable
 
 import pytest
 from hypothesis import settings
@@ -13,12 +15,15 @@ from reliattack import (
     ClosedNeighborhoodGame,
     CreditInstance,
     DistanceCutoffGame,
+    DomainError,
     FullCreditGame,
     FullObligationGame,
     Graph,
     ReliabilityProfile,
     ThresholdNeighborhoodGame,
 )
+from reliattack.games import Coalition, _as_playerset, _players_of
+from reliattack.reliability import ProfileLike, as_profile
 
 # Every property test draws the same examples on every run: the examples come
 # from a hash of the test, and no database of earlier failures is replayed.
@@ -204,6 +209,58 @@ def nc2_inner(game, profile, x) -> Fraction:
         total += _nc2_pair(others, Fraction(profile[y]), k)
     pmf, scale = _integer_pmf(tuple(sorted(profile[z] for z in graph.neighbors(x))))
     return total + sum(c * Fraction(min(k, s + 1), s + 1) for s, c in enumerate(pmf)) / scale
+
+
+def fo_gradient(game, profile, x) -> list[Fraction]:
+    """The exact reference for ``shapley_gradient`` on the full-obligation
+    game, Sh_x = sum over x's papers P of score_P / |P| * prod_{l in P} p_l:
+    entry j - 1 is its derivative in p_j, as a Fraction product."""
+    out = [Fraction(0)] * game.n
+    for authors, score in game.instance.papers:
+        if x not in authors:
+            continue
+        for j in authors:
+            term = Fraction(score) / len(authors)
+            for l in authors - {j}:
+                term *= Fraction(profile[l])
+            out[j - 1] += term
+    return out
+
+
+def pi_prob(live: Coalition, among: Coalition, profile: ProfileLike) -> float:
+    """Probability that exactly ``live`` is the live subset of ``among``."""
+    p = as_profile(profile)
+    t = _as_playerset(live, p.n, "live set")
+    s = _as_playerset(among, p.n, "host set")
+    if not t <= s:
+        raise DomainError("live set must be a subset of the host set")
+    prob = 1.0
+    for i in sorted(s):
+        prob *= p[i] if i in t else 1.0 - p[i]
+    return prob
+
+
+def all_coalitions(n: int) -> Iterable[frozenset[int]]:
+    """Every coalition of 1..n in bitmask order (deterministic)."""
+    for mask in range(1 << n):
+        yield _players_of(mask)
+
+
+def finite_difference(
+    f: Callable[[ReliabilityProfile], float],
+    profile: ProfileLike,
+    j: int,
+    h: float,
+) -> float:
+    """Central-difference slope of f in p_j, one-sided at the [0,1] boundary."""
+    if h <= 0:
+        raise DomainError(f"step h must be positive, got {h}")
+    p = as_profile(profile)
+    if not 1 <= j <= p.n:
+        raise DomainError(f"player {j} outside 1..{p.n}")
+    lo = max(0.0, p[j] - h)
+    hi = min(1.0, p[j] + h)
+    return (f(p.with_value(j, hi)) - f(p.with_value(j, lo))) / (hi - lo)
 
 
 @pytest.fixture

@@ -40,9 +40,9 @@ from reliattack import (
     star_graph,
 )
 from reliattack.cli import main as cli_main
-from reliattack.oracle import finite_difference
 
 from conftest import (
+    finite_difference,
     random_game,
     random_graph,
     random_profile,

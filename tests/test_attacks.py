@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,14 @@ class TestCostModel:
             CostModel((0.5,), (1.0,), (1.0,), (-0.1,))
         with pytest.raises(DomainError):
             CostModel((0.5, 0.5), (1.0,), (1.0, 1.0), (0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5"])
+    @pytest.mark.parametrize("index, label", [(0, "p*"), (1, "L"), (2, "R"), (3, "c")])
+    def test_entries_must_be_finite_numbers(self, index, label, bad):
+        vectors = [[0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+        vectors[index][1] = bad
+        with pytest.raises(DomainError, match=re.escape(f"{label}_2 must be a finite number")):
+            CostModel(*map(tuple, vectors))
 
     def test_piecewise_cost(self):
         cm = CostModel((0.4,), (3.0,), (2.0,), (1.0,))
@@ -482,6 +491,15 @@ class TestBmc:
     def test_input_validation(self):
         with pytest.raises(DomainError, match="weight"):
             bmc_reduce([0], [], 1, 1)
+        for bad in (True, math.inf, math.nan, 1.5):
+            with pytest.raises(DomainError, match="weight of element 1"):
+                bmc_reduce([bad], [], 1, 1)
+            with pytest.raises(DomainError, match="element of set 1"):
+                bmc_reduce([1], [([bad], 1)], 1, 1)
+            with pytest.raises(DomainError, match="cost of set 1"):
+                bmc_solve_exact([1], [({1}, bad)], 1)
+            with pytest.raises(DomainError, match="budget"):
+                bmc_solve_exact([1], [({1}, 1)], bad)
         with pytest.raises(DomainError, match="cost"):
             bmc_reduce([1], [({1}, 0)], 1, 1)
         with pytest.raises(DomainError, match="budget"):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -315,7 +316,11 @@ class TestMalformedInput:
     """Malformed input exits 1 with a message naming the field, instead of
     being truncated or producing NaN/Infinity or a vacuous pass."""
 
-    @pytest.mark.parametrize("budget", ["NaN", "Infinity", "-Infinity", "1e999"])
+    # an integer beyond the float range must not escape as OverflowError
+    @pytest.mark.parametrize(
+        "budget",
+        ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="10**400")],
+    )
     def test_non_finite_budget(self, tmp_path, capsys, budget):
         path = fc_request(tmp_path)
         text = open(path).read().replace('"budget": 0.5', f'"budget": {budget}')
@@ -356,6 +361,35 @@ class TestMalformedInput:
         code, out, err = run(capsys, "shapley", str(game))
         assert code == 1 and out == ""
         assert field in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"k": True}, "budget k"),
+            ({"k": math.inf}, "budget k"),
+            ({"k": math.nan}, "budget k"),
+            ({"L": math.nan}, "threshold L"),
+            ({"elements": [{"weight": True}, {"weight": 1}]}, "weight of element 1"),
+            ({"sets": [{"members": [True], "cost": 1}]}, "element of set 1"),
+            ({"sets": [{"members": [1], "cost": math.inf}]}, "cost of set 1"),
+        ],
+    )
+    def test_bmc_integer_fields(self, tmp_path, capsys, change, field):
+        code, out, err = run(capsys, "reduce-bmc", write(tmp_path, "bmc.json", {**BMC, **change}))
+        assert code == 1 and out == ""
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "vector, entry", [("p_star", "p*_2"), ("L", "L_2"), ("R", "R_2"), ("c", "c_2")]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    def test_non_finite_cost_model(self, tmp_path, capsys, vector, entry, bad):
+        request = json.loads(open(fc_request(tmp_path, mode="removal")).read())
+        request["game"]["variant"] = "fo"
+        request["cost_model"][vector][1] = bad
+        code, out, err = run(capsys, "attack", write(tmp_path, "request.json", request))
+        assert code == 1 and out == ""
+        assert entry in err
 
     def test_non_integral_target(self, tmp_path, capsys):
         code, _, err = run(capsys, "attack", fc_request(tmp_path, target=1.5))

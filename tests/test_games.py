@@ -17,23 +17,25 @@ from reliattack import (
     TableGame,
     ThresholdNeighborhoodGame,
     ball,
-    boundary,
-    char_value,
     coauthor_contributions,
     complete_graph,
     cycle_graph,
     cycle_sequence,
     game_from_json,
-    game_to_json,
-    induced_subgraph_to_credit,
     is_complete,
     path_graph,
     star_center,
     star_graph,
 )
-from reliattack.games import Game, all_coalitions, subsets_of
+from reliattack.games import Game
 
-from conftest import random_credit, random_game, random_graph, random_weighted_graph
+from conftest import (
+    all_coalitions,
+    random_credit,
+    random_game,
+    random_graph,
+    random_weighted_graph,
+)
 
 
 class TestGraph:
@@ -56,15 +58,6 @@ class TestGraph:
         with pytest.raises(DomainError, match="finite"):
             Graph(3, ((1, 2),), (w,))
 
-    def test_weight_lookup(self):
-        g = Graph.of(3, [(2, 1, 0.4), (2, 3, 0.7)])
-        assert g.weight(1, 2) == g.weight(2, 1) == 0.4
-        assert g.weight(3, 2) == 0.7
-        assert path_graph(3).weight(2, 1) == 1.0
-        for graph in (g, path_graph(3)):
-            with pytest.raises(DomainError, match="not an edge"):
-                graph.weight(1, 3)
-
     def test_endpoints_must_be_integers(self):
         assert Graph.of(3, [(1.0, 2)]) == Graph.of(3, [(1, 2)])
         for bad in ((1.9, 2), (True, 2), ("1", 2)):
@@ -80,21 +73,6 @@ class TestGraph:
         assert cycle_sequence(cycle_graph(5)) == (1, 2, 3, 4, 5)
         assert cycle_sequence(path_graph(5)) is None
         assert cycle_sequence(complete_graph(4)) is None
-
-
-class TestBoundary:
-    def test_complete_graph(self):
-        assert boundary(complete_graph(3), {1}) == {2, 3}
-
-    def test_empty_coalition(self):
-        assert boundary(complete_graph(4), set()) == frozenset()
-
-    def test_path_mid(self):
-        assert boundary(path_graph(3), {2}) == {1, 3}
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            boundary(path_graph(3), {4})
 
 
 class TestBall:
@@ -120,37 +98,37 @@ class TestBall:
         assert ball(g, {1}, 1.0) == {1, 2, 3}
         assert ball(g, {3}, 1.0) == {1, 2, 3, 4}
         game = DistanceCutoffGame(g, 1.0)
-        assert game.cutoff_neighborhood(1) == {1, 2, 3}
-        assert game.cutoff_neighborhood(4) == {2, 3, 4}
-        assert char_value(game, {4}) == 3
+        assert game._covers[1].tolist() == [1, 2, 3]
+        assert game._covers[4].tolist() == [2, 3, 4]
+        assert game.value({4}) == 3
 
 
 class TestCharValue:
     def test_nc1_star(self):
         game = ClosedNeighborhoodGame(star_graph(3, center=3))
-        assert char_value(game, {1}) == 2  # |{1, 3}|
+        assert game.value({1}) == 2  # |{1, 3}|
 
     def test_fo_needs_all_authors(self):
         game = FullObligationGame(CreditInstance.of(2, [((1, 2), 2.0)]))
-        assert char_value(game, {1}) == 0
-        assert char_value(game, {1, 2}) == 2
+        assert game.value({1}) == 0
+        assert game.value({1, 2}) == 2
 
     def test_fc_counts_touched_papers(self):
         game = FullCreditGame(
             CreditInstance.of(3, [((1, 2), 2.0), ((2, 3), 1.0)])
         )
-        assert char_value(game, {2}) == 3
+        assert game.value({2}) == 3
 
     def test_empty_coalition_is_zero(self, rng):
         for variant in ("nc1", "nc21", "nc3", "fc", "fo"):
             from conftest import random_game
 
             game = random_game(rng, variant, 5)
-            assert char_value(game, set()) == 0.0
+            assert game.value(set()) == 0.0
 
     def test_table_game(self):
         game = TableGame(2, {(): 0.0, (1,): 1.0, (2,): 0.0, (1, 2): 1.0})
-        assert char_value(game, {1}) == 1.0
+        assert game.value({1}) == 1.0
         with pytest.raises(DomainError):
             TableGame(2, {(1,): 1.0})  # empty coalition undefined
         with pytest.raises(DomainError):
@@ -175,10 +153,10 @@ class TestMonotonicity:
             game = random_game(rng, variant, n)
             full = list(all_coalitions(n))
             for s in full:
-                vs = char_value(game, s)
+                vs = game.value(s)
                 for extra in range(1, n + 1):
                     if extra not in s:
-                        assert vs <= char_value(game, s | {extra}) + 1e-12
+                        assert vs <= game.value(s | {extra}) + 1e-12
 
 
 class TestVariantBridges:
@@ -190,7 +168,7 @@ class TestVariantBridges:
             nc1 = ClosedNeighborhoodGame(plain)
             nc3 = DistanceCutoffGame(weighted, 1.0)
             for s in all_coalitions(n):
-                assert char_value(nc1, s) == char_value(nc3, s)
+                assert nc1.value(s) == nc3.value(s)
 
     def test_nc2_with_threshold_one_equals_nc1(self, rng):
         for _ in range(8):
@@ -199,7 +177,7 @@ class TestVariantBridges:
             nc1 = ClosedNeighborhoodGame(g)
             nc2 = ThresholdNeighborhoodGame(g, 1)
             for s in all_coalitions(n):
-                assert char_value(nc1, s) == char_value(nc2, s)
+                assert nc1.value(s) == nc2.value(s)
 
 
 class TestCoauthors:
@@ -235,6 +213,14 @@ class TestCoauthors:
             CreditInstance.of(2, [((3,), 1.0)])
 
 
+def induced_subgraph_to_credit(graph: Graph) -> CreditInstance:
+    """One two-author paper per edge, scored by the edge weight, so that the
+    full-obligation game on the result reproduces the induced-subgraph game."""
+    return CreditInstance.of(
+        graph.n, [((u, v), w) for (u, v), w in graph.edge_weight_items()]
+    )
+
+
 class TestInducedSubgraph:
     def test_triangle(self):
         g = Graph.of(3, [(1, 2, 1.0), (1, 3, 2.0), (2, 3, 3.0)])
@@ -248,8 +234,8 @@ class TestInducedSubgraph:
     def test_edge_coalition_value(self):
         g = Graph.of(3, [(1, 2, 1.5), (2, 3, 2.5)])
         game = FullObligationGame(induced_subgraph_to_credit(g))
-        assert char_value(game, {1, 2}) == 1.5
-        assert char_value(game, {1, 3}) == 0.0
+        assert game.value({1, 2}) == 1.5
+        assert game.value({1, 3}) == 0.0
 
     def test_matches_inside_edge_weight_sum(self, rng):
         for _ in range(6):
@@ -260,7 +246,32 @@ class TestInducedSubgraph:
                 expected = sum(
                     w for (u, v), w in g.edge_weight_items() if u in s and v in s
                 )
-                assert char_value(game, s) == pytest.approx(expected, abs=1e-12)
+                assert game.value(s) == pytest.approx(expected, abs=1e-12)
+
+
+def game_to_json(game: Game) -> dict:
+    """Inverse of :func:`game_from_json` for the five wire variants."""
+    if isinstance(game, (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame)):
+        g = game.graph
+        if g.is_weighted:
+            edges = [[u, v, w] for (u, v), w in zip(g.edges, g.weights)]
+        else:
+            edges = [[u, v] for u, v in g.edges]
+        out: dict = {"variant": game.variant, "n": g.n, "edges": edges}
+        if isinstance(game, ThresholdNeighborhoodGame):
+            out["k"] = game.threshold
+        if isinstance(game, DistanceCutoffGame):
+            out["d_cut"] = game.cutoff
+        return out
+    if isinstance(game, (FullCreditGame, FullObligationGame)):
+        return {
+            "variant": game.variant,
+            "n": game.n,
+            "papers": [
+                {"authors": sorted(a), "score": s} for a, s in game.instance.papers
+            ],
+        }
+    raise DomainError(f"game variant {game.variant!r} has no JSON form")
 
 
 class TestJson:
@@ -322,10 +333,6 @@ class TestJson:
         ):
             with pytest.raises(DomainError, match=field):
                 game_from_json(bad)
-
-    def test_subsets_helper(self):
-        subs = list(subsets_of({2, 1}))
-        assert subs == [frozenset(), {1}, {2}, {1, 2}]
 
 
 def loop_table(game, players, base):

@@ -18,7 +18,6 @@ from reliattack import (
     complete_graph,
     credit_knapsack_attack,
     cycle_graph,
-    finite_difference,
     fractional_knapsack_optimum,
     fractional_oracle,
     greedy_fractional_attack,
@@ -29,7 +28,7 @@ from reliattack import (
 from reliattack import oracle
 from reliattack.shapley import shapley_definitional
 
-from conftest import random_profile, random_two_author_credit
+from conftest import finite_difference, random_profile, random_two_author_credit
 
 
 class TestConfig:

@@ -14,16 +14,11 @@ from reliattack import (
     ReliabilityProfile,
     ResourceLimitError,
     TableGame,
-    char_value,
     complete_graph,
     liveness_transform,
-    pi_partial,
-    pi_prob,
     reliability_value,
 )
-from reliattack.games import all_coalitions
-
-from conftest import enumerated_value, random_game, random_profile
+from conftest import all_coalitions, enumerated_value, pi_prob, random_game, random_profile
 
 
 class TestProfile:
@@ -160,7 +155,7 @@ class TestReliabilityValue:
             ones = ReliabilityProfile.ones(n)
             for s in all_coalitions(n):
                 assert reliability_value(game, ones, s) == pytest.approx(
-                    char_value(game, s), abs=1e-12
+                    game.value(s), abs=1e-12
                 )
 
     def test_single_player_bernoulli(self):
@@ -193,34 +188,3 @@ class TestReliabilityValue:
             vb = reliability_value(game, p.with_value(j, b), s)
             vmix = reliability_value(game, p.with_value(j, lam * a + (1 - lam) * b), s)
             assert vmix == pytest.approx(lam * va + (1 - lam) * vb, abs=1e-12)
-
-
-class TestPiPartial:
-    def test_outside_host_is_zero(self):
-        assert pi_partial({1}, {1, 2}, (0.5, 0.5, 0.5), 3) == 0.0
-
-    def test_live_case_drops_both(self):
-        p = ReliabilityProfile((0.5, 0.25))
-        assert pi_partial({1}, {1, 2}, p, 1) == pytest.approx(1 - 0.25, abs=1e-15)
-
-    def test_dead_case_is_negative(self):
-        p = ReliabilityProfile((0.5, 0.25))
-        assert pi_partial({1}, {1, 2}, p, 2) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_not_subset(self):
-        with pytest.raises(DomainError):
-            pi_partial({1}, {2}, (0.5, 0.5), 1)
-
-    def test_matches_finite_differences(self, rng):
-        h = 1e-6
-        for _ in range(20):
-            size = rng.randint(1, 6)
-            p = random_profile(rng, size, lo=0.05, hi=0.95)
-            host = frozenset(rng.sample(range(1, size + 1), rng.randint(1, size)))
-            live = frozenset(x for x in host if rng.random() < 0.5)
-            j = rng.randint(1, size)
-            fd = (
-                pi_prob(live, host, p.with_value(j, p[j] + h))
-                - pi_prob(live, host, p.with_value(j, p[j] - h))
-            ) / (2 * h)
-            assert pi_partial(live, host, p, j) == pytest.approx(fd, abs=1e-6)

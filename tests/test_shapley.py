@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from reliattack import (
     ResourceLimitError,
     TableGame,
     ThresholdNeighborhoodGame,
+    ball,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -36,12 +38,13 @@ from reliattack import (
     star_graph,
 )
 from reliattack import shapley
-from reliattack.oracle import finite_difference
 
 from conftest import (
     coverage_gradient,
     coverage_inner,
     enumerated_value,
+    finite_difference,
+    fo_gradient,
     nc2_inner,
     random_game,
     random_graph,
@@ -84,7 +87,7 @@ class TestDefinitional:
             p = random_profile(rng, n)
             sh = shapley_definitional(game, p)
             grand = reliability_value(game, p, set(range(1, n + 1)))
-            assert sh.total() == pytest.approx(grand, abs=1e-9)
+            assert sum(sh) == pytest.approx(grand, abs=1e-9)
 
 
     def test_matches_enumerated_permutation_average(self, rng):
@@ -180,7 +183,7 @@ class TestClosedForms:
 
     def test_fo_three_authors_half(self):
         game = FullObligationGame(CreditInstance.of(3, [((1, 2, 3), 3.0)]))
-        p = ReliabilityProfile.constant(3, 0.5)
+        p = ReliabilityProfile((0.5,) * 3)
         assert shapley_closed(game, p, 1) == pytest.approx(0.125, abs=1e-12)
 
     def test_fc_two_author_expansion(self):
@@ -240,7 +243,7 @@ class TestClosedForms:
             n = rng.randint(2, 6)
             game = random_game(rng, variant, n)
             p = random_profile(rng, n)
-            total = shapley_vector_closed(game, p).total()
+            total = sum(shapley_vector_closed(game, p))
             grand = reliability_value(game, p, set(range(1, n + 1)))
             assert total == pytest.approx(grand, abs=1e-9)
 
@@ -254,7 +257,7 @@ class TestClosedForms:
     def test_efficiency_property(self, variant, n, hrng):
         game = random_game(hrng, variant, n)
         p = [hrng.choice((0.0, 1.0, hrng.random(), hrng.random())) for _ in range(n)]
-        total = shapley_vector_closed(game, p).total()
+        total = sum(shapley_vector_closed(game, p))
         assert total == pytest.approx(reliability_value(game, p, range(1, n + 1)), abs=1e-9)
 
     @seed(20240817)
@@ -299,7 +302,7 @@ class TestVertexTransitive:
         ]
         for game in games:
             for q in (0.3, 0.875, 1.0):
-                p = ReliabilityProfile.constant(n, q)
+                p = ReliabilityProfile((q,) * n)
                 values = list(shapley_vector_closed(game, p))
                 assert values == pytest.approx([values[0]] * n, rel=1e-12, abs=1e-12)
                 grand = reliability_value(game, p, range(1, n + 1))
@@ -588,7 +591,7 @@ class TestGradients:
 
     def test_zero_outside_distance_two(self):
         game_graph = cycle_graph(7)
-        p = ReliabilityProfile.constant(7, 0.6)
+        p = ReliabilityProfile((0.6,) * 7)
         grad = shapley_gradient_nc1(game_graph, p, 1)
         # distance-2 ball of 1 on C_7 is {1,2,3,6,7}; players 4 and 5 are out
         assert grad[3] == 0.0 and grad[4] == 0.0
@@ -617,6 +620,38 @@ class TestGradients:
                 for j in range(1, n + 1):
                     fd = finite_difference(lambda q: shapley_closed(game, q, x), p, j, 1e-6)
                     assert grad[j - 1] == pytest.approx(fd, abs=1e-5), (variant, j)
+
+    @pytest.mark.parametrize("variant", ["nc21", "nc22", "nc23", "fo"])
+    def test_exact_for_threshold_and_obligation(self, rng, variant):
+        # Sh_x is multilinear in every p_j, so the two-point difference is
+        # the derivative itself; the references are exact rationals
+        def nc2_value(game, q, x):
+            return Fraction(q[x]) * nc2_inner(game, q, x)
+
+        for _ in range(15):
+            n = rng.randint(1, 7)
+            game = random_game(rng, variant, n)
+            p = _with_certain_players(rng, random_profile(rng, n))
+            x = rng.randint(1, n)
+            grad = shapley_gradient(game, p, x)
+            if variant == "fo":
+                reference = fo_gradient(game, p, x)
+                inside = game.instance.coauthors(x) | {x}
+            else:
+                reference = [
+                    nc2_value(game, p.with_value(j, 1.0), x)
+                    - nc2_value(game, p.with_value(j, 0.0), x)
+                    for j in range(1, n + 1)
+                ]
+                inside = ball(game.graph, {x}, 2)
+            assert grad == pytest.approx([float(r) for r in reference], rel=1e-12, abs=1e-12)
+            assert all(grad[j - 1] == 0.0 for j in range(1, n + 1) if j not in inside)
+
+    def test_threshold_path_slope_is_one_sixth(self):
+        # path 1-2-3 with k = 2: player 1 gains from pushing 2 over the
+        # threshold only when 3 is live, so d Sh(1)/d p_3 = +1/6
+        game = ThresholdNeighborhoodGame(path_graph(3), 2)
+        assert shapley_gradient(game, (1.0, 1.0, 1.0), 1)[2] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_triangle_symmetry(self):
         p = ReliabilityProfile((1.0, 0.5, 0.5))
