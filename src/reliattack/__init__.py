@@ -34,13 +34,10 @@ from .games import (
     ball,
     coauthor_contributions,
     complete_graph,
-    cycle_graph,
     cycle_sequence,
     game_from_json,
     is_complete,
-    path_graph,
     star_center,
-    star_graph,
 )
 from .oracle import (
     OracleConfig,

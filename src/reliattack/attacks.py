@@ -30,6 +30,7 @@ from .games import (
     _as_finite,
     _as_int,
     _as_playerset,
+    _csr_rows,
     _require_two_authors,
     coauthor_contributions,
     cycle_sequence,
@@ -388,27 +389,18 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
 
 def pairwise_exempt_set(game: Game, y: int) -> frozenset[int]:
     """Players whose reliabilities contribute to the Shapley value of y and
-    are therefore untouchable in a pairwise attack protecting y.
+    are therefore untouchable in a pairwise attack protecting y: y and the
+    members of the sets of y's closed form.
 
-    In a coverage game these are exactly y and the coverers of every element
-    y covers; in the threshold game the distance-two ball of y, and in the
+    In a coverage game these are y and the coverers of every element y
+    covers; in the threshold game the distance-two ball of y, and in the
     full-obligation game y and its coauthors."""
     if not 1 <= y <= game.n:
         raise DomainError(f"player {y} outside 1..{game.n}")
-    if isinstance(game, CoverageGame):
-        out = {y}
-        for e in game._covers[y].tolist():
-            out.update(game._coverers[e].tolist())
-        return frozenset(out)
-    if isinstance(game, ThresholdNeighborhoodGame):
-        graph = game.graph
-        out = {y} | graph.neighbors(y)
-        for v in list(out):
-            out |= graph.neighbors(v)
-        return frozenset(out)
-    if isinstance(game, FullObligationGame):
-        return game.instance.coauthors(y) | {y}
-    raise DomainError(f"pairwise exemption undefined for variant {game.variant!r}")
+    if not hasattr(game, "_sets_of"):
+        raise DomainError(f"pairwise exemption undefined for variant {game.variant!r}")
+    members, _ = _csr_rows(game._set_csr, game._sets_of[y])
+    return frozenset([y, *(members + 1).tolist()])
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .games import (
     ThresholdNeighborhoodGame,
     _as_finite,
     _as_int,
+    _as_list,
     cycle_sequence,
     game_from_json,
     is_complete,
@@ -103,6 +104,8 @@ def _load_game(spec: Any) -> Game:
 
 
 def _require(data: dict, field: str, where: str) -> Any:
+    if not isinstance(data, dict):
+        raise DomainError(f"{where} must be an object, got {data!r}")
     if field not in data:
         raise DomainError(f"{where} missing field {field!r}")
     return data[field]
@@ -119,22 +122,21 @@ def _positive_int(text: str) -> int:
 
 
 def _cost_model(data: dict) -> CostModel:
-    return CostModel(
-        tuple(_require(data, "p_star", "cost_model")),
-        tuple(_require(data, "L", "cost_model")),
-        tuple(_require(data, "R", "cost_model")),
-        tuple(_require(data, "c", "cost_model")),
-    )
+    return CostModel(*(
+        tuple(_as_list(_require(data, name, "cost_model"), f"cost_model field {name!r}"))
+        for name in ("p_star", "L", "R", "c")
+    ))
 
 
 def _profile_arg(path: str | None, n: int) -> ReliabilityProfile:
     if path is None:
         return ReliabilityProfile.ones(n)
     data = _load_json(path)
-    values = _require(data, "p", "profile file")
+    values = _as_list(_require(data, "p", "profile file"), "profile file field 'p'")
     if len(values) != n:
         raise DomainError(f"profile file field 'p' has {len(values)} entries, expected {n}")
-    return ReliabilityProfile(tuple(values))
+    entries = (_as_finite(v, f"profile entry p_{i}") for i, v in enumerate(values, 1))
+    return ReliabilityProfile(tuple(entries))
 
 
 def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
@@ -149,8 +151,10 @@ def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
     if request.get("pairwise_protect") is not None:
         protect = _as_int(request["pairwise_protect"], "field 'pairwise_protect'")
         exempt = pairwise_exempt_set(game, protect)
-    problem = AttackProblem(game, target, budget, costs, exempt)
-    return problem, mode, bool(request.get("assume_large_cutoff", False))
+    large_cutoff = request.get("assume_large_cutoff", False)
+    if not isinstance(large_cutoff, bool):
+        raise DomainError(f"field 'assume_large_cutoff' must be a boolean, got {large_cutoff!r}")
+    return AttackProblem(game, target, budget, costs, exempt), mode, large_cutoff
 
 
 def _solve_fractional(problem: AttackProblem, assume_large_cutoff: bool) -> AttackPlan:
@@ -241,12 +245,12 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_reduce_bmc(args) -> int:
     data = _load_json(args.bmc)
-    elements = _require(data, "elements", "bmc file")
-    weights = [_require(e, "weight", f"element {i + 1}") for i, e in enumerate(elements)]
-    sets = [
-        (_require(s, "members", f"set {j + 1}"), _require(s, "cost", f"set {j + 1}"))
-        for j, s in enumerate(data.get("sets", []))
-    ]
+    elements = _as_list(_require(data, "elements", "bmc file"), "field 'elements'")
+    weights = [_require(e, "weight", f"element {i}") for i, e in enumerate(elements, 1)]
+    sets = []
+    for j, s in enumerate(_as_list(data.get("sets", []), "field 'sets'"), 1):
+        members = _as_list(_require(s, "members", f"set {j}"), f"members of set {j}")
+        sets.append((members, _require(s, "cost", f"set {j}")))
     k = _require(data, "k", "bmc file")
     threshold = _require(data, "L", "bmc file")
     reduction = bmc_reduce(weights, sets, k, threshold)

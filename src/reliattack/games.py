@@ -55,6 +55,13 @@ def _as_finite(value, what: str) -> float:
     raise DomainError(f"{what} must be a finite number, got {value!r}")
 
 
+def _as_list(value, what: str) -> list:
+    """``value`` as a list; anything but a list or a tuple is rejected."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise DomainError(f"{what} must be a list, got {value!r}")
+
+
 def _mask_of(players: Iterable[int]) -> int:
     m = 0
     for x in players:
@@ -147,14 +154,9 @@ class Graph:
         return _index_rows([()] + [a | {x} for x, a in enumerate(self._adj) if x])
 
     @cached_property
-    def _closed_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``_closed_rows`` in CSR form (row 0 is empty)."""
         return _csr(self._closed_rows)
-
-    @cached_property
-    def _nbr_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The neighbors of players 1..n in CSR form, row x - 1 for x."""
-        return _csr(_index_rows(self._adj[1:]))
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[float]]) -> "Graph":
@@ -163,7 +165,7 @@ class Graph:
         wts: list[float] = []
         weighted = None
         for e in edges:
-            e = list(e)
+            e = _as_list(e, "edge")
             if len(e) not in (2, 3):
                 raise DomainError(f"edge {e} must be [u, v] or [u, v, w]")
             u, v = e[0], e[1]
@@ -176,7 +178,7 @@ class Graph:
                 if weighted is False:
                     raise DomainError("mixed weighted and unweighted edges")
                 weighted = True
-                wts.append(float(e[2]))
+                wts.append(_as_finite(e[2], f"edge ({u},{v}) weight"))
             else:
                 if weighted is True:
                     raise DomainError("mixed weighted and unweighted edges")
@@ -234,27 +236,8 @@ def ball(graph: Graph, coalition: Coalition, radius: float) -> frozenset[int]:
     return frozenset(dist)
 
 
-# graph builders used by the attack solvers and tests
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
-
-
-def star_graph(n: int, center: int = 1) -> Graph:
-    if not 1 <= center <= n:
-        raise DomainError(f"center {center} outside 1..{n}")
-    return Graph(n, tuple(sorted((min(center, v), max(center, v)) for v in range(1, n + 1) if v != center)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise DomainError(f"a cycle needs n >= 3, got {n}")
-    edges = sorted((u, u + 1) for u in range(1, n)) + [(1, n)]
-    return Graph(n, tuple(sorted(edges)))
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((u, u + 1) for u in range(1, n)))
 
 
 def is_complete(graph: Graph) -> bool:
@@ -302,16 +285,12 @@ class CreditInstance:
 
     n: int
     papers: tuple[tuple[frozenset[int], float], ...]
-    _papers_by_author: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError(f"need at least one author, got n={self.n}")
         norm = []
-        by_author: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for i, (authors, score) in enumerate(self.papers):
+        for authors, score in self.papers:
             authors = _as_playerset(authors, self.n, "author set")
             if not authors:
                 raise DomainError("paper with empty author set")
@@ -320,22 +299,20 @@ class CreditInstance:
             if score < 0:
                 raise DomainError(f"paper score {score} is negative")
             norm.append((authors, float(score)))
-            for a in authors:
-                by_author[a].append(i)
         object.__setattr__(self, "papers", tuple(norm))
-        object.__setattr__(self, "_papers_by_author", tuple(map(tuple, by_author)))
 
     @classmethod
     def of(cls, n: int, papers: Iterable[tuple[Iterable[int], float]]) -> "CreditInstance":
-        return cls(n, tuple((frozenset(a), float(s)) for a, s in papers))
+        scored = [(a, _as_finite(s, f"score of paper {i}")) for i, (a, s) in enumerate(papers)]
+        return cls(n, tuple((frozenset(a), s) for a, s in scored))
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
-        """Per author, the indices of their papers."""
-        return _index_rows(self._papers_by_author)
+        """Per author, the indices of their papers (entry 0 is empty)."""
+        return _transpose(_index_rows(authors for authors, _ in self.papers), self.n + 1)
 
     @cached_property
-    def _author_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _author_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The authors of each paper in CSR form, one row per paper."""
         return _csr(_index_rows(authors for authors, _ in self.papers))
 
@@ -343,15 +320,11 @@ class CreditInstance:
     def _scores(self) -> np.ndarray:
         return np.array([score for _, score in self.papers], dtype=np.float64)
 
-    @cached_property
-    def _sizes(self) -> np.ndarray:
-        return np.array([len(authors) for authors, _ in self.papers], dtype=np.int64)
-
     def papers_of(self, x: int) -> list[int]:
         """Indices (0-based into ``papers``) of the papers authored by x."""
         if not 1 <= x <= self.n:
             raise DomainError(f"player {x} outside 1..{self.n}")
-        return list(self._papers_by_author[x])
+        return self._rows[x].tolist()
 
     def coauthors(self, x: int) -> frozenset[int]:
         out: set[int] = set()
@@ -406,20 +379,27 @@ def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
     return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
 
 
-def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR form of index rows of players: row pointer, the 0-based players of
-    each row in row order, and the row number of each entry."""
-    sizes = [len(r) for r in rows]
+def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form of index rows of players: row pointer, and the 0-based
+    players of each row in row order."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
     # the leading empty array lets an empty list of rows concatenate
-    indices = np.concatenate((np.empty(0, np.intp), *rows)) - 1
-    return indptr, indices, np.repeat(np.arange(len(rows)), sizes)
+    return indptr, np.concatenate((np.empty(0, np.intp), *rows)) - 1
+
+
+def _csr_rows(csr: tuple[np.ndarray, ...], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based players of the CSR rows ``rows``, concatenated in order,
+    and the size of each of those rows."""
+    indptr, indices = csr
+    sizes = indptr[rows + 1] - indptr[rows]
+    offsets = np.repeat(indptr[rows] - (np.cumsum(sizes) - sizes), sizes)
+    return indices[offsets + np.arange(len(offsets))], sizes
 
 
 def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
     """Per element 0..size-1, the sorted indices of the rows that hold it."""
-    flat = np.concatenate(rows)
+    flat = np.concatenate((np.empty(0, np.intp), *rows))  # an empty list of rows too
     owners = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     ends = np.cumsum(np.bincount(flat, minlength=size))
     # splitting at all size ends leaves one empty piece after the last
@@ -526,10 +506,16 @@ class CoverageGame(Game):
     array of the elements it covers (entry 0 is empty), and ``_weights``, one
     weight per element.  Who covers an element, ``_coverers``, is read off
     the transpose of ``_covers`` and never recomputed, so the value, the
-    closed forms and the exempt set all see one relation.
+    closed forms and the exempt set all see one relation.  The sets of the
+    closed form are the coverer sets, one per element, and the sets that
+    involve x are the elements x covers.
     """
 
     _covers: tuple[np.ndarray, ...]
+
+    @property
+    def _sets_of(self) -> tuple[np.ndarray, ...]:
+        return self._covers
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -543,7 +529,7 @@ class CoverageGame(Game):
         return _transpose(self._covers, len(self._weights))
 
     @cached_property
-    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``_coverers`` in CSR form, one row per element."""
         return _csr(self._coverers)
 
@@ -576,7 +562,8 @@ class ClosedNeighborhoodGame(CoverageGame):
     _coverers = _covers
 
     @property
-    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        # on the graph, so that the games shapley_gradient_nc1 builds per call share it
         return self.graph._closed_csr
 
 
@@ -609,7 +596,19 @@ class ThresholdNeighborhoodGame(Game):
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
+        """Per player, its neighbors (entry 0 is empty)."""
         return _index_rows(self.graph._adj)
+
+    @cached_property
+    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sets of the closed form: N(y), row y - 1 for each player y."""
+        return _csr(_index_rows(self.graph._adj[1:]))
+
+    @cached_property
+    def _sets_of(self) -> tuple[np.ndarray, ...]:
+        """Per player x, the rows of the sets that involve x: x's own N(x)
+        and N(y) for every neighbour y, that is N[x] - 1."""
+        return tuple(row - 1 for row in self.graph._closed_rows)
 
     def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
         """Outside players are grouped by the code of their neighbors among
@@ -693,7 +692,7 @@ class FullCreditGame(CoverageGame):
         return self.instance._scores
 
     @property
-    def _coverer_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self.instance._author_csr
 
 
@@ -708,9 +707,19 @@ class FullObligationGame(Game):
     def n(self) -> int:
         return self.instance.n
 
+    @property
+    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sets of the closed form: the authors of each paper."""
+        return self.instance._author_csr
+
+    @property
+    def _sets_of(self) -> tuple[np.ndarray, ...]:
+        """Per author, their papers."""
+        return self.instance._rows
+
     def value_mask(self, mask: int) -> float:
         inst = self.instance
-        inside = _hits(inst._rows, _players_of(mask), len(inst.papers)) == inst._sizes
+        inside = _hits(inst._rows, _players_of(mask), len(inst.papers)) == np.diff(self._set_csr[0])
         return float(inst._scores[inside].sum())
 
     def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
@@ -721,7 +730,7 @@ class FullObligationGame(Game):
         inst = self.instance
         size = len(inst.papers)
         reach = _hits(inst._rows, [*players, *_players_of(base)], size)
-        inside = reach == inst._sizes
+        inside = reach == np.diff(self._set_csr[0])
         codes = _codes(inst._rows, players, size)
         c = np.bincount(codes[inside], weights=inst._scores[inside], minlength=1 << len(players))
         return _zeta(c.astype(np.float64, copy=False))  # integer when no paper is inside
@@ -775,7 +784,7 @@ def game_from_json(data: Mapping) -> Game:
             raise DomainError(f"variant {variant!r} requires field 'edges'")
         if "papers" in data:
             raise DomainError(f"variant {variant!r} must not carry field 'papers'")
-        graph = Graph.of(n, data["edges"])
+        graph = Graph.of(n, _as_list(data["edges"], "field 'edges'"))
         if variant == "nc1":
             return ClosedNeighborhoodGame(graph)
         if variant == "nc2":
@@ -784,16 +793,16 @@ def game_from_json(data: Mapping) -> Game:
             return ThresholdNeighborhoodGame(graph, _as_int(data["k"], "field 'k'"))
         if "d_cut" not in data:
             raise DomainError("variant 'nc3' requires field 'd_cut'")
-        return DistanceCutoffGame(graph, float(data["d_cut"]))
+        return DistanceCutoffGame(graph, _as_finite(data["d_cut"], "field 'd_cut'"))
     if variant in _CREDIT_VARIANTS:
         if "papers" not in data:
             raise DomainError(f"variant {variant!r} requires field 'papers'")
         if "edges" in data:
             raise DomainError(f"variant {variant!r} must not carry field 'edges'")
         papers = []
-        for i, paper in enumerate(data["papers"]):
+        for i, paper in enumerate(_as_list(data["papers"], "field 'papers'")):
             try:
-                papers.append((paper["authors"], paper["score"]))
+                papers.append((_as_list(paper["authors"], f"authors of paper {i}"), paper["score"]))
             except KeyError as exc:
                 raise DomainError(
                     f"paper {i} missing field {exc.args[0]!r}"

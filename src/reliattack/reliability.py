@@ -49,11 +49,7 @@ class ReliabilityProfile:
         return iter(self.values)
 
     def with_value(self, player: int, p: float) -> "ReliabilityProfile":
-        if not 1 <= player <= self.n:
-            raise DomainError(f"player {player} outside 1..{self.n}")
-        vals = list(self.values)
-        vals[player - 1] = p
-        return ReliabilityProfile(tuple(vals))
+        return self.with_values({player: p})
 
     def with_values(self, changes: dict[int, float]) -> "ReliabilityProfile":
         vals = list(self.values)

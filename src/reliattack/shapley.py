@@ -4,8 +4,13 @@ Two independent routes are provided and cross-checked by the test suite:
 
 * :func:`shapley_definitional` - the permutation average itself, evaluated
   over every permutation with exact marginal expectations; the audit oracle.
-* :func:`shapley_closed` - per-variant closed forms in the participation
-  probabilities, polynomial in local neighborhood / author-list sizes.
+* the closed forms - one kernel per game family (coverage for nc1, nc3
+  and fc; the threshold game nc2; the unanimity sum fo), polynomial in
+  local neighborhood / author-list sizes.  :func:`shapley_vector_closed`
+  runs it on all of a game's sets, and :func:`shapley_closed` on the sets
+  that involve one player.
+
+The tests also pin the closed forms to exact rational references.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .games import (
     Game,
     Graph,
     ThresholdNeighborhoodGame,
+    _csr_rows,
     _require_two_authors,
     coauthor_contributions,
 )
@@ -67,7 +73,7 @@ def _int_dtype(largest: int) -> np.dtype:
 
 
 @lru_cache(maxsize=2)
-def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All n! permutations plus the coalition bitmasks before/after each
     position, as arrays of shape (n!, n) in the smallest integer dtypes that
     hold n - 1 and 2^n - 1."""
@@ -163,7 +169,7 @@ def _owen_blocks(csr: tuple[np.ndarray, ...], p: np.ndarray, rows: np.ndarray, e
     leaves a player's factor out of the product by subtracting its log from
     the total; every factor is at least t > 0, so exact 0s and 1s are safe.
     """
-    indptr, indices, _ = csr
+    indptr, indices = csr
     sizes = indptr[rows + 1] - indptr[rows]
     # np.unique would import numpy.ma, about 15 ms for a short-lived process
     for a in sorted(set(sizes.tolist()) - {0}):
@@ -184,96 +190,21 @@ def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
         yield logs, logs.sum(axis=1), nodes, w[q : q + span]
 
 
-def _coverage_inner(game: CoverageGame, p: np.ndarray, x: int) -> float:
-    """Sum over the elements e that x covers of w_e * E[1 / (1 + L)], where
-    L counts the live coverers of e other than x; Sh_x is p_x times this."""
-    total = 0.0
-    for e, _, blocks in _owen_blocks(game._coverer_csr, p, game._covers[x]):
-        for _, sums, t, w in blocks:
-            total += game._weights[e] @ (np.exp(sums - np.log1p(p[x - 1] * (t - 1.0))) @ w)
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
-
-
-def _size_pmf(probs: list[float]) -> list[float]:
-    """Distribution of the number of live players among independent
-    Bernoulli(p) players: pmf[s] = P(exactly s live)."""
-    pmf = [1.0]
-    for q in probs:
-        nxt = [0.0] * (len(pmf) + 1)
-        for s, c in enumerate(pmf):
-            nxt[s] += c * (1.0 - q)
-            nxt[s + 1] += c * q
-        pmf = nxt
-    return pmf
-
-
-def _nc2_inner(game: ThresholdNeighborhoodGame, p: ReliabilityProfile, x: int) -> float:
-    graph, k = game.graph, game.threshold
-    total = 0.0
-    for y in sorted(graph.neighbors(x)):
-        rest = sorted(graph.closed_neighborhood(y) - {x, y})
-        pmf = _size_pmf([p[z] for z in rest])
-        acc = 0.0
-        for s1, c in enumerate(pmf):
-            s = s1 + 1  # type-counted size when y itself is live
-            alive = (s + 1 - k) / (s * (s + 1)) if s + 1 - k > 0 else 0.0
-            dead = 1.0 / (s1 + 1) if s1 >= k - 1 else 0.0
-            acc += c * (p[y] * alive + (1.0 - p[y]) * dead)
-        total += acc
-    nbrs = sorted(graph.neighbors(x))
-    pmf = _size_pmf([p[z] for z in nbrs])
-    total += sum(c * min(k, s + 1) / (s + 1) for s, c in enumerate(pmf))
-    return total
-
-
-def _fo_closed(game: FullObligationGame, p: ReliabilityProfile, x: int) -> float:
-    total = 0.0
-    for i in game.instance.papers_of(x):
-        authors, score = game.instance.papers[i]
-        prob = 1.0
-        for l in sorted(authors):
-            prob *= p[l]
-        total += score / len(authors) * prob
-    return total
-
-
-def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
-    """Closed-form Shapley value of ``player`` in the reliability extension.
-
-    Supports the five wire variants; table games have no closed form and must
-    go through :func:`shapley_definitional`.
-    """
-    p = as_profile(profile, game.n)
-    if not 1 <= player <= game.n:
-        raise DomainError(f"player {player} outside 1..{game.n}")
-    if isinstance(game, CoverageGame):
-        return p[player] * _coverage_inner(game, np.array(p.values), player)
-    if isinstance(game, ThresholdNeighborhoodGame):
-        return p[player] * _nc2_inner(game, p, player)
-    if isinstance(game, FullObligationGame):
-        return _fo_closed(game, p, player)
-    raise DomainError(
-        f"no closed form for game variant {game.variant!r}; use shapley_definitional"
-    )
-
-
-# ---------------------------------------------------------------------------
-# whole-vector closed forms
 #
-# All players at once: the coverage games and nc2 by one pass of Owen's
-# kernel over their sets, fo by one product per paper.
+# One kernel per game family, over the sets of the game's ``_set_csr``: the
+# coverage games and nc2 by Owen's integral, fo by one product per paper.
+# A kernel returns an entry for every player; the entry of x is exact when
+# every set of ``_sets_of[x]`` is among those passed.  The whole vector
+# passes every set, and the value of one player x passes only x's sets.
 
 
-def _coverage_vector(game: CoverageGame, p: np.ndarray) -> np.ndarray:
+def _coverage_vector(game: CoverageGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
-    coverers of e other than x)], for every player x."""
+    coverers of e other than x)], over the elements ``sets``."""
     inner = np.zeros(len(p))
-    elements = np.arange(len(game._weights))
-    for e, members, blocks in _owen_blocks(game._coverer_csr, p, elements):
+    for e, members, blocks in _owen_blocks(game._set_csr, p, sets):
         for logs, total, _, w in blocks:
             vals = game._weights[e][:, None] * (np.exp(total[:, None, :] - logs) @ w)
             inner += np.bincount(members.ravel(), vals.ravel(), minlength=len(p))
@@ -301,18 +232,20 @@ def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return pmf[0, :, a], loo
 
 
-def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
-    """``_nc2_inner`` for every player by Owen's integral.  With A = N(y) and
-    L the live players of A - {x}, the pair term of (x, y) is
-    E[1 / (1 + L)] - k p_y E[1 / ((1 + L)(2 + L))] and y's own term is
-    k E[1 / (1 + live players of A)], both less the threshold's correction
-    at the sizes s < k - 1, where the true weights are 0 and 1.  A k above
-    |A| + 1 is cut to |A| + 1: the weights stay all 0 and 1, and the terms
-    that cancel stay of size |A|, not k."""
+def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The threshold game by Owen's integral, over the rows ``sets`` of
+    N(y).  Sh_x is p_x times the sum of x's own term and one pair term per
+    neighbour y.  With A = N(y) and L the live players of A - {x}, the pair
+    term of (x, y) is E[1 / (1 + L)] - k p_y E[1 / ((1 + L)(2 + L))] and
+    y's own term is k E[1 / (1 + live players of A)], both less the
+    threshold's correction at the sizes s < k - 1, where the true weights
+    are 0 and 1.  A k above |A| + 1 is cut to |A| + 1: the weights stay all
+    0 and 1, and the terms that cancel stay of size |A|, not k."""
     n = len(p)
-    csr = game.graph._nbr_csr
-    inner = (np.diff(csr[0]) == 0).astype(np.float64)  # an isolated player's own term
-    for ys, members, blocks in _owen_blocks(csr, p, np.arange(n), 1):
+    csr = game._set_csr
+    inner = np.zeros(n)
+    inner[sets[np.diff(csr[0])[sets] == 0]] = 1.0  # an isolated player's own term
+    for ys, members, blocks in _owen_blocks(csr, p, sets, 1):
         k = min(game.threshold, members.shape[1] + 1)
         py = p[ys, None]
         full, loo = _low_order_pmfs(p[members], k - 1)
@@ -328,30 +261,48 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray) -> np.ndarray:
     return p * inner
 
 
-def _fo_vector(game: FullObligationGame, p: np.ndarray) -> np.ndarray:
-    inst = game.instance
-    indptr, authors, paper = inst._author_csr
-    prods = np.multiply.reduceat(p[authors], indptr[:-1])
-    vals = (inst._scores / np.diff(indptr) * prods)[paper]
+def _fo_vector(game: FullObligationGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Sum over x's papers P of score_P / |P| * prod_{l in P} p_l, over the
+    papers ``sets``."""
+    authors, sizes = _csr_rows(game._set_csr, sets)
+    prods = np.multiply.reduceat(p[authors], np.cumsum(sizes) - sizes)
+    vals = np.repeat(game.instance._scores[sets] / sizes * prods, sizes)
     return np.bincount(authors, vals, minlength=len(p)).astype(np.float64)
 
 
-def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
-    """Closed-form Shapley values of every player, computed for all players
-    at once; :func:`shapley_closed` is the per-player reference path."""
-    prof = as_profile(profile, game.n)
-    p = np.array(prof.values, dtype=np.float64)
+def _kernel(game: Game):
     if isinstance(game, CoverageGame):
-        vec = _coverage_vector(game, p)
-    elif isinstance(game, ThresholdNeighborhoodGame):
-        vec = _nc2_vector(game, p)
-    elif isinstance(game, FullObligationGame):
-        vec = _fo_vector(game, p)
-    else:
-        raise DomainError(
-            f"no closed form for game variant {game.variant!r}; use shapley_definitional"
-        )
-    return ShapleyVector(tuple(vec.tolist()))
+        return _coverage_vector
+    if isinstance(game, ThresholdNeighborhoodGame):
+        return _nc2_vector
+    if isinstance(game, FullObligationGame):
+        return _fo_vector
+    raise DomainError(
+        f"no closed form for game variant {game.variant!r}; use shapley_definitional"
+    )
+
+
+def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
+    """Closed-form Shapley value of ``player`` in the reliability extension:
+    the game's kernel run on the player's own sets.
+
+    Supports the five wire variants; table games have no closed form and must
+    go through :func:`shapley_definitional`.
+    """
+    p = as_profile(profile, game.n)
+    if not 1 <= player <= game.n:
+        raise DomainError(f"player {player} outside 1..{game.n}")
+    kernel = _kernel(game)
+    return float(kernel(game, np.array(p.values), game._sets_of[player])[player - 1])
+
+
+def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
+    """Closed-form Shapley values of every player: the game's kernel run on
+    all of its sets at once."""
+    prof = as_profile(profile, game.n)
+    kernel = _kernel(game)
+    sets = np.arange(len(game._set_csr[0]) - 1)
+    return ShapleyVector(tuple(kernel(game, np.array(prof.values), sets).tolist()))
 
 
 def shapley_fc_two_author(instance: CreditInstance, profile: ProfileLike, x: int) -> float:
@@ -395,7 +346,7 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
     other than x and j."""
     inner, slopes = 0.0, np.zeros(game.n)
-    for e, members, blocks in _owen_blocks(game._coverer_csr, np.array(p.values), game._covers[x]):
+    for e, members, blocks in _owen_blocks(game._set_csr, np.array(p.values), game._covers[x]):
         for logs, sums, t, w in blocks:
             rest = sums - np.log1p(p[x] * (t - 1.0))
             inner += game._weights[e] @ (np.exp(rest) @ w)

@@ -31,6 +31,25 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
+# graph builders used by the tests
+
+def star_graph(n: int, center: int = 1) -> Graph:
+    if not 1 <= center <= n:
+        raise DomainError(f"center {center} outside 1..{n}")
+    return Graph(n, tuple(sorted((min(center, v), max(center, v)) for v in range(1, n + 1) if v != center)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise DomainError(f"a cycle needs n >= 3, got {n}")
+    edges = sorted((u, u + 1) for u in range(1, n)) + [(1, n)]
+    return Graph(n, tuple(sorted(edges)))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((u, u + 1) for u in range(1, n)))
+
+
 def random_graph(rng: random.Random, n: int, p_edge: float = 0.5, weighted: bool = False) -> Graph:
     edges = []
     for u in range(1, n + 1):
@@ -198,10 +217,10 @@ def _nc2_pair(probs: tuple[float, ...], py: Fraction, k: int) -> Fraction:
 
 def nc2_inner(game, profile, x) -> Fraction:
     """The pmf reference for the threshold game's inner sum (Sh_x = p_x *
-    inner), term by term as ``shapley._nc2_inner``: for each neighbour y of x
-    the pair term over the live players of N(y) - {x}, plus x's own term
-    sum_s P(s of N(x) live) * min(k, s + 1) / (s + 1).  Exact rational
-    arithmetic on the float profile."""
+    inner), term by term: for each neighbour y of x the pair term over the
+    live players of N(y) - {x}, plus x's own term sum_s P(s of N(x) live) *
+    min(k, s + 1) / (s + 1).  Exact rational arithmetic on the float
+    profile."""
     graph, k = game.graph, game.threshold
     total = Fraction(0)
     for y in sorted(graph.neighbors(x)):
@@ -209,6 +228,20 @@ def nc2_inner(game, profile, x) -> Fraction:
         total += _nc2_pair(others, Fraction(profile[y]), k)
     pmf, scale = _integer_pmf(tuple(sorted(profile[z] for z in graph.neighbors(x))))
     return total + sum(c * Fraction(min(k, s + 1), s + 1) for s, c in enumerate(pmf)) / scale
+
+
+def fo_value(game, profile, x) -> Fraction:
+    """The exact reference for the full-obligation Shapley value of x: the
+    sum over x's papers P of score_P / |P| * prod_{l in P} p_l, as a
+    Fraction product."""
+    total = Fraction(0)
+    for authors, score in game.instance.papers:
+        if x in authors:
+            term = Fraction(score) / len(authors)
+            for l in authors:
+                term *= Fraction(profile[l])
+            total += term
+    return total
 
 
 def fo_gradient(game, profile, x) -> list[Fraction]:

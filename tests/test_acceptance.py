@@ -24,29 +24,29 @@ from reliattack import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
-    cycle_graph,
     fo_removal_exhaustive,
     fractional_knapsack_optimum,
     fractional_oracle,
     greedy_fractional_attack,
     pairwise_exempt_set,
-    path_graph,
     removal_no_benefit_check,
     shapley_closed,
     shapley_cycle_closed,
     shapley_definitional,
     shapley_gradient,
     shapley_gradient_nc1,
-    star_graph,
 )
 from reliattack.cli import main as cli_main
 
 from conftest import (
+    cycle_graph,
     finite_difference,
+    path_graph,
     random_game,
     random_graph,
     random_profile,
     random_two_author_credit,
+    star_graph,
 )
 
 

@@ -25,21 +25,26 @@ from reliattack import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
-    cycle_graph,
     fo_removal_exhaustive,
     greedy_fractional_attack,
     pairwise_exempt_set,
-    path_graph,
     removal_attack,
     removal_no_benefit_check,
     shapley_closed,
     shapley_definitional,
-    star_graph,
 )
 
 from reliattack import attacks
 
-from conftest import random_game, random_graph, random_profile, random_two_author_credit
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_game,
+    random_graph,
+    random_profile,
+    random_two_author_credit,
+    star_graph,
+)
 
 BMC_WEIGHTS = [2, 1]
 BMC_SETS = [({1}, 1), ({1, 2}, 2)]
@@ -327,7 +332,7 @@ class TestPairwiseExemptSet:
 
     def test_outside_players_leave_the_value_unchanged(self, rng):
         checked = 0
-        for variant in ("nc1", "nc3", "fc"):
+        for variant in ("nc1", "nc3", "fc", "nc21", "nc22", "nc23", "fo"):
             for _ in range(10):
                 n = rng.randint(2, 6)
                 game = random_game(rng, variant, n)

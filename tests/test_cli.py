@@ -353,6 +353,8 @@ class TestMalformedInput:
             ("[[1, 2, 1.0], [2, 3, 0.5]]", "Infinity", "'d_cut'"),
             ("[[1, 2, 1.0], [2, 3, 0.5]]", "-Infinity", "'d_cut'"),
             ("[[1, 2, 1.0], [2, 3, 0.5]]", "NaN", "'d_cut'"),
+            ("[[1, 2, 1.0], [2, 3, 0.5]]", '"x"', "'d_cut'"),
+            ("[[1, 2, true], [2, 3, 0.5]]", "1.0", "weight"),
         ],
     )
     def test_non_finite_nc3_fields(self, tmp_path, capsys, edges, d_cut, field):
@@ -378,6 +380,51 @@ class TestMalformedInput:
         code, out, err = run(capsys, "reduce-bmc", write(tmp_path, "bmc.json", {**BMC, **change}))
         assert code == 1 and out == ""
         assert field in err
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"elements": {"weight": 1}}, "'elements'"),
+            ({"elements": [5]}, "element 1"),
+            ({"sets": [{"members": 1, "cost": 1}]}, "members of set 1"),
+        ],
+    )
+    def test_bmc_array_fields(self, tmp_path, capsys, change, field):
+        code, out, err = run(capsys, "reduce-bmc", write(tmp_path, "bmc.json", {**BMC, **change}))
+        assert code == 1 and out == ""
+        assert field in err
+
+    @pytest.mark.parametrize(
+        "game, field",
+        [
+            ({**K3, "edges": 5}, "'edges'"),
+            ({**K3, "edges": [[1, 2], 5]}, "edge"),
+            ({**FC_GAME, "papers": 5}, "'papers'"),
+            ({**FC_GAME, "papers": [{"authors": 1, "score": 1.0}]}, "authors of paper 0"),
+            ({**FC_GAME, "papers": [{"authors": [1, 2], "score": True}]}, "score of paper 0"),
+        ],
+    )
+    def test_game_fields(self, tmp_path, capsys, game, field):
+        code, out, err = run(capsys, "shapley", write(tmp_path, "g.json", game))
+        assert code == 1 and out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("p, field", [([True, 0.5, 0.5], "p_1"), (5, "'p'")])
+    def test_profile_fields(self, tmp_path, capsys, p, field):
+        game = write(tmp_path, "k3.json", K3)
+        profile = write(tmp_path, "p.json", {"p": p})
+        code, out, err = run(capsys, "shapley", game, "--profile", profile)
+        assert code == 1 and out == ""
+        assert field in err
+
+    def test_assume_large_cutoff_is_boolean(self, tmp_path, capsys):
+        # a truthy string must not switch on the large-cutoff greedy
+        game = {"variant": "nc3", "n": 3, "edges": [[1, 2, 1.0], [1, 3, 1.0]], "d_cut": 5.0}
+        code, out, err = run(
+            capsys, "attack", fc_request(tmp_path, game=game, assume_large_cutoff="no")
+        )
+        assert code == 1 and out == ""
+        assert "'assume_large_cutoff'" in err
 
     @pytest.mark.parametrize(
         "vector, entry", [("p_star", "p*_2"), ("L", "L_2"), ("R", "R_2"), ("c", "c_2")]

@@ -19,22 +19,22 @@ from reliattack import (
     ball,
     coauthor_contributions,
     complete_graph,
-    cycle_graph,
     cycle_sequence,
     game_from_json,
     is_complete,
-    path_graph,
     star_center,
-    star_graph,
 )
 from reliattack.games import Game
 
 from conftest import (
     all_coalitions,
+    cycle_graph,
+    path_graph,
     random_credit,
     random_game,
     random_graph,
     random_weighted_graph,
+    star_graph,
 )
 
 

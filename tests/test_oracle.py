@@ -17,18 +17,22 @@ from reliattack import (
     ResourceLimitError,
     complete_graph,
     credit_knapsack_attack,
-    cycle_graph,
     fractional_knapsack_optimum,
     fractional_oracle,
     greedy_fractional_attack,
     liveness_transform,
     shapley_closed,
-    star_graph,
 )
 from reliattack import oracle
 from reliattack.shapley import shapley_definitional
 
-from conftest import finite_difference, random_profile, random_two_author_credit
+from conftest import (
+    cycle_graph,
+    finite_difference,
+    random_profile,
+    random_two_author_credit,
+    star_graph,
+)
 
 
 class TestConfig:

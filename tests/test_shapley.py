@@ -25,8 +25,6 @@ from reliattack import (
     ThresholdNeighborhoodGame,
     ball,
     complete_graph,
-    cycle_graph,
-    path_graph,
     reliability_value,
     shapley_closed,
     shapley_cycle_closed,
@@ -35,20 +33,24 @@ from reliattack import (
     shapley_gradient,
     shapley_gradient_nc1,
     shapley_vector_closed,
-    star_graph,
 )
 from reliattack import shapley
 
 from conftest import (
     coverage_gradient,
     coverage_inner,
+    cycle_graph,
     enumerated_value,
     finite_difference,
     fo_gradient,
+    fo_value,
     nc2_inner,
+    path_graph,
     random_game,
     random_graph,
     random_profile,
+    size_pmf,
+    star_graph,
 )
 
 
@@ -446,7 +448,8 @@ def _vector_case(rng, case):
 
 
 class TestVectorPath:
-    """``shapley_vector_closed`` against the per-player ``shapley_closed``."""
+    """``shapley_vector_closed`` against the per-player ``shapley_closed``,
+    and both against the exact rational references in conftest."""
 
     @pytest.mark.parametrize(
         "case",
@@ -462,10 +465,16 @@ class TestVectorPath:
             assert all(type(v) is float for v in vector)
             reference = [shapley_closed(game, p, x) for x in range(1, game.n + 1)]
             assert list(vector) == pytest.approx(reference, rel=1e-12, abs=1e-12)
+            # the exact references, independent of Owen's integral and of
+            # the kernels' numpy code
             if game.variant in ("nc1", "nc3", "fc"):
-                # the pure-Python pmf form, independent of Owen's integral
-                pmf = [float(p[x] * coverage_inner(game, p, x)) for x in range(1, game.n + 1)]
-                assert list(vector) == pytest.approx(pmf, rel=1e-12, abs=1e-12)
+                exact = [p[x] * coverage_inner(game, p, x) for x in range(1, game.n + 1)]
+            elif game.variant == "nc2":
+                exact = [p[x] * nc2_inner(game, p, x) for x in range(1, game.n + 1)]
+            else:
+                exact = [fo_value(game, p, x) for x in range(1, game.n + 1)]
+            exact = [float(v) for v in exact]
+            assert list(vector) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 class TestOwenQuadrature:
@@ -557,7 +566,7 @@ def _gradient_nc1_over_all_players(graph, p, x):
     total = 0.0
     for y in sorted(graph.closed_neighborhood(x)):
         others = sorted(graph.closed_neighborhood(y) - {x})
-        pmf = shapley._size_pmf([p[z] for z in others])
+        pmf = size_pmf([p[z] for z in others])
         total += sum(c / (s + 1) for s, c in enumerate(pmf))
     out[x - 1] = total
     hood_x = graph.closed_neighborhood(x)
@@ -570,7 +579,7 @@ def _gradient_nc1_over_all_players(graph, p, x):
         total = 0.0
         for y in sorted(common):
             others = sorted(graph.closed_neighborhood(y) - {x, j})
-            pmf = shapley._size_pmf([p[z] for z in others])
+            pmf = size_pmf([p[z] for z in others])
             total += sum(c / ((s + 1) * (s + 2)) for s, c in enumerate(pmf))
         out[j - 1] = -p[x] * total
     return tuple(out)
