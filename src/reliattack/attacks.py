@@ -10,10 +10,11 @@ oracles by the test suite.
 
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .games import (
     _as_finite,
     _as_int,
     _as_playerset,
-    _csr_rows,
     _require_two_authors,
     coauthor_contributions,
     cycle_sequence,
@@ -38,7 +38,7 @@ from .games import (
     star_center,
 )
 from .reliability import ProfileLike, ReliabilityProfile, as_profile
-from .shapley import shapley_closed, shapley_cycle_closed
+from .shapley import _BLOCK_ELEMENTS, _shapley_batch, _window, shapley_closed, shapley_cycle_closed
 
 _COST_EPS = 1e-12
 _TIE_EPS = 1e-12
@@ -399,8 +399,7 @@ def pairwise_exempt_set(game: Game, y: int) -> frozenset[int]:
         raise DomainError(f"player {y} outside 1..{game.n}")
     if not hasattr(game, "_sets_of"):
         raise DomainError(f"pairwise exemption undefined for variant {game.variant!r}")
-    members, _ = _csr_rows(game._set_csr, game._sets_of[y])
-    return frozenset([y, *(members + 1).tolist()])
+    return frozenset((_window(game, y) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -439,10 +438,13 @@ def removal_no_benefit_check(
     )
     baseline = shapley_closed(game, base_profile, x)
     others = [j for j in range(1, game.n + 1) if j != x]
+    window = sorted(pairwise_exempt_set(game, x) - {x})
     if trials is None:
+        # a subset's value depends only on its players in x's window, so the
+        # first subset of the enumeration with a given value holds no others
         subsets: Iterable[frozenset[int]] = (
-            frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
-            for mask in range(1 << len(others))
+            frozenset(j for i, j in enumerate(window) if mask >> i & 1)
+            for mask in range(1 << len(window))
         )
         count = 1 << len(others)
     else:
@@ -451,12 +453,13 @@ def removal_no_benefit_check(
             frozenset(j for j in others if rng.random() < 0.5) for _ in range(trials)
         )
         count = trials
-    for removed in subsets:
-        value = shapley_closed(
-            game, base_profile.with_values({j: 0.0 for j in removed}), x
-        )
-        if value < baseline - _NO_BENEFIT_SLACK:
-            return RemovalCheck(False, count, baseline, removed, value)
+    p, cols = np.array(base_profile.values), np.array(window, dtype=np.intp) - 1
+    while chunk := list(itertools.islice(subsets, _BLOCK_ELEMENTS // max(1, len(window)))):
+        removed = np.array([[j in s for j in window] for s in chunk]).reshape(len(chunk), -1)
+        values = _shapley_batch(game, p, x, cols, np.where(removed, 0.0, p[cols]))
+        bad = np.flatnonzero(values < baseline - _NO_BENEFIT_SLACK)
+        if len(bad):
+            return RemovalCheck(False, count, baseline, chunk[bad[0]], float(values[bad[0]]))
     return RemovalCheck(True, count, baseline)
 
 
@@ -470,16 +473,15 @@ def _affordable_masks(prices: Sequence[float], budget: float) -> np.ndarray:
     return np.flatnonzero(totals <= budget + _COST_EPS)
 
 
-def _best_affordable(
-    prices: Sequence[float], budget: float, score: Callable[[tuple[int, ...]], float]
-) -> tuple[float, tuple[int, ...]]:
-    """The least ``score`` over the affordable subsets of indices into
-    ``prices``, and the subset that attains it.  Scores within ``_TIE_EPS``
-    tie; a tie prefers the smaller subset, then the lexicographically first."""
+def _best_affordable(masks: np.ndarray, scores: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The least of ``scores`` over the subset bitmasks ``masks`` (as from
+    :func:`_affordable_masks`), and the subset of bit indices that attains
+    it.  Scores within ``_TIE_EPS`` tie; a tie prefers the smaller subset,
+    then the lexicographically first.  That rule is not transitive, so the
+    masks are scanned in increasing order."""
     best: tuple[float, tuple[int, ...]] | None = None
-    for mask in _affordable_masks(prices, budget).tolist():
-        chosen = tuple(i for i in range(len(prices)) if mask >> i & 1)
-        value = score(chosen)
+    for mask, value in zip(masks.tolist(), scores.tolist()):
+        chosen = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         if best is None or value < best[0] - _TIE_EPS or (
             abs(value - best[0]) <= _TIE_EPS and (len(chosen), chosen) < (len(best[1]), best[1])
         ):
@@ -524,14 +526,12 @@ def _removal_exhaustive_over(
         raise ResourceLimitError(
             f"{len(candidates)} removable {what} exceed the exhaustive-search cap ({cap})"
         )
-    base = costs.baseline_profile()
-    value, chosen = _best_affordable(
-        [costs.c[j - 1] for j in candidates],
-        budget,
-        lambda chosen: shapley_closed(
-            game, base.with_values({candidates[i]: 0.0 for i in chosen}), x
-        ),
-    )
+    masks = _affordable_masks([costs.c[j - 1] for j in candidates], budget)
+    p, cols = np.array(costs.p_star), np.array(candidates, dtype=np.intp) - 1
+    bits, step = np.arange(len(cols)), _BLOCK_ELEMENTS // max(1, len(cols))
+    drops = (masks[i : i + step, None] >> bits & 1 for i in range(0, len(masks), step))
+    scores = [_shapley_batch(game, p, x, cols, np.where(d, 0.0, p[cols])) for d in drops]
+    value, chosen = _best_affordable(masks, np.concatenate(scores))
     removed = tuple(candidates[i] for i in chosen)
     return AttackPlan(costs.removal_cost(removed), value, removed=frozenset(removed), order=removed)
 
@@ -685,9 +685,10 @@ def bmc_solve_exact(
         raise ResourceLimitError(
             f"{len(norm)} sets exceed the exhaustive-coverage cap ({_SET_CAP})"
         )
-    neg_weight, chosen = _best_affordable(
-        [cost for _, cost in norm],
-        budget,
-        lambda chosen: -covered_weight(weights, norm, [j + 1 for j in chosen]),
-    )
+    masks = _affordable_masks([cost for _, cost in norm], budget)
+    scores = [
+        -covered_weight(weights, norm, [j + 1 for j in range(len(norm)) if mask >> j & 1])
+        for mask in masks.tolist()
+    ]
+    neg_weight, chosen = _best_affordable(masks, np.array(scores))
     return tuple(j + 1 for j in chosen), -neg_weight

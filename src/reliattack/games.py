@@ -24,11 +24,11 @@ Coalition = Iterable[int]
 
 
 def _as_playerset(players: Coalition, n: int, what: str = "coalition") -> frozenset[int]:
-    s = frozenset(players)
-    for x in s:
-        if not isinstance(x, int) or not 1 <= x <= n:
+    players = list(players)  # bools are checked before a set merges True with 1
+    for x in players:
+        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n:
             raise DomainError(f"{what} contains player {x!r}, expected integers in 1..{n}")
-    return s
+    return frozenset(players)
 
 
 def _as_int(value, what: str) -> int:
@@ -304,7 +304,7 @@ class CreditInstance:
     @classmethod
     def of(cls, n: int, papers: Iterable[tuple[Iterable[int], float]]) -> "CreditInstance":
         scored = [(a, _as_finite(s, f"score of paper {i}")) for i, (a, s) in enumerate(papers)]
-        return cls(n, tuple((frozenset(a), s) for a, s in scored))
+        return cls(n, tuple((tuple(a), s) for a, s in scored))
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:

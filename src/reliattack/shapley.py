@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 
@@ -119,8 +119,8 @@ def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> Shap
 # Gauss-Legendre quadrature computes them exactly.  The coverage games
 # (nc1, nc3, fc) and the threshold game nc2 all read these integrals.
 
-# Cap on the entries of one block (rows * |A| * nodes), so a large bucket or
-# set is processed in pieces instead of as one huge array.
+# Cap on the entries of one block (profiles * rows * |A| * nodes), so that
+# large buckets, sets and batches are processed in pieces.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -152,42 +152,80 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _owen_blocks(csr: tuple[np.ndarray, ...], p: np.ndarray, rows: np.ndarray, extra: int = 0):
+class _Batch:
+    """Reliability profiles, and the 0-based players whose values a kernel
+    returns: ``targets``, or every player when it is None.  Without ``rows``
+    there is one profile, p; with them, profile b equals p except on the
+    0-based players ``window``, which take ``rows[b]``.  Kernels gather from
+    the two (:meth:`take`), so no (profiles, n) matrix is built, and add
+    their terms (:meth:`add`) into an array with a row per profile and a
+    column per target in order, plus one for every other player."""
+
+    def __init__(self, p, targets=None, window=None, rows=None):
+        self.p, self.rows, self.size = p, rows, 1 if rows is None else len(rows)
+        self.targets = np.arange(len(p)) if targets is None else targets
+        self.slot = np.full(len(p), len(self.targets))
+        self.slot[self.targets] = np.arange(len(self.targets))
+        if rows is not None:  # a player outside the window reads the zero column
+            self.rows = np.hstack((rows, np.zeros((len(rows), 1))))
+            self.col = np.full(len(p), -1)
+            self.col[window] = np.arange(len(window))
+
+    def take(self, players: np.ndarray) -> np.ndarray:
+        """The probabilities of ``players``, of shape (profiles,) + players.shape."""
+        if self.rows is None:
+            return self.p[players][None]
+        col = self.col[players]
+        return np.where(col >= 0, self.rows[:, col], self.p[players])
+
+    def add(self, inner: np.ndarray, players: np.ndarray, vals: np.ndarray) -> None:
+        """``inner[b, column of players[i]] += vals[b, i]``, added per
+        profile in the order of ``players`` (one ``np.bincount``)."""
+        cols = self.slot[players].ravel()
+        if len(inner) > 1:  # the columns of profile b follow those of b - 1
+            cols = (cols + inner.shape[1] * np.arange(len(inner))[:, None]).ravel()
+        inner += np.bincount(cols, vals.ravel(), minlength=inner.size).reshape(inner.shape)
+
+
+def _owen_blocks(csr: tuple[np.ndarray, ...], batch: _Batch, rows: np.ndarray, extra: int = 0):
     """Owen's integrand over the sets ``rows`` of a CSR of sets, in blocks.
 
     The rows are bucketed by the size a of their set A.  The integrands
     have degree a - 1 + ``extra`` (extra is 0 for the coverage games and 1
-    for nc2), so Q = (a - 1 + extra) // 2 + 1 nodes integrate them exactly,
-    and a bucket is cut into groups of rows that share them.  A group yields
-    ``(e, members, blocks)``: its rows, their 0-based players of shape
-    (rows, a), and a generator of node blocks of about ``_BLOCK_ELEMENTS``
-    entries (all Q nodes, or some of them when one set alone is larger).  A
-    node block is ``(logs, total, t, w)``: log(1 - p_z + p_z t) at the
-    block's nodes t, of shape (rows, a, len(t)), the sum of those logs over
-    each set, and the nodes and their weights w.  An integral is the sum of
-    its weighted values over all the node blocks of its set.  A caller
-    leaves a player's factor out of the product by subtracting its log from
-    the total; every factor is at least t > 0, so exact 0s and 1s are safe.
+    for nc2), so Q = (a - 1 + extra) // 2 + 1 nodes integrate them exactly.
+    A bucket is cut into groups of rows that share a block of about
+    ``_BLOCK_ELEMENTS`` entries per profile, the same for every batch.  A
+    group yields ``(g, e, members, probs, blocks)``: its slice g of the
+    bucket's rows e (g.start == 0 opens a bucket), the rows' 0-based players
+    and their probabilities, of shapes (rows, a) and (profiles, rows, a),
+    and its node blocks (all Q nodes, or some of them when one set alone is
+    larger).  A node block is ``(logs, total, t, w)``: log(1 - p_z + p_z t)
+    at the block's nodes t, of shape (profiles, rows, a, len(t)), its sum
+    over each set, and the nodes and their weights w.  An integral is the
+    sum of its weighted values over all the node blocks of its set.  A
+    caller leaves a player's factor out of the product by subtracting its
+    log from the total; every factor is at least t > 0, so exact 0s and 1s
+    are safe.
     """
     indptr, indices = csr
     sizes = indptr[rows + 1] - indptr[rows]
     # np.unique would import numpy.ma, about 15 ms for a short-lived process
     for a in sorted(set(sizes.tolist()) - {0}):
         t, w = _gauss_legendre((a - 1 + extra) // 2 + 1)
-        sel = rows[sizes == a]
+        e = rows[sizes == a]
+        members = indices[indptr[e, None] + np.arange(a)]
+        probs = batch.take(members)
         step = max(1, _BLOCK_ELEMENTS // (a * len(t)))
         span = max(1, _BLOCK_ELEMENTS // a)  # nodes per block of one set
-        for lo in range(0, len(sel), step):
-            e = sel[lo : lo + step]
-            members = indices[indptr[e, None] + np.arange(a)]
-            yield e, members, _owen_nodes(p[members], t, w, span)
+        for g in (slice(i, i + step) for i in range(0, len(e), step)):
+            yield g, e, members, probs, _owen_nodes(probs[:, g], t, w, span)
 
 
 def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
     for q in range(0, len(t), span):
         nodes = t[q : q + span]
         logs = np.log1p(probs[..., None] * (nodes - 1.0))
-        yield logs, logs.sum(axis=1), nodes, w[q : q + span]
+        yield logs, logs.sum(axis=-2), nodes, w[q : q + span]
 
 
 # ---------------------------------------------------------------------------
@@ -195,44 +233,45 @@ def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
 #
 # One kernel per game family, over the sets of the game's ``_set_csr``: the
 # coverage games and nc2 by Owen's integral, fo by one product per paper.
-# A kernel returns an entry for every player; the entry of x is exact when
-# every set of ``_sets_of[x]`` is among those passed.  The whole vector
-# passes every set, and the value of one player x passes only x's sets.
+# A kernel returns the values of the batch's targets at each of its
+# profiles; the value of x is exact when every set of ``_sets_of[x]`` is
+# among those passed.  The whole vector passes every set, and the value of
+# one player x passes only x's sets.
 
 
-def _coverage_vector(game: CoverageGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
     """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
     coverers of e other than x)], over the elements ``sets``."""
-    inner = np.zeros(len(p))
-    for e, members, blocks in _owen_blocks(game._set_csr, p, sets):
+    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, sets):
         for logs, total, _, w in blocks:
-            vals = game._weights[e][:, None] * (np.exp(total[:, None, :] - logs) @ w)
-            inner += np.bincount(members.ravel(), vals.ravel(), minlength=len(p))
-    return p * inner
+            vals = game._weights[e[g]][:, None] * (np.exp(total[..., None, :] - logs) @ w)
+            batch.add(inner, members[g], vals)
+    return batch.take(batch.targets) * inner[:, :-1]
 
 
 def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``probs`` (shape (rows, a)), P(s players of the row
+    """For each row of ``probs`` (shape (..., a)), P(s players of the row
     live) and, for each j, P(s players of the row other than its j-th live),
-    for s < m: shapes (rows, m) and (rows, a, m).  Prefix and suffix pmfs
+    for s < m: shapes (..., m) and (..., a, m).  Prefix and suffix pmfs
     truncated at m, combined without division, so exact 0s and 1s are safe."""
-    rows, a = probs.shape
-    both = np.stack((probs, probs[:, ::-1]))  # the suffixes are prefixes of the reversed rows
-    pmf = np.zeros((2, rows, a + 1, m))  # pmf[:, :, j, s]: s of the first j live
-    pmf[:, :, 0, :1] = 1.0
-    pmf[:, :, 1:, :1] = np.cumprod(1.0 - both, axis=2)[..., None]
+    a = probs.shape[-1]
+    both = np.stack((probs, probs[..., ::-1]))  # the suffixes are prefixes of the reversed rows
+    pmf = np.zeros(both.shape[:-1] + (a + 1, m))  # pmf[..., j, s]: s of the first j live
+    pmf[..., 0, :1] = 1.0
+    pmf[..., 1:, :1] = np.cumprod(1.0 - both, axis=-1)[..., None]
     if m > 1:  # the columns s >= 1 need the recurrence
         for j in range(a):
-            q = both[:, :, j, None]
-            pmf[:, :, j + 1, 1:] = pmf[:, :, j, 1:] * (1.0 - q) + pmf[:, :, j, :-1] * q
-    pre, suf = pmf[0, :, :a], pmf[1, :, a - 1 :: -1]  # players before j, after j
-    loo = np.empty((rows, a, m))
+            q = both[..., j, None]
+            pmf[..., j + 1, 1:] = pmf[..., j, 1:] * (1.0 - q) + pmf[..., j, :-1] * q
+    pre, suf = pmf[0, ..., :a, :], pmf[1, ..., a - 1 :: -1, :]  # players before j, after j
+    loo = np.empty(probs.shape + (m,))
     for s in range(m):
-        loo[..., s] = (pre[..., : s + 1] * suf[..., s::-1]).sum(axis=2)
-    return pmf[0, :, a], loo
+        loo[..., s] = (pre[..., : s + 1] * suf[..., s::-1]).sum(axis=-1)
+    return pmf[0, ..., a, :], loo
 
 
-def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
     """The threshold game by Owen's integral, over the rows ``sets`` of
     N(y).  Sh_x is p_x times the sum of x's own term and one pair term per
     neighbour y.  With A = N(y) and L the live players of A - {x}, the pair
@@ -241,33 +280,39 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, p: np.ndarray, sets: np.ndarray
     threshold's correction at the sizes s < k - 1, where the true weights
     are 0 and 1.  A k above |A| + 1 is cut to |A| + 1: the weights stay all
     0 and 1, and the terms that cancel stay of size |A|, not k."""
-    n = len(p)
-    csr = game._set_csr
-    inner = np.zeros(n)
-    inner[sets[np.diff(csr[0])[sets] == 0]] = 1.0  # an isolated player's own term
-    for ys, members, blocks in _owen_blocks(csr, p, sets, 1):
-        k = min(game.threshold, members.shape[1] + 1)
-        py = p[ys, None]
-        full, loo = _low_order_pmfs(p[members], k - 1)
-        s1 = np.arange(1.0, full.shape[1] + 1.0)
-        own = full @ (1.0 - k / s1)
-        pair = k * py * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
+    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    isolated = sets[np.diff(game._set_csr[0])[sets] == 0]
+    inner[:, batch.slot[isolated]] = 1.0  # their own term
+    for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
+        if g.start == 0:  # a new bucket: the threshold's correction for all its rows
+            a = members.shape[1]
+            k = min(game.threshold, a + 1)
+            s1 = np.arange(1.0, k)
+            py = batch.take(ys)[..., None]
+            # the pmfs hold a * (k - 1) entries per row and profile: in chunks of rows
+            full, pair0 = np.empty(py.shape[:2] + (k - 1,)), np.empty(py.shape[:2] + (a,))
+            chunk = max(1, _BLOCK_ELEMENTS // (len(py) * a * k))
+            for c in (slice(i, i + chunk) for i in range(0, len(ys), chunk)):
+                full[:, c], loo = _low_order_pmfs(probs[:, c], k - 1)
+                pair0[:, c] = k * py[:, c] * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
+        own, pair = full[:, g] @ (1.0 - k / s1), pair0[:, g]
         for logs, total, t, w in blocks:
-            f = np.exp(total[:, None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
-            pair += f[..., 0] - k * py * f[..., 1]
+            f = np.exp(total[..., None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
+            pair += f[..., 0] - k * py[:, g] * f[..., 1]
             own += k * (np.exp(total) @ w)
-        inner[ys] += own
-        inner += np.bincount(members.ravel(), pair.ravel(), minlength=n)
-    return p * inner
+        batch.add(inner, ys[g], own)
+        batch.add(inner, members[g], pair)
+    return batch.take(batch.targets) * inner[:, :-1]
 
 
-def _fo_vector(game: FullObligationGame, p: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _fo_vector(game: FullObligationGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
     """Sum over x's papers P of score_P / |P| * prod_{l in P} p_l, over the
     papers ``sets``."""
     authors, sizes = _csr_rows(game._set_csr, sets)
-    prods = np.multiply.reduceat(p[authors], np.cumsum(sizes) - sizes)
-    vals = np.repeat(game.instance._scores[sets] / sizes * prods, sizes)
-    return np.bincount(authors, vals, minlength=len(p)).astype(np.float64)
+    prods = np.multiply.reduceat(batch.take(authors), np.cumsum(sizes) - sizes, axis=1)
+    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    batch.add(inner, authors, np.repeat(game.instance._scores[sets] / sizes * prods, sizes, axis=1))
+    return inner[:, :-1]
 
 
 def _kernel(game: Game):
@@ -282,6 +327,26 @@ def _kernel(game: Game):
     )
 
 
+def _window(game: Game, x: int) -> np.ndarray:
+    """x and the members of x's sets, 0-based and sorted: the players whose
+    probabilities enter Sh_x."""
+    members, _ = _csr_rows(game._set_csr, game._sets_of[x])
+    return np.array(sorted({x - 1, *members.tolist()}), dtype=np.intp)
+
+
+def _shapley_batch(game: Game, p: np.ndarray, x: int, window=None, rows=None) -> np.ndarray:
+    """Closed-form Sh_x at each profile of ``_Batch(p, window=window,
+    rows=rows)``: the game's kernel on x's sets, over as many profiles at a
+    time as keep its blocks within ``_BLOCK_ELEMENTS`` entries.  A row gives
+    the same floats as the call at its profile alone."""
+    kernel, sets, indptr = _kernel(game), game._sets_of[x], game._set_csr[0]
+    sizes = indptr[sets + 1] - indptr[sets]  # a set of size a takes at most a * (a // 2 + 1)
+    step = max(1, _BLOCK_ELEMENTS // max(1, int(sizes @ (sizes // 2 + 1))))
+    pieces = [None] if rows is None else [rows[i : i + step] for i in range(0, len(rows), step)]
+    targets = np.array([x - 1])
+    return np.concatenate([kernel(game, _Batch(p, targets, window, r), sets)[:, 0] for r in pieces])
+
+
 def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     """Closed-form Shapley value of ``player`` in the reliability extension:
     the game's kernel run on the player's own sets.
@@ -292,8 +357,7 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     p = as_profile(profile, game.n)
     if not 1 <= player <= game.n:
         raise DomainError(f"player {player} outside 1..{game.n}")
-    kernel = _kernel(game)
-    return float(kernel(game, np.array(p.values), game._sets_of[player])[player - 1])
+    return float(_shapley_batch(game, np.fromiter(p.values, float, p.n), player)[0])
 
 
 def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
@@ -301,8 +365,10 @@ def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
     all of its sets at once."""
     prof = as_profile(profile, game.n)
     kernel = _kernel(game)
+    # np.fromiter converts the tuple about twice as fast as np.array
+    batch = _Batch(np.fromiter(prof.values, float, prof.n))
     sets = np.arange(len(game._set_csr[0]) - 1)
-    return ShapleyVector(tuple(kernel(game, np.array(prof.values), sets).tolist()))
+    return ShapleyVector(tuple(kernel(game, batch, sets)[0].tolist()))
 
 
 def shapley_fc_two_author(instance: CreditInstance, profile: ProfileLike, x: int) -> float:
@@ -346,13 +412,15 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
     other than x and j."""
     inner, slopes = 0.0, np.zeros(game.n)
-    for e, members, blocks in _owen_blocks(game._set_csr, np.array(p.values), game._covers[x]):
+    batch = _Batch(np.fromiter(p.values, float, p.n))
+    for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, game._covers[x]):
+        weights = game._weights[e[g]]
         for logs, sums, t, w in blocks:
-            rest = sums - np.log1p(p[x] * (t - 1.0))
-            inner += game._weights[e] @ (np.exp(rest) @ w)
+            rest = sums[0] - np.log1p(p[x] * (t - 1.0))
+            inner += weights @ (np.exp(rest) @ w)
             # x's own column is meaningless here; its entry is the inner sum
-            pairs = game._weights[e][:, None] * (np.exp(rest[:, None, :] - logs) @ (w * (1.0 - t)))
-            slopes += np.bincount(members.ravel(), pairs.ravel(), minlength=game.n)
+            pairs = weights[:, None] * (np.exp(rest[:, None, :] - logs[0]) @ (w * (1.0 - t)))
+            slopes += np.bincount(members[g].ravel(), pairs.ravel(), minlength=game.n)
     out = 0.0 - p[x] * slopes  # unlike -y, 0.0 - y keeps unrelated players at +0.0
     out[x - 1] = inner
     return tuple(out.tolist())
@@ -374,15 +442,22 @@ def shapley_gradient(game: Game, profile: ProfileLike, x: int) -> tuple[float, .
     Analytic for the coverage games (nc1, nc3 and fc).  For the threshold
     and full-obligation games entry j is ``Sh_x(p_j = 1) - Sh_x(p_j = 0)``
     of the closed form: Sh_x is multilinear in every p_j (Owen 1972), so
-    this two-point difference is the derivative exactly.
+    this two-point difference is the derivative exactly.  Only the players
+    of x's sets enter Sh_x, so their two points form one batch of profiles
+    (in pieces of at most 2 * 128 rows) and every other entry is 0.
     """
     p = as_profile(profile, game.n)
     if not 1 <= x <= game.n:
         raise DomainError(f"player {x} outside 1..{game.n}")
     if isinstance(game, CoverageGame):
         return _coverage_gradient(game, p, x)
-    return tuple(
-        shapley_closed(game, p.with_value(j, 1.0), x)
-        - shapley_closed(game, p.with_value(j, 0.0), x)
-        for j in range(1, game.n + 1)
-    )
+    _kernel(game)  # a game without a closed form stops here
+    base, out, window = np.fromiter(p.values, float, p.n), np.zeros(game.n), _window(game, x)
+    step = isqrt(_BLOCK_ELEMENTS // 2)
+    for cols in (window[i : i + step] for i in range(0, len(window), step)):
+        i = np.arange(len(cols))
+        rows = np.repeat(base[cols][None], 2 * len(cols), axis=0)
+        rows[2 * i, i], rows[2 * i + 1, i] = 1.0, 0.0
+        values = _shapley_batch(game, base, x, cols, rows)
+        out[cols] = values[0::2] - values[1::2]
+    return tuple(out.tolist())

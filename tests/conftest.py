@@ -3,15 +3,18 @@ is seeded and deterministic."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Callable, Iterable
 
 import pytest
 from hypothesis import settings
 
 from reliattack import (
+    AttackPlan,
     ClosedNeighborhoodGame,
     CreditInstance,
     DistanceCutoffGame,
@@ -21,7 +24,9 @@ from reliattack import (
     Graph,
     ReliabilityProfile,
     ThresholdNeighborhoodGame,
+    shapley_closed,
 )
+from reliattack.attacks import RemovalCheck, _affordable_masks
 from reliattack.games import Coalition, _as_playerset, _players_of
 from reliattack.reliability import ProfileLike, as_profile
 
@@ -258,6 +263,108 @@ def fo_gradient(game, profile, x) -> list[Fraction]:
                 term *= Fraction(profile[l])
             out[j - 1] += term
     return out
+
+
+def exact_shapley(value: Callable[[frozenset], int], n: int, profile, x: int) -> Fraction:
+    """Sh_x of the reliability extension of the game ``value`` (a function
+    of a frozenset of players 1..n) as the exact permutation average, for
+    n <= 6, in Fractions and without numpy: vbar(S) = sum over T <= S of
+    v(T) * pi(T, S, p), and Sh_x averages vbar(B + x) - vbar(B) over the
+    players B before x in every order."""
+    assert n <= 6
+    p = [None] + [Fraction(v) for v in profile]
+
+    def vbar(s):
+        total = Fraction(0)
+        for r in range(len(s) + 1):
+            for live in itertools.combinations(sorted(s), r):
+                pi = Fraction(1)
+                for i in s:
+                    pi *= p[i] if i in live else 1 - p[i]
+                total += value(frozenset(live)) * pi
+        return total
+
+    total = Fraction(0)
+    for order in itertools.permutations(range(1, n + 1)):
+        before = frozenset(order[: order.index(x)])
+        total += vbar(before | {x}) - vbar(before)
+    return total / factorial(n)
+
+
+def threshold_value(graph, k: int) -> Callable[[frozenset], int]:
+    """The threshold game's value in plain Python: the members of S plus the
+    players outside S with at least k neighbours in S."""
+    return lambda s: len(s) + sum(
+        1 for y in range(1, graph.n + 1) if y not in s and len(graph.neighbors(y) & s) >= k
+    )
+
+
+# The per-profile loops that the batched searches replaced, kept as their
+# references: one shapley_closed call per subset or per two-point profile.
+
+
+def best_affordable_loop(prices, budget, score) -> tuple[float, tuple[int, ...]]:
+    """The least ``score(chosen)`` over the affordable subsets of indices
+    into ``prices``, scanned in mask order: within 1e-12 a tie prefers the
+    smaller subset, then the lexicographically first."""
+    best = None
+    for mask in _affordable_masks(prices, budget).tolist():
+        chosen = tuple(i for i in range(len(prices)) if mask >> i & 1)
+        value = score(chosen)
+        if best is None or value < best[0] - 1e-12 or (
+            abs(value - best[0]) <= 1e-12 and (len(chosen), chosen) < (len(best[1]), best[1])
+        ):
+            best = (value, chosen)
+    return best
+
+
+def removal_search_loop(game, costs, budget, x, candidates) -> AttackPlan:
+    """The exhaustive removal search over the sorted ``candidates``, one
+    ``shapley_closed`` call per affordable subset."""
+    base = costs.baseline_profile()
+    value, chosen = best_affordable_loop(
+        [costs.c[j - 1] for j in candidates],
+        budget,
+        lambda chosen: shapley_closed(
+            game, base.with_values({candidates[i]: 0.0 for i in chosen}), x
+        ),
+    )
+    removed = tuple(candidates[i] for i in chosen)
+    return AttackPlan(costs.removal_cost(removed), value, removed=frozenset(removed), order=removed)
+
+
+def no_benefit_loop(game, x, trials, profile=None, seed=0) -> RemovalCheck:
+    """``removal_no_benefit_check`` with one ``shapley_closed`` call per
+    subset: every subset of the other players in mask order (trials None),
+    or ``trials`` subsets drawn with ``random.Random(seed)``."""
+    base = ReliabilityProfile.ones(game.n) if profile is None else as_profile(profile, game.n)
+    baseline = shapley_closed(game, base, x)
+    others = [j for j in range(1, game.n + 1) if j != x]
+    if trials is None:
+        subsets = (
+            frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
+            for mask in range(1 << len(others))
+        )
+        count = 1 << len(others)
+    else:
+        rng = random.Random(seed)
+        subsets = (frozenset(j for j in others if rng.random() < 0.5) for _ in range(trials))
+        count = trials
+    for removed in subsets:
+        value = shapley_closed(game, base.with_values({j: 0.0 for j in removed}), x)
+        if value < baseline - 1e-9:
+            return RemovalCheck(False, count, baseline, removed, value)
+    return RemovalCheck(True, count, baseline)
+
+
+def two_point_gradient_loop(game, profile, x) -> list[float]:
+    """Entry j is ``shapley_closed`` at p_j = 1 less at p_j = 0."""
+    p = as_profile(profile, game.n)
+    return [
+        shapley_closed(game, p.with_value(j, 1.0), x)
+        - shapley_closed(game, p.with_value(j, 0.0), x)
+        for j in range(1, game.n + 1)
+    ]
 
 
 def pi_prob(live: Coalition, among: Coalition, profile: ProfileLike) -> float:

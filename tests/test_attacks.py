@@ -1,7 +1,9 @@
 import math
 import random
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from reliattack import (
@@ -37,13 +39,18 @@ from reliattack import (
 from reliattack import attacks
 
 from conftest import (
+    best_affordable_loop,
     cycle_graph,
+    exact_shapley,
+    no_benefit_loop,
     path_graph,
     random_game,
     random_graph,
     random_profile,
     random_two_author_credit,
+    removal_search_loop,
     star_graph,
+    threshold_value,
 )
 
 BMC_WEIGHTS = [2, 1]
@@ -384,11 +391,14 @@ class TestRemovalNoBenefit:
         # to push node 2 over the threshold, so removing 3 hurts player 1:
         # Sh(1) drops from 7/6 to 1; the checker must surface exactly that
         game = ThresholdNeighborhoodGame(path_graph(3), 2)
+        before = exact_shapley(threshold_value(game.graph, 2), 3, (1, 1, 1), 1)
+        after = exact_shapley(threshold_value(game.graph, 2), 3, (1, 1, 0), 1)
+        assert (before, after) == (Fraction(7, 6), Fraction(1))
         check = removal_no_benefit_check(game, 1, None)
         assert not check.passed
         assert check.counterexample == {3}
-        assert check.baseline == pytest.approx(7 / 6, abs=1e-12)
-        assert check.counterexample_value < check.baseline - 1e-9
+        assert abs(Fraction(check.baseline) - before) <= 1e-12
+        assert abs(Fraction(check.counterexample_value) - after) <= 1e-12
 
     def test_fo_rejected(self):
         game = FullObligationGame(CreditInstance.of(2, [((1, 2), 1.0)]))
@@ -640,3 +650,73 @@ class TestAffordableEnumeration:
             game = FullObligationGame(red.instance)
             assert plan == _removal_loop(game, red.costs, red.budget, 1, candidates)
             assert bmc_solve_exact(weights, sets, k) == _bmc_loop(weights, sets, k)
+
+
+def _tie_heavy_costs(rng, n):
+    """Baselines of exact 1s and a few halves, and removal prices from a
+    short list, so that many subsets tie in price and in value."""
+    return CostModel(
+        tuple(rng.choice((1.0, 1.0, 0.5)) for _ in range(n)),
+        (1.0,) * n,
+        (1.0,) * n,
+        tuple(rng.choice((0.0, 1.0, 1.0, 2.0)) for _ in range(n)),
+    )
+
+
+class TestBatchedSearches:
+    """The searches that score all their profiles in one batch against the
+    per-profile loops in conftest: the same plans, counterexamples and
+    values (1e-12)."""
+
+    def test_best_affordable_matches_the_callback_scan(self, rng):
+        # scores from a short list, some 1e-12 apart: the tie rule is not
+        # transitive, so only the same sequential scan gives the same subset
+        for _ in range(60):
+            m = rng.randint(0, 8)
+            prices = [rng.choice((0.0, 0.5, 1.0)) for _ in range(m)]
+            budget = rng.choice((0.0, 0.5, 1.0, 2.0, 10.0))
+            levels = (0.0, 1e-12, 2e-12, 0.5, 1.0)
+            table = {mask: rng.choice(levels) for mask in range(1 << m)}
+            masks = attacks._affordable_masks(prices, budget)
+            scores = np.array([table[mask] for mask in masks.tolist()])
+
+            def score(chosen):
+                return table[sum(1 << i for i in chosen)]
+
+            assert attacks._best_affordable(masks, scores) == best_affordable_loop(
+                prices, budget, score
+            )
+
+    @pytest.mark.parametrize("variant", ["nc22", "nc23", "fo"])
+    def test_removal_matches_the_per_call_loop(self, rng, variant):
+        for _ in range(25):
+            n = rng.randint(2, 9)
+            game = random_game(rng, variant, n)
+            costs = _tie_heavy_costs(rng, n)
+            budget = rng.choice((0.0, 1.0, 2.0, 3.0, 100.0))
+            x = rng.randint(1, n)
+            plan = removal_attack(AttackProblem(game, x, budget, costs))
+            candidates = sorted(pairwise_exempt_set(game, x) - {x})
+            reference = removal_search_loop(game, costs, budget, x, candidates)
+            assert (plan.removed, plan.order, plan.total_cost) == (
+                reference.removed, reference.order, reference.total_cost
+            )
+            assert abs(plan.achieved - reference.achieved) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc21", "nc22", "nc23", "nc3", "fc"])
+    def test_no_benefit_matches_the_per_call_loop(self, rng, variant):
+        for _ in range(15):
+            n = rng.randint(1, 7)
+            game = random_game(rng, variant, n)
+            p = ReliabilityProfile(tuple(rng.choice((0.0, 1.0, 0.5, 0.25)) for _ in range(n)))
+            x = rng.randint(1, n)
+            trials = rng.choice((None, None, 1, 40))
+            seed = rng.randint(0, 99)
+            check = removal_no_benefit_check(game, x, trials, profile=p, seed=seed)
+            reference = no_benefit_loop(game, x, trials, profile=p, seed=seed)
+            assert (check.passed, check.trials, check.counterexample) == (
+                reference.passed, reference.trials, reference.counterexample
+            )
+            assert abs(check.baseline - reference.baseline) <= 1e-12
+            if not check.passed:
+                assert abs(check.counterexample_value - reference.counterexample_value) <= 1e-12

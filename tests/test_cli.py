@@ -402,6 +402,8 @@ class TestMalformedInput:
             ({**FC_GAME, "papers": 5}, "'papers'"),
             ({**FC_GAME, "papers": [{"authors": 1, "score": 1.0}]}, "authors of paper 0"),
             ({**FC_GAME, "papers": [{"authors": [1, 2], "score": True}]}, "score of paper 0"),
+            ({**FC_GAME, "papers": [{"authors": [True, 2], "score": 1.0}]}, "author set"),
+            ({**FC_GAME, "papers": [{"authors": [1, True], "score": 1.0}]}, "author set"),
         ],
     )
     def test_game_fields(self, tmp_path, capsys, game, field):

@@ -63,6 +63,10 @@ class TestGraph:
         for bad in ((1.9, 2), (True, 2), ("1", 2)):
             with pytest.raises(DomainError, match="endpoint"):
                 Graph.of(3, [bad])
+        # paper authors too; in a set, True would merge with player 1
+        for bad in ((True, 2), (1, True)):
+            with pytest.raises(DomainError, match="author set"):
+                CreditInstance.of(3, [(bad, 1.0)])
 
     def test_builders(self):
         assert len(complete_graph(5).edges) == 10

@@ -41,6 +41,7 @@ from conftest import (
     coverage_inner,
     cycle_graph,
     enumerated_value,
+    exact_shapley,
     finite_difference,
     fo_gradient,
     fo_value,
@@ -51,6 +52,8 @@ from conftest import (
     random_profile,
     size_pmf,
     star_graph,
+    threshold_value,
+    two_point_gradient_loop,
 )
 
 
@@ -477,6 +480,38 @@ class TestVectorPath:
             assert list(vector) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
+class TestBatch:
+    """A row of ``shapley._shapley_batch`` gives the same floats as the
+    one-profile ``shapley_closed`` call at that row's profile."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "nc1", "nc2-k1", "nc2-k2", "nc2-k3", "nc3", "fc", "fo",
+            "isolated", "star-200", "credit-edge-cases", "no-papers", "K20",
+        ],
+    )
+    def test_rows_equal_single_calls(self, rng, case):
+        for _ in range(2 if case == "star-200" else 6):
+            if case == "K20":
+                # x's sets take about 20 * 19 * 10 entries per profile, so the
+                # 48 rows run in several pieces
+                game = ThresholdNeighborhoodGame(complete_graph(20), rng.randint(1, 6))
+                p = _with_certain_players(rng, random_profile(rng, 20))
+            else:
+                game, p = _vector_case(rng, case)
+            x = rng.randint(1, game.n)
+            window = np.array(sorted(rng.sample(range(game.n), min(game.n, 5))), dtype=np.intp)
+            rows = np.array(
+                [[rng.choice((0.0, 1.0, rng.random())) for _ in window] for _ in range(48)]
+            ).reshape(48, len(window))
+            base = np.array(p.values)
+            values = shapley._shapley_batch(game, base, x, window, rows)
+            for row, value in zip(rows, values.tolist()):
+                q = p.with_values({j + 1: v for j, v in zip(window.tolist(), row.tolist())})
+                assert value == shapley_closed(game, q, x)
+
+
 class TestOwenQuadrature:
     """The coverage paths (Owen's integral by Gauss-Legendre quadrature)
     against the exact rational size-pmf reference in conftest."""
@@ -658,9 +693,34 @@ class TestGradients:
 
     def test_threshold_path_slope_is_one_sixth(self):
         # path 1-2-3 with k = 2: player 1 gains from pushing 2 over the
-        # threshold only when 3 is live, so d Sh(1)/d p_3 = +1/6
+        # threshold only when 3 is live, so d Sh(1)/d p_3 = +1/6; Sh_1 is
+        # linear in p_3, so the exact slope is the exact two-point difference
         game = ThresholdNeighborhoodGame(path_graph(3), 2)
-        assert shapley_gradient(game, (1.0, 1.0, 1.0), 1)[2] == pytest.approx(1 / 6, abs=1e-12)
+        value = threshold_value(game.graph, 2)
+        slope = exact_shapley(value, 3, (1, 1, 1), 1) - exact_shapley(value, 3, (1, 1, 0), 1)
+        assert slope == Fraction(1, 6)
+        assert abs(Fraction(shapley_gradient(game, (1.0, 1.0, 1.0), 1)[2]) - slope) <= 1e-12
+
+    def test_exact_enumerator_matches_the_closed_form(self, rng):
+        # the exact pins above rest on conftest's Fraction enumerator
+        for _ in range(4):
+            n, k = rng.randint(1, 5), rng.randint(1, 3)
+            game = ThresholdNeighborhoodGame(random_graph(rng, n), k)
+            p = tuple(rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(n))
+            x = rng.randint(1, n)
+            exact = exact_shapley(threshold_value(game.graph, k), n, p, x)
+            assert abs(Fraction(shapley_closed(game, p, x)) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["nc21", "nc22", "nc23", "fo"])
+    def test_two_point_batch_matches_the_per_call_loop(self, rng, variant):
+        for _ in range(15):
+            n = rng.randint(1, 9)
+            game = random_game(rng, variant, n)
+            p = _with_certain_players(rng, random_profile(rng, n))
+            x = rng.randint(1, n)
+            assert shapley_gradient(game, p, x) == pytest.approx(
+                two_point_gradient_loop(game, p, x), rel=0, abs=1e-12
+            )
 
     def test_triangle_symmetry(self):
         p = ReliabilityProfile((1.0, 0.5, 0.5))
