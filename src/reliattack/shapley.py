@@ -152,6 +152,16 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+@lru_cache(maxsize=256)
+def _pair_weights(q: int) -> np.ndarray:
+    """The weights w and w * (1 - t) of q-point quadrature as the columns of
+    one matrix, for nc2's pair term."""
+    t, w = _gauss_legendre(q)
+    out = np.stack((w, w * (1.0 - t)), axis=1)
+    out.flags.writeable = False
+    return out
+
+
 class _Batch:
     """Reliability profiles, and the 0-based players whose values a kernel
     returns: ``targets``, or every player when it is None.  Without ``rows``
@@ -163,9 +173,10 @@ class _Batch:
 
     def __init__(self, p, targets=None, window=None, rows=None):
         self.p, self.rows, self.size = p, rows, 1 if rows is None else len(rows)
-        self.targets = np.arange(len(p)) if targets is None else targets
-        self.slot = np.full(len(p), len(self.targets))
-        self.slot[self.targets] = np.arange(len(self.targets))
+        self.targets, self.slot = np.arange(len(p)), None  # every player in its own column
+        if targets is not None:
+            self.targets, self.slot = targets, np.full(len(p), len(targets))
+            self.slot[targets] = np.arange(len(targets))
         if rows is not None:  # a player outside the window reads the zero column
             self.rows = np.hstack((rows, np.zeros((len(rows), 1))))
             self.col = np.full(len(p), -1)
@@ -181,7 +192,7 @@ class _Batch:
     def add(self, inner: np.ndarray, players: np.ndarray, vals: np.ndarray) -> None:
         """``inner[b, column of players[i]] += vals[b, i]``, added per
         profile in the order of ``players`` (one ``np.bincount``)."""
-        cols = self.slot[players].ravel()
+        cols = (players if self.slot is None else self.slot[players]).ravel()
         if len(inner) > 1:  # the columns of profile b follow those of b - 1
             cols = (cols + inner.shape[1] * np.arange(len(inner))[:, None]).ravel()
         inner += np.bincount(cols, vals.ravel(), minlength=inner.size).reshape(inner.shape)
@@ -256,7 +267,7 @@ def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     for s < m: shapes (..., m) and (..., a, m).  Prefix and suffix pmfs
     truncated at m, combined without division, so exact 0s and 1s are safe."""
     a = probs.shape[-1]
-    both = np.stack((probs, probs[..., ::-1]))  # the suffixes are prefixes of the reversed rows
+    both = np.array((probs, probs[..., ::-1]))  # the suffixes are prefixes of the reversed rows
     pmf = np.zeros(both.shape[:-1] + (a + 1, m))  # pmf[..., j, s]: s of the first j live
     pmf[..., 0, :1] = 1.0
     pmf[..., 1:, :1] = np.cumprod(1.0 - both, axis=-1)[..., None]
@@ -282,7 +293,7 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     0 and 1, and the terms that cancel stay of size |A|, not k."""
     inner = np.zeros((batch.size, len(batch.targets) + 1))
     isolated = sets[np.diff(game._set_csr[0])[sets] == 0]
-    inner[:, batch.slot[isolated]] = 1.0  # their own term
+    inner[:, isolated if batch.slot is None else batch.slot[isolated]] = 1.0  # their own term
     for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
         if g.start == 0:  # a new bucket: the threshold's correction for all its rows
             a = members.shape[1]
@@ -295,9 +306,10 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
             for c in (slice(i, i + chunk) for i in range(0, len(ys), chunk)):
                 full[:, c], loo = _low_order_pmfs(probs[:, c], k - 1)
                 pair0[:, c] = k * py[:, c] * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
-        own, pair = full[:, g] @ (1.0 - k / s1), pair0[:, g]
+        own, pair, i = full[:, g] @ (1.0 - k / s1), pair0[:, g], 0
         for logs, total, t, w in blocks:
-            f = np.exp(total[..., None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
+            f = np.exp(total[..., None, :] - logs) @ _pair_weights(a // 2 + 1)[i : i + len(t)]
+            i += len(t)
             pair += f[..., 0] - k * py[:, g] * f[..., 1]
             own += k * (np.exp(total) @ w)
         batch.add(inner, ys[g], own)
