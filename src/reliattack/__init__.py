@@ -29,7 +29,6 @@ from .games import (
     FullObligationGame,
     Game,
     Graph,
-    TableGame,
     ThresholdNeighborhoodGame,
     ball,
     coauthor_contributions,

@@ -69,15 +69,6 @@ def _mask_of(players: Iterable[int]) -> int:
     return m
 
 
-def _submasks(bits: list[int]) -> list[int]:
-    """Unions of ``bits`` in compressed-index order (bit i of the index
-    selects ``bits[i]``)."""
-    out = [0]
-    for bit in bits:
-        out += [m | bit for m in out]
-    return out
-
-
 def _players_of(mask: int) -> frozenset[int]:
     out = []
     i = 1
@@ -475,6 +466,7 @@ class Game(ABC):
     def value_mask(self, mask: int) -> float:
         """Coalition value for a bitmask coalition (bit i-1 <=> player i)."""
 
+    @abstractmethod
     def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
         """Values of the 2^m coalitions between ``base`` and ``base`` plus the
         m ``players``.
@@ -482,20 +474,9 @@ class Game(ABC):
         Entry r is the value of the bitmask coalition ``base`` together with
         ``players[i]`` for every set bit i of r, the submask order that
         :func:`reliattack.reliability.liveness_transform` reads.  The players
-        must be distinct and outside ``base``.  This default makes one
-        :meth:`value_mask` call per entry; the five paper games override it
-        with numpy transforms.
+        must be distinct and outside ``base``.  The five paper games fill it
+        with numpy transforms, without a :meth:`value_mask` call per entry.
         """
-        bits = [1 << (x - 1) for x in _table_players(self.n, players, base)]
-        # entry r is split into a high and a low half so that only two lists
-        # of about 2^(m/2) Python ints are built
-        half = len(bits) // 2
-        lows, highs = _submasks(bits[:half]), _submasks(bits[half:])
-        return np.fromiter(
-            (self.value_mask(base | hi | lo) for hi in highs for lo in lows),
-            np.float64,
-            count=len(highs) * len(lows),
-        )
 
 
 class CoverageGame(Game):
@@ -734,30 +715,6 @@ class FullObligationGame(Game):
         codes = _codes(inst._rows, players, size)
         c = np.bincount(codes[inside], weights=inst._scores[inside], minlength=1 << len(players))
         return _zeta(c.astype(np.float64, copy=False))  # integer when no paper is inside
-
-
-class TableGame(Game):
-    """Explicit subset -> value table; for oracle cross-tests only."""
-
-    variant = "table"
-
-    def __init__(self, n: int, table: Mapping[Iterable[int], float]):
-        self.n = n
-        norm: dict[frozenset[int], float] = {}
-        for coalition, val in table.items():
-            norm[_as_playerset(coalition, n, "table key")] = float(val)
-        if norm.get(frozenset()) is None:
-            raise DomainError("table must define the empty-coalition value")
-        if norm[frozenset()] != 0.0:
-            raise DomainError("table value of the empty coalition must be 0")
-        self._table = norm
-
-    def value_mask(self, mask: int) -> float:
-        key = _players_of(mask)
-        try:
-            return self._table[key]
-        except KeyError:
-            raise DomainError(f"table has no value for coalition {sorted(key)}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The fractional oracle never reuses the solvers' code paths: it evaluates the
 target's exact Shapley value from the raw coalition-value table (the
-liveness transform over all coalitions plus the marginal-weight sum) at the
-2^k corners of the attackable coordinates, interpolates every other profile
+liveness transform over all coalitions, then the marginal-weight sum that
+:func:`reliattack.shapley.shapley_definitional` also uses) at the 2^k
+corners of the attackable coordinates, interpolates every other profile
 from them, and optimizes by enumerating a budget-feasible grid, then
 descending with improving swaps until no small transfer of probability mass
 helps.
@@ -12,16 +13,15 @@ helps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
-from .games import _popcount
+from .games import _as_finite, _as_int
 from .reliability import ReliabilityProfile, liveness_transform
+from .shapley import _table_shapley
 
 _GRID_POINT_LIMIT = 4_000_000
 _EVAL_CHUNK = 8192
@@ -43,40 +43,20 @@ class OracleConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.grid_resolution <= 0.25:
+        if not 0.0 < _as_finite(self.grid_resolution, "grid_resolution") <= 0.25:
             raise DomainError(
                 f"grid_resolution {self.grid_resolution} outside (0, 1/4]"
             )
-        if self.swap_step <= 0:
+        if _as_finite(self.swap_step, "swap_step") <= 0:
             raise DomainError("swap_step must be positive")
-        if self.max_refinements < 0:
+        if _as_int(self.max_refinements, "max_refinements") < 0:
             raise DomainError("max_refinements must be nonnegative")
-        if self.tolerance <= 0:
+        if _as_finite(self.tolerance, "tolerance") <= 0:
             raise DomainError("tolerance must be positive")
 
 
-@lru_cache(maxsize=8)
-def _marginal_weights(n: int) -> tuple[float, ...]:
-    fn = factorial(n)
-    return tuple(factorial(s) * factorial(n - 1 - s) / fn for s in range(n))
-
-
-def _batch_target_shapley(vtable: np.ndarray, n: int, x: int, profiles: np.ndarray) -> np.ndarray:
-    """Exact Shapley value of x for every profile row.
-
-    Transforms the coalition-value table into reliability-extension values
-    with :func:`liveness_transform`, then contracts against the marginal
-    weights s!(n-1-s)!/n!.
-    """
-    arr = liveness_transform(vtable, profiles)
-    xbit = 1 << (x - 1)
-    rest = np.nonzero((np.arange(1 << n) & xbit) == 0)[0]
-    weights = np.asarray(_marginal_weights(n))[_popcount(n)[rest]]
-    return (arr[:, rest | xbit] - arr[:, rest]) @ weights
-
-
 def _corner_shapley(
-    vtable: np.ndarray, n: int, x: int, baseline: np.ndarray, cols: np.ndarray
+    vtable: np.ndarray, x: int, baseline: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Shapley value of x at the 2^k profiles that set the players of
     ``cols`` to 0 or 1 (bit i of the index for ``cols[i]``) and keep the
@@ -89,7 +69,7 @@ def _corner_shapley(
     k = len(cols)
     profiles = np.repeat(baseline[None, :], 1 << k, axis=0)
     profiles[:, cols] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return _batch_target_shapley(vtable, n, x, profiles)
+    return _table_shapley(liveness_transform(vtable, profiles), x)
 
 
 def _swap_directions(k: int) -> np.ndarray:
@@ -167,7 +147,7 @@ def fractional_oracle(
         above = np.maximum(points - base_p, 0.0)
         return (below * base_l + above * base_r).sum(axis=-1)
 
-    corners = _corner_shapley(vtable, n, x, baseline, cols)
+    corners = _corner_shapley(vtable, x, baseline, cols)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])

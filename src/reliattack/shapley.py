@@ -2,8 +2,11 @@
 
 Two independent routes are provided and cross-checked by the test suite:
 
-* :func:`shapley_definitional` - the permutation average itself, evaluated
-  over every permutation with exact marginal expectations; the audit oracle.
+* :func:`shapley_definitional` - the definition in its subset form, the
+  weighted marginals over every coalition with exact expectations of the
+  reliability extension; the audit oracle.  Its contraction of a
+  coalition table, :func:`_table_shapley`, also serves the fractional
+  oracle.
 * the closed forms - one kernel per game family (coverage for nc1, nc3
   and fc; the threshold game nc2; the unanimity sum fo), polynomial in
   local neighborhood / author-list sizes.  :func:`shapley_vector_closed`
@@ -15,7 +18,6 @@ The tests also pin the closed forms to exact rational references.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
@@ -32,6 +34,7 @@ from .games import (
     Graph,
     ThresholdNeighborhoodGame,
     _csr_rows,
+    _popcount,
     _require_two_authors,
     coauthor_contributions,
 )
@@ -64,35 +67,25 @@ class ShapleyVector:
         return iter(self.values)
 
 
-def _int_dtype(largest: int) -> np.dtype:
-    """Smallest signed integer dtype that holds ``largest``."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if largest <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
-
-
-@lru_cache(maxsize=2)
-def _permutation_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All n! permutations plus the coalition bitmasks before/after each
-    position, as arrays of shape (n!, n) in the smallest integer dtypes that
-    hold n - 1 and 2^n - 1."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, _int_dtype(n - 1), count=factorial(n) * n).reshape(factorial(n), n)
-    bits = np.left_shift(np.ones(1, dtype=_int_dtype((1 << n) - 1)), perms)
-    after = np.bitwise_or.accumulate(bits, axis=1)
-    before = np.zeros_like(after)
-    before[:, 1:] = after[:, :-1]
-    return perms, before, after
+def _table_shapley(table: np.ndarray, x: int) -> np.ndarray:
+    """Shapley value of player x from values over all 2^n coalitions on the
+    last axis of ``table`` (bit i of an index is player i + 1); leading axes
+    broadcast.  The marginals v(S + x) - v(S) over the coalitions S without
+    x, weighted by |S|! (n - 1 - |S|)! / n!, in O(2^n) per row."""
+    n = table.shape[-1].bit_length() - 1
+    xbit = 1 << (x - 1)
+    rest = np.nonzero((np.arange(1 << n) & xbit) == 0)[0]
+    weights = np.array([factorial(s) * factorial(n - 1 - s) / factorial(n) for s in range(n)])
+    return (table[..., rest | xbit] - table[..., rest]) @ weights[_popcount(n)[rest]]
 
 
 def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> ShapleyVector:
-    """Shapley vector by full permutation enumeration (never sampling).
+    """Shapley vector by the subset form of the definition (never sampling).
 
     With a profile, the marginals are exact expectations of the reliability
-    extension; without one, the game itself is used.  Enumerating n! * 2^n
-    terms is intentional - this is the oracle everything else is checked
-    against - so n is limited to ``_PLAYER_CAP``.
+    extension; without one, the game itself is used.  Every coalition's
+    value is computed, n * 2^n terms in all - this is the oracle everything
+    else is checked against - so n is limited to ``_PLAYER_CAP``.
     """
     n = game.n
     if n > _PLAYER_CAP:
@@ -102,11 +95,7 @@ def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> Shap
     table = game.subset_values(range(1, n + 1))
     if profile is not None:
         table = liveness_transform(table, as_profile(profile, n).values)
-    perms, before, after = _permutation_masks(n)
-    marginals = table[after] - table[before]
-    acc = np.zeros(n, dtype=np.float64)
-    np.add.at(acc, perms.ravel(), marginals.ravel())
-    return ShapleyVector(tuple(float(v) for v in acc / factorial(n)))
+    return ShapleyVector(tuple(float(_table_shapley(table, x)) for x in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +281,8 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     are 0 and 1.  A k above |A| + 1 is cut to |A| + 1: the weights stay all
     0 and 1, and the terms that cancel stay of size |A|, not k."""
     inner = np.zeros((batch.size, len(batch.targets) + 1))
-    isolated = sets[np.diff(game._set_csr[0])[sets] == 0]
+    indptr = game._set_csr[0]
+    isolated = sets[indptr[sets + 1] - indptr[sets] == 0]
     inner[:, isolated if batch.slot is None else batch.slot[isolated]] = 1.0  # their own term
     for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
         if g.start == 0:  # a new bucket: the threshold's correction for all its rows

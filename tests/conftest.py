@@ -8,8 +8,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -21,13 +22,14 @@ from reliattack import (
     DomainError,
     FullCreditGame,
     FullObligationGame,
+    Game,
     Graph,
     ReliabilityProfile,
     ThresholdNeighborhoodGame,
     shapley_closed,
 )
 from reliattack.attacks import RemovalCheck, _affordable_masks
-from reliattack.games import Coalition, _as_playerset, _players_of
+from reliattack.games import Coalition, _as_playerset, _players_of, _table_players
 from reliattack.reliability import ProfileLike, as_profile
 
 # Every property test draws the same examples on every run: the examples come
@@ -116,6 +118,42 @@ def random_game(rng: random.Random, variant: str, n: int):
     if variant == "fo":
         return FullObligationGame(random_credit(rng, n))
     raise ValueError(variant)
+
+
+def loop_table(game, players, base):
+    """The reference subset table: one ``value_mask`` call per entry."""
+    return np.array([
+        game.value_mask(base | sum(1 << (x - 1) for i, x in enumerate(players) if r >> i & 1))
+        for r in range(1 << len(players))
+    ])
+
+
+class TableGame(Game):
+    """Explicit subset -> value table, for hand-built games in the tests;
+    its subset tables are the ``value_mask`` loop."""
+
+    variant = "table"
+
+    def __init__(self, n: int, table: Mapping[Iterable[int], float]):
+        self.n = n
+        norm: dict[frozenset[int], float] = {}
+        for coalition, val in table.items():
+            norm[_as_playerset(coalition, n, "table key")] = float(val)
+        if norm.get(frozenset()) is None:
+            raise DomainError("table must define the empty-coalition value")
+        if norm[frozenset()] != 0.0:
+            raise DomainError("table value of the empty coalition must be 0")
+        self._table = norm
+
+    def value_mask(self, mask: int) -> float:
+        key = _players_of(mask)
+        try:
+            return self._table[key]
+        except KeyError:
+            raise DomainError(f"table has no value for coalition {sorted(key)}") from None
+
+    def subset_values(self, players, base=0):
+        return loop_table(self, _table_players(self.n, players, base), base)
 
 
 def enumerated_value(value_mask, pvals, smask):
@@ -289,6 +327,30 @@ def exact_shapley(value: Callable[[frozenset], int], n: int, profile, x: int) ->
         before = frozenset(order[: order.index(x)])
         total += vbar(before | {x}) - vbar(before)
     return total / factorial(n)
+
+
+def exact_table_shapley(table: list[Fraction], profile) -> list[Fraction]:
+    """The Shapley vector of the reliability extension of the game whose
+    values over all 2^n coalitions (bit i of an index is player i + 1) are
+    ``table``, in Fractions and without numpy: the liveness of each player
+    folded in turn, v[S + i] <- p_i * v[S + i] + (1 - p_i) * v[S], then
+    Sh_x as the sum over the coalitions S without x of |S|! (n - 1 - |S|)!
+    / n! * (v[S + x] - v[S])."""
+    n = len(profile)
+    vbar = list(table)
+    for i, q in enumerate(Fraction(q) for q in profile):
+        for s in range(1 << n):
+            if s >> i & 1:
+                vbar[s] = q * vbar[s] + (1 - q) * vbar[s ^ 1 << i]
+    out = []
+    for x in range(n):
+        total = Fraction(0)
+        for s in range(1 << n):
+            if not s >> x & 1:
+                size = bin(s).count("1")
+                total += factorial(size) * factorial(n - 1 - size) * (vbar[s | 1 << x] - vbar[s])
+        out.append(total / factorial(n))
+    return out
 
 
 def threshold_value(graph, k: int) -> Callable[[frozenset], int]:

@@ -440,6 +440,24 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert entry in err
 
+    # a NaN swap_step used to keep the swap descent from ever stopping
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"swap_step": math.nan}, "swap_step"),
+            ({"tolerance": math.nan}, "tolerance"),
+            ({"tolerance": math.inf}, "tolerance"),
+            ({"max_refinements": True}, "max_refinements"),
+            ({"max_refinements": 2.5}, "max_refinements"),
+            ({"max_refinements": "10"}, "max_refinements"),
+        ],
+    )
+    def test_oracle_config_fields(self, tmp_path, capsys, config, field):
+        cfg = write(tmp_path, "cfg.json", {"grid_resolution": 0.25, **config})
+        code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
+        assert code == 1 and out == ""
+        assert field in err
+
     def test_non_integral_target(self, tmp_path, capsys):
         code, _, err = run(capsys, "attack", fc_request(tmp_path, target=1.5))
         assert code == 1

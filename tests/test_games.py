@@ -14,7 +14,6 @@ from reliattack import (
     FullCreditGame,
     FullObligationGame,
     Graph,
-    TableGame,
     ThresholdNeighborhoodGame,
     ball,
     coauthor_contributions,
@@ -27,8 +26,10 @@ from reliattack import (
 from reliattack.games import Game
 
 from conftest import (
+    TableGame,
     all_coalitions,
     cycle_graph,
+    loop_table,
     path_graph,
     random_credit,
     random_game,
@@ -339,14 +340,6 @@ class TestJson:
                 game_from_json(bad)
 
 
-def loop_table(game, players, base):
-    """The reference subset table: one ``value_mask`` call per entry."""
-    return np.array([
-        game.value_mask(base | sum(1 << (x - 1) for i, x in enumerate(players) if r >> i & 1))
-        for r in range(1 << len(players))
-    ])
-
-
 def random_split(rng, n):
     """Random ``players`` in random order and a random ``base`` mask outside them."""
     order = list(range(1, n + 1))
@@ -448,11 +441,12 @@ class TestSubsetValues:
 
     def test_rejects_bad_players(self):
         game = ClosedNeighborhoodGame(path_graph(4))
+        table = TableGame(4, {(): 0.0})
         for players, base in (([1, 1], 0), ([2], 0b10), ([0], 0), ([5], 0), ([1], 1 << 4), ([1.0], 0)):
             with pytest.raises(DomainError):
                 game.subset_values(players, base)
             with pytest.raises(DomainError):
-                Game.subset_values(game, players, base)
+                table.subset_values(players, base)
 
 
 class TestCoverageIncidence:

@@ -24,7 +24,7 @@ from reliattack import (
     shapley_closed,
 )
 from reliattack import oracle
-from reliattack.shapley import shapley_definitional
+from reliattack.shapley import _table_shapley, shapley_definitional
 
 from conftest import (
     cycle_graph,
@@ -52,6 +52,17 @@ class TestConfig:
             OracleConfig(swap_step=0.0)
         with pytest.raises(DomainError):
             OracleConfig(tolerance=-1.0)
+        for field, bad in (
+            ("grid_resolution", math.nan),
+            ("swap_step", math.nan),
+            ("tolerance", math.nan),
+            ("tolerance", math.inf),
+            ("max_refinements", True),
+            ("max_refinements", 2.5),
+            ("max_refinements", "10"),
+        ):
+            with pytest.raises(DomainError, match=field):
+                OracleConfig(**{field: bad})
 
 
 class TestFractionalOracle:
@@ -156,11 +167,11 @@ class TestCornerInterpolation:
         points = np_rng.random((1000, len(cols)))
         points[:50] = np_rng.integers(0, 2, size=(50, len(cols)))  # exact corners
         for x in (1, n):
-            corners = oracle._corner_shapley(vtable, n, x, baseline, cols)
+            corners = oracle._corner_shapley(vtable, x, baseline, cols)
             interpolated = liveness_transform(corners, points)[:, -1]
             full = np.repeat(baseline[None, :], len(points), axis=0)
             full[:, cols] = points
-            direct = oracle._batch_target_shapley(vtable, n, x, full)
+            direct = _table_shapley(liveness_transform(vtable, full), x)
             assert interpolated == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 

@@ -13,12 +13,18 @@ from reliattack import (
     FullObligationGame,
     ReliabilityProfile,
     ResourceLimitError,
-    TableGame,
     complete_graph,
     liveness_transform,
     reliability_value,
 )
-from conftest import all_coalitions, enumerated_value, pi_prob, random_game, random_profile
+from conftest import (
+    TableGame,
+    all_coalitions,
+    enumerated_value,
+    pi_prob,
+    random_game,
+    random_profile,
+)
 
 
 class TestProfile:

@@ -21,7 +21,6 @@ from reliattack import (
     Graph,
     ReliabilityProfile,
     ResourceLimitError,
-    TableGame,
     ThresholdNeighborhoodGame,
     ball,
     complete_graph,
@@ -37,11 +36,13 @@ from reliattack import (
 from reliattack import shapley
 
 from conftest import (
+    TableGame,
     coverage_gradient,
     coverage_inner,
     cycle_graph,
     enumerated_value,
     exact_shapley,
+    exact_table_shapley,
     finite_difference,
     fo_gradient,
     fo_value,
@@ -112,32 +113,31 @@ class TestDefinitional:
                 expected, rel=1e-12, abs=1e-12
             )
 
-    def test_nine_players_with_small_index_dtypes(self, rng):
+    def test_nine_players_match_closed_form(self, rng):
         game = random_game(rng, "nc1", 9)
         p = random_profile(rng, 9)
-        perms, before, after = shapley._permutation_masks(9)
-        assert (perms.dtype, before.dtype, after.dtype) == (np.int8, np.int16, np.int16)
-        # the same average over int64 index arrays, as built before the
-        # dtypes were narrowed
-        wide = np.array(list(itertools.permutations(range(9))), dtype=np.int64)
-        wide_after = np.bitwise_or.accumulate(np.left_shift(np.int64(1), wide), axis=1)
-        wide_before = np.zeros_like(wide_after)
-        wide_before[:, 1:] = wide_after[:, :-1]
-        assert (perms == wide).all() and (after == wide_after).all()
-        table = shapley.liveness_transform(game.subset_values(range(1, 10)), p.values)
-        acc = np.zeros(9)
-        np.add.at(acc, wide.ravel(), (table[wide_after] - table[wide_before]).ravel())
-        assert list(shapley_definitional(game, p)) == list(acc / math.factorial(9))
         assert list(shapley_definitional(game, p)) == pytest.approx(
             list(shapley_vector_closed(game, p)), abs=1e-9
         )
 
-    def test_index_dtypes_follow_size(self):
-        assert shapley._int_dtype(127) == np.int8
-        assert shapley._int_dtype(128) == np.int16
-        assert shapley._int_dtype((1 << 15) - 1) == np.int16
-        assert shapley._int_dtype(1 << 15) == np.int32
-        assert shapley._int_dtype(1 << 40) == np.int64
+    @pytest.mark.parametrize("variant", ["nc1", "nc22", "nc3", "fc", "fo"])
+    def test_matches_exact_subset_sum(self, rng, variant):
+        # n = 9 within 1e-13 of exact rationals on the game's own table,
+        # relative to the largest value (a player without marginals has
+        # exact value 0, and the fold leaves float noise there); at a small
+        # n the exact subset sum is itself checked against the permutation
+        # average
+        for n in (9, rng.randint(2, 5)):
+            game = random_game(rng, variant, n)
+            p = random_profile(rng, n)
+            table = [Fraction(v) for v in game.subset_values(range(1, n + 1)).tolist()]
+            expected = exact_table_shapley(table, p.values)
+            if n < 9:
+                value = lambda s: table[sum(1 << (x - 1) for x in s)]
+                assert expected == [exact_shapley(value, n, p, x) for x in range(1, n + 1)]
+            scale = max(abs(exact) for exact in expected)
+            for got, exact in zip(shapley_definitional(game, p), expected):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-13) * scale
 
     @seed(20240817)
     @settings(max_examples=40, deadline=None)
