@@ -47,6 +47,7 @@ from .reliability import (
     ReliabilityProfile,
     as_profile,
     liveness_transform,
+    liveness_value,
     reliability_value,
 )
 from .shapley import (

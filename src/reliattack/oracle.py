@@ -5,13 +5,16 @@ target's exact Shapley value from the raw coalition-value table (the
 liveness transform over all coalitions, then the marginal-weight sum that
 :func:`reliattack.shapley.shapley_definitional` also uses) at the 2^k
 corners of the attackable coordinates, interpolates every other profile
-from them, and optimizes by enumerating a budget-feasible grid, then
-descending with improving swaps until no small transfer of probability mass
-helps.
+from them (the halving fold of :func:`reliattack.reliability.liveness_value`
+over the corner table), and optimizes by enumerating a budget-feasible grid,
+found from per-axis costs without materialising the grid, then descending
+with improving swaps until no small transfer of probability mass helps.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,7 +23,7 @@ import numpy as np
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
 from .games import _as_finite, _as_int
-from .reliability import ReliabilityProfile, liveness_transform
+from .reliability import ReliabilityProfile, liveness_transform, liveness_value
 from .shapley import _table_shapley
 
 _GRID_POINT_LIMIT = 4_000_000
@@ -64,7 +67,8 @@ def _corner_shapley(
 
     Sh_x is multilinear in every p_j (Owen 1972), so these corner values
     determine it: its value where the players of ``cols`` take the
-    probabilities q is ``liveness_transform(corners, q)[..., -1]``.
+    probabilities q is ``liveness_value(corners, q)``, the top entry of
+    their liveness transform, in O(2^k) per profile.
     """
     k = len(cols)
     profiles = np.repeat(baseline[None, :], 1 << k, axis=0)
@@ -92,6 +96,65 @@ def _swap_directions(k: int) -> np.ndarray:
                     row[i], row[j] = si, sj
                     rows.append(row)
     return np.array(rows).reshape(-1, k)
+
+
+def _cost_of(
+    points: np.ndarray, base_p: np.ndarray, base_l: np.ndarray, base_r: np.ndarray
+) -> np.ndarray:
+    """Cost of moving the coordinates from ``base_p`` to the rows of
+    ``points``: L per unit lowered, R per unit raised, summed over the row."""
+    below = np.maximum(base_p - points, 0.0)
+    above = np.maximum(points - base_p, 0.0)
+    return (below * base_l + above * base_r).sum(axis=-1)
+
+
+def _candidate_pool(
+    axes: Sequence[np.ndarray],
+    base_p: np.ndarray,
+    base_l: np.ndarray,
+    base_r: np.ndarray,
+    budget: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's start candidates and their costs.
+
+    First the budget-feasible points of the grid ``axes[0] x ... x
+    axes[k-1]`` in C order, then for each coordinate i its budget-exhausting
+    variants: every feasible point with the leftover budget spent on
+    coordinate i, raising it (rows in feasible order), then lowering it.
+    Competing greedy basins can differ by less than one grid step, so these
+    exact variants matter.  A variant whose coordinate does not move repeats
+    its feasible point and is left out; a variant over budget is dropped.
+
+    The grid is never materialised: its costs are the outer sum of the
+    per-axis cost vectors, added left to right like the row sums of
+    :func:`_cost_of` (numpy sums fewer than 8 terms in order).
+    """
+    budget_cap = budget + 1e-12
+    axis_costs = [
+        _cost_of(a[:, None], base_p[i : i + 1], base_l[i : i + 1], base_r[i : i + 1])
+        for i, a in enumerate(axes)
+    ]
+    grid_costs = functools.reduce(np.add.outer, axis_costs)
+    flat = np.nonzero(grid_costs.ravel() <= budget_cap)[0]
+    feasible = np.stack(
+        [a[idx] for a, idx in zip(axes, np.unravel_index(flat, grid_costs.shape))], axis=1
+    )
+    feasible_costs = grid_costs.ravel()[flat]
+    leftover = np.clip(budget - feasible_costs, 0.0, None)
+    rows, costs = [feasible], [feasible_costs]
+    for i in range(len(axes)):
+        col = feasible[:, i]
+        up = np.minimum(1.0, col + np.where(col >= base_p[i], leftover / base_r[i], 0.0))
+        down = np.maximum(0.0, col - np.where(col <= base_p[i], leftover / base_l[i], 0.0))
+        for moved in (up, down):
+            shifted = moved != col
+            variant = feasible[shifted]
+            variant[:, i] = moved[shifted]
+            cost = _cost_of(variant, base_p, base_l, base_r)
+            within = cost <= budget_cap
+            rows.append(variant[within])
+            costs.append(cost[within])
+    return np.concatenate(rows, axis=0), np.concatenate(costs)
 
 
 def _grid_axis(baseline: float, resolution: float) -> np.ndarray:
@@ -142,24 +205,28 @@ def fractional_oracle(
     base_r = np.array([costs.R[j - 1] for j in attackable])
     base_p = baseline[cols]
 
-    def cost_of(points: np.ndarray) -> np.ndarray:
-        below = np.maximum(base_p - points, 0.0)
-        above = np.maximum(points - base_p, 0.0)
-        return (below * base_l + above * base_r).sum(axis=-1)
-
     corners = _corner_shapley(vtable, x, baseline, cols)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])
         for lo in range(0, points.shape[0], _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, points.shape[0])
-            out[lo:hi] = liveness_transform(corners, points[lo:hi])[:, -1]
+            out[lo:hi] = liveness_value(corners, points[lo:hi])
         return out
 
     if k == 0:
         prof = ReliabilityProfile(tuple(baseline))
         return AttackPlan(0.0, float(evaluate(base_p[None, :])[0]), profile=prof)
 
+    # every axis holds at least round(1 / resolution) + 1 points, so refuse
+    # a grid over the limit before building any axis (1 / resolution is
+    # infinite for a subnormal resolution)
+    least = (round(min(1.0 / cfg.grid_resolution, sys.float_info.max)) + 1) ** k
+    if least > _GRID_POINT_LIMIT:
+        raise ResourceLimitError(
+            f"grid of at least {least} profiles exceeds the oracle limit "
+            f"({_GRID_POINT_LIMIT}); coarsen grid_resolution"
+        )
     axes = [_grid_axis(base_p[i], cfg.grid_resolution) for i in range(k)]
     total = 1
     for a in axes:
@@ -169,30 +236,7 @@ def fractional_oracle(
             f"grid of {total} profiles exceeds the oracle limit ({_GRID_POINT_LIMIT}); "
             "coarsen grid_resolution"
         )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    grid_costs = cost_of(grid)
-    feasible = grid[grid_costs <= budget + 1e-12]
-    feasible_costs = grid_costs[grid_costs <= budget + 1e-12]
-    # budget-exhausting variants: competing greedy basins can differ by less
-    # than one grid step, so for every feasible point add copies with the
-    # leftover budget spent entirely on one coordinate (up and down, exact)
-    leftover = np.clip(budget - feasible_costs, 0.0, None)
-    variants = [feasible]
-    for i in range(k):
-        up = feasible.copy()
-        room = np.where(up[:, i] >= base_p[i], leftover / base_r[i], 0.0)
-        up[:, i] = np.minimum(1.0, up[:, i] + room)
-        variants.append(up)
-        down = feasible.copy()
-        room = np.where(down[:, i] <= base_p[i], leftover / base_l[i], 0.0)
-        down[:, i] = np.maximum(0.0, down[:, i] - room)
-        variants.append(down)
-    cands = np.concatenate(variants, axis=0)
-    cand_costs = cost_of(cands)
-    keep = cand_costs <= budget + 1e-12
-    cands = cands[keep]
-    cand_costs = cand_costs[keep]
+    cands, cand_costs = _candidate_pool(axes, base_p, base_l, base_r, budget)
     values = evaluate(cands)
     # among exact value ties prefer the cheapest point (no wasted budget)
     tied = np.nonzero(values <= values.min() + 1e-15)[0]
@@ -209,7 +253,7 @@ def fractional_oracle(
     while steps < cfg.max_refinements:
         cands = np.clip(point + eps * directions, 0.0, 1.0)
         cands = cands[np.abs(cands - point).sum(axis=1) > 1e-15]
-        cands = cands[cost_of(cands) <= budget + 1e-12]
+        cands = cands[_cost_of(cands, base_p, base_l, base_r) <= budget + 1e-12]
         if cands.size:
             cand_values = evaluate(cands)
             pick = int(np.argmin(cand_values))
@@ -228,7 +272,7 @@ def fractional_oracle(
     full[cols] = point
     profile = ReliabilityProfile(tuple(full))
     return AttackPlan(
-        float(cost_of(point[None, :])[0]),
+        float(_cost_of(point, base_p, base_l, base_r)),
         value,
         profile=profile,
         note=note,

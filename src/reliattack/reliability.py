@@ -70,6 +70,16 @@ def as_profile(p: ProfileLike, n: int | None = None) -> ReliabilityProfile:
     return prof
 
 
+def _checked(table, probs) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``probs`` as floats and the broadcast batch shape of a liveness fold."""
+    probs = np.asarray(probs, dtype=np.float64)
+    m = probs.shape[-1]
+    size = np.shape(table)[-1]
+    if size != 1 << m:
+        raise DomainError(f"table of {size} entries does not span 2^{m} submasks")
+    return probs, np.broadcast_shapes(np.shape(table)[:-1], probs.shape[:-1])
+
+
 def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Reliability extension of set functions given as tables over submasks.
 
@@ -82,12 +92,9 @@ def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     ``sum_{U <= T} table[U] * pi(U, T, probs)``, pi as in the module
     docstring.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    m = probs.shape[-1]
+    probs, batch = _checked(table, probs)
     size = np.shape(table)[-1]
-    if size != 1 << m:
-        raise DomainError(f"table of {size} entries does not span 2^{m} submasks")
-    batch = np.broadcast_shapes(np.shape(table)[:-1], probs.shape[:-1])
+    m = probs.shape[-1]
     out = np.array(np.broadcast_to(table, batch + (size,)), dtype=np.float64)
     for i in range(m):
         halves = out.reshape(batch + (size >> (i + 1), 2, 1 << i))
@@ -96,6 +103,28 @@ def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
         live *= p_i
         live += (1.0 - p_i) * halves[..., 0, :]
     return out
+
+
+def liveness_value(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The top entry of :func:`liveness_transform`, ``[..., -1]``, alone.
+
+    Folds player i into the pairs of entries that differ in the lowest
+    remaining bit, ``out <- p_i * out[1::2] + (1 - p_i) * out[0::2]``, which
+    halves the table each step: O(2^m) per row.  Every step is the
+    butterfly's own product-sum on the entries the top one depends on, so the
+    result equals the full transform's bit for bit.
+    """
+    probs, batch = _checked(table, probs)
+    table = np.asarray(table, dtype=np.float64)
+    # submasks first, and the table's leading axes padded to the batch's, so
+    # that a step over a batch of rows reads whole rows
+    pad = (1,) * (len(batch) + 1 - table.ndim)
+    out = np.moveaxis(table.reshape(pad + table.shape), -1, 0)
+    p = np.moveaxis(probs, -1, 0)
+    q = 1.0 - p
+    for i in range(len(p)):
+        out = p[i] * out[1::2] + q[i] * out[0::2]
+    return np.array(np.broadcast_to(out[0], batch))
 
 
 def reliability_value(
@@ -109,9 +138,9 @@ def reliability_value(
 
     Exact: members with p in {0, 1} are fixed (always dead or always live),
     the values of the 2^m liveness outcomes of the other m members come from
-    :meth:`Game.subset_values` and are folded by :func:`liveness_transform`,
-    so ``|S|`` is limited by ``subset_cap``; raise the cap deliberately for
-    larger exact runs.
+    :meth:`Game.subset_values` and are folded into the full-coalition entry by
+    :func:`liveness_value`, so ``|S|`` is limited by ``subset_cap``; raise
+    the cap deliberately for larger exact runs.
     """
     p = as_profile(profile, game.n)
     s = _as_playerset(coalition, game.n)
@@ -128,4 +157,4 @@ def reliability_value(
         elif prob:  # always dead when 0: never enumerated
             players.append(x)
             probs.append(prob)
-    return float(liveness_transform(game.subset_values(players, base), probs)[-1])
+    return float(liveness_value(game.subset_values(players, base), probs))

@@ -146,6 +146,75 @@ class TestFractionalOracle:
         assert fractional_oracle(problem, OracleConfig(0.25)).note is None
 
 
+def materialised_pool(axes, base_p, base_l, base_r, budget):
+    """The oracle's candidate pool built directly: the whole grid, the cost of
+    every row, then every budget-exhausting variant as a full copy of the
+    feasible rows, less the copies that equal their feasible row."""
+
+    def cost_of(points):
+        below = np.maximum(base_p - points, 0.0)
+        above = np.maximum(points - base_p, 0.0)
+        return (below * base_l + above * base_r).sum(axis=-1)
+
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    # row by row, in blocks that keep the temporaries small
+    grid_costs = np.concatenate([cost_of(rows) for rows in np.array_split(grid, 16)])
+    feasible = grid[grid_costs <= budget + 1e-12]
+    leftover = np.clip(budget - grid_costs[grid_costs <= budget + 1e-12], 0.0, None)
+    pool = [feasible]
+    for i in range(len(axes)):
+        up = feasible.copy()
+        room = np.where(up[:, i] >= base_p[i], leftover / base_r[i], 0.0)
+        up[:, i] = np.minimum(1.0, up[:, i] + room)
+        down = feasible.copy()
+        room = np.where(down[:, i] <= base_p[i], leftover / base_l[i], 0.0)
+        down[:, i] = np.maximum(0.0, down[:, i] - room)
+        pool += [variant[(variant != feasible).any(axis=1)] for variant in (up, down)]
+    cands = np.concatenate(pool, axis=0)
+    costs = cost_of(cands)
+    keep = costs <= budget + 1e-12
+    return cands[keep], costs[keep]
+
+
+class TestCandidatePool:
+    @pytest.mark.parametrize("resolution", [1 / 4, 1 / 8])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_materialised_grid(self, rng, k, resolution):
+        for _ in range(3):
+            # baselines on and off the grid, and at the bounds
+            base_p = np.array(
+                [rng.choice((rng.random(), rng.randrange(9) / 8, 0.0, 1.0)) for _ in range(k)]
+            )
+            base_l = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
+            base_r = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
+            budget = rng.uniform(0.0, 1.2 if k < 6 else 0.6)
+            axes = [oracle._grid_axis(p, resolution) for p in base_p]
+            got = oracle._candidate_pool(axes, base_p, base_l, base_r, budget)
+            want = materialised_pool(axes, base_p, base_l, base_r, budget)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+
+    def test_huge_grid_is_refused_before_any_axis_is_built(self, monkeypatch):
+        def no_axis(*args):
+            raise AssertionError("grid axis built")
+
+        monkeypatch.setattr(oracle, "_grid_axis", no_axis)
+        game = ClosedNeighborhoodGame(complete_graph(3))
+        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.8, 0.6)))
+        with pytest.raises(ResourceLimitError, match="at least 1000000002000000001 profiles"):
+            fractional_oracle(problem, OracleConfig(grid_resolution=1e-9))
+        with pytest.raises(ResourceLimitError, match="coarsen grid_resolution"):
+            fractional_oracle(problem, OracleConfig(grid_resolution=5e-324))
+
+    def test_built_grid_over_the_limit_names_its_size(self):
+        # 2,000 points per axis pass the lower bound (2000^2 is the limit);
+        # the off-grid baselines add one more to each axis
+        game = ClosedNeighborhoodGame(complete_graph(3))
+        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.4, 0.9)))
+        with pytest.raises(ResourceLimitError, match=r"grid of \d+ profiles exceeds"):
+            fractional_oracle(problem, OracleConfig(grid_resolution=1 / 1999))
+
+
 class TestCornerInterpolation:
     """Evaluating through the 2^k corner values against the liveness transform
     of the whole coalition table at every profile row."""

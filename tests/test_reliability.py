@@ -15,6 +15,7 @@ from reliattack import (
     ResourceLimitError,
     complete_graph,
     liveness_transform,
+    liveness_value,
     reliability_value,
 )
 from conftest import (
@@ -119,6 +120,59 @@ class TestLivenessTransform:
     def test_size_mismatch(self):
         with pytest.raises(DomainError, match="2\\^2"):
             liveness_transform(np.zeros(8), [0.5, 0.5])
+
+
+class TestLivenessValue:
+    """The top entry alone, by the halving fold, against the full transform's
+    last entry, bit for bit."""
+
+    def test_equals_top_entry(self, rng):
+        np_rng = np.random.default_rng(rng.randrange(1 << 30))
+        for m in range(11):
+            table = np_rng.uniform(-2.0, 3.0, 1 << m)
+            for probs in (np_rng.random(m), sparse_profile(rng, m)):
+                np.testing.assert_array_equal(
+                    liveness_value(table, probs), liveness_transform(table, probs)[..., -1]
+                )
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 6])
+    def test_batched_and_broadcast_rows(self, rng, m):
+        np_rng = np.random.default_rng(rng.randrange(1 << 30))
+        tables = np_rng.uniform(-1.0, 2.0, (4, 1 << m))
+        probs = np_rng.random((4, m))
+        for table, prob in (
+            (tables, probs),  # one profile per table
+            (tables[0], probs),  # one table, many profiles
+            (tables, probs[0]),  # many tables, one profile
+            (tables[:, None, :], probs[None, :3, :]),  # a 4 x 3 grid of pairs
+            (tables[0], probs[0]),
+        ):
+            got = liveness_value(table, prob)
+            want = liveness_transform(table, prob)[..., -1]
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_certain_players_pick_one_entry(self):
+        table = np.arange(16.0) ** 2 - 7.0
+        for mask in range(16):
+            probs = [float(mask >> i & 1) for i in range(4)]
+            assert liveness_value(table, probs) == table[mask]
+            np.testing.assert_array_equal(
+                liveness_value(table, probs), liveness_transform(table, probs)[-1]
+            )
+
+    def test_input_is_not_modified(self):
+        table = np.array([0.0, 1.0, 2.0, 4.0])
+        liveness_value(table, [0.5, 0.5])
+        assert table.tolist() == [0.0, 1.0, 2.0, 4.0]
+
+    def test_size_mismatch_raises_like_the_transform(self):
+        errors = []
+        for fold in (liveness_transform, liveness_value):
+            with pytest.raises(DomainError) as err:
+                fold(np.zeros(8), [0.5, 0.5])
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
 
 
 class TestReliabilityValue:
