@@ -157,9 +157,6 @@ class TestLivenessValue:
         for mask in range(16):
             probs = [float(mask >> i & 1) for i in range(4)]
             assert liveness_value(table, probs) == table[mask]
-            np.testing.assert_array_equal(
-                liveness_value(table, probs), liveness_transform(table, probs)[-1]
-            )
 
     def test_input_is_not_modified(self):
         table = np.array([0.0, 1.0, 2.0, 4.0])
