@@ -6,24 +6,27 @@ liveness transform over all coalitions, then the marginal-weight sum that
 :func:`reliattack.shapley.shapley_definitional` also uses) at the 2^k
 corners of the attackable coordinates, interpolates every other profile
 from them (the halving fold of :func:`reliattack.reliability.liveness_value`
-over the corner table), and optimizes by enumerating a budget-feasible grid,
-found from per-axis costs without materialising the grid, then descending
-with improving swaps until no small transfer of probability mass helps.
+over the corner table), and optimizes by enumerating a budget-feasible grid
+and its budget-exhausting variants, then descending with improving swaps
+until no small transfer of probability mass helps.  The grid is enumerated
+axis by axis: each budget-feasible prefix of coordinates carries its cost
+and the corner table with its coordinates folded in, so grid points that
+share a prefix share those fold steps, and neither the grid nor the
+candidates are ever held as a matrix.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
 from .games import _as_finite, _as_int
-from .reliability import ReliabilityProfile, liveness_transform, liveness_value
+from .reliability import ReliabilityProfile, liveness_transform
 from .shapley import _table_shapley
 
 _GRID_POINT_LIMIT = 4_000_000
@@ -103,66 +106,131 @@ def _cost_of(
 ) -> np.ndarray:
     """Cost of moving the coordinates from ``base_p`` to the rows of
     ``points``: L per unit lowered, R per unit raised, summed over the row."""
+    return _move_costs(points, base_p, base_l, base_r).sum(axis=-1)
+
+
+def _move_costs(points, base_p, base_l, base_r) -> np.ndarray:
+    """The terms of :func:`_cost_of`, one per coordinate, unsummed."""
     below = np.maximum(base_p - points, 0.0)
     above = np.maximum(points - base_p, 0.0)
-    return (below * base_l + above * base_r).sum(axis=-1)
+    return below * base_l + above * base_r
 
 
-def _candidate_pool(
+def _fold(table: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Fold the probability vectors ``probs`` into ``table`` in turn, lowest
+    bit first: ``p * table[1::2] + (1 - p) * table[0::2]``, the step of
+    :func:`reliattack.reliability.liveness_value` with submasks on the first
+    axis and one profile per column, so its floats are the same."""
+    for p in probs:
+        table = p * table[1::2] + (1.0 - p) * table[0::2]
+    return table
+
+
+def _staged_pool(
+    corners: np.ndarray,
     axes: Sequence[np.ndarray],
     base_p: np.ndarray,
     base_l: np.ndarray,
     base_r: np.ndarray,
     budget: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's start candidates and their costs.
+) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
+    """The values and costs of the oracle's start candidates, and a function
+    that rebuilds the candidate at an index of them.
 
-    First the budget-feasible points of the grid ``axes[0] x ... x
-    axes[k-1]`` in C order, then for each coordinate i its budget-exhausting
-    variants: every feasible point with the leftover budget spent on
-    coordinate i, raising it (rows in feasible order), then lowering it.
-    Competing greedy basins can differ by less than one grid step, so these
-    exact variants matter.  A variant whose coordinate does not move repeats
-    its feasible point and is left out; a variant over budget is dropped.
+    The candidates are first the budget-feasible points of the grid
+    ``axes[0] x ... x axes[k-1]`` in C order, then for each coordinate i its
+    budget-exhausting variants: every feasible point with the leftover
+    budget spent on coordinate i, raising it (in feasible order), then
+    lowering it.  Competing greedy basins can differ by less than one grid
+    step, so these exact variants matter.  A variant whose coordinate does
+    not move repeats its feasible point and is left out; a variant over
+    budget is dropped.  Values are ``liveness_value(corners, point)`` bit
+    for bit, costs :func:`_cost_of`'s.
 
-    The grid is never materialised: its costs are the outer sum of the
-    per-axis cost vectors, added left to right like the row sums of
-    :func:`_cost_of` (numpy sums fewer than 8 terms in order).
+    Neither the grid nor the candidates are materialised.  The grid is
+    built axis by axis: stage j keeps the feasible prefixes (a_0 .. a_j) in
+    C order, their costs summed left to right like the row sums of
+    :func:`_cost_of` (numpy sums fewer than 8 terms in order), and the
+    corner table with a_0 .. a_j folded in, one column per prefix, so points
+    that share a prefix share its fold steps.  A prefix over budget is
+    dropped: costs are nonnegative, so none of its completions is feasible.
+    A variant on coordinate i starts from its point's prefix (a_0 .. a_i-1),
+    so it folds 2^(k-i) entries rather than 2^k, in pieces of at most
+    ``_EVAL_CHUNK``.
     """
-    budget_cap = budget + 1e-12
-    axis_costs = [
-        _cost_of(a[:, None], base_p[i : i + 1], base_l[i : i + 1], base_r[i : i + 1])
-        for i, a in enumerate(axes)
-    ]
-    grid_costs = functools.reduce(np.add.outer, axis_costs)
-    flat = np.nonzero(grid_costs.ravel() <= budget_cap)[0]
-    feasible = np.stack(
-        [a[idx] for a, idx in zip(axes, np.unravel_index(flat, grid_costs.shape))], axis=1
-    )
-    feasible_costs = grid_costs.ravel()[flat]
-    leftover = np.clip(budget - feasible_costs, 0.0, None)
-    rows, costs = [feasible], [feasible_costs]
-    for i in range(len(axes)):
-        col = feasible[:, i]
-        up = np.minimum(1.0, col + np.where(col >= base_p[i], leftover / base_r[i], 0.0))
-        down = np.maximum(0.0, col - np.where(col <= base_p[i], leftover / base_l[i], 0.0))
+    cap = budget + 1e-12
+    axis_costs = [_move_costs(a, base_p[i], base_l[i], base_r[i]) for i, a in enumerate(axes)]
+    # tables[j] and prefix_costs[j] belong to the prefixes of length j,
+    # parents[j] and picks[j] give each prefix of length j + 1 its prefix of
+    # length j and its index on axes[j]
+    tables, prefix_costs, parents, picks = [corners[:, None]], [np.zeros(1)], [], []
+    for a, c in zip(axes, axis_costs):
+        extended = prefix_costs[-1][:, None] + c
+        parent, pick = np.nonzero(extended <= cap)
+        tables.append(_fold(tables[-1][:, parent], [a[pick]]))
+        prefix_costs.append(extended[parent, pick])
+        parents.append(parent)
+        picks.append(pick)
+
+    # each feasible point's prefix of length j (rows[j]), coordinates and
+    # per-axis costs
+    rows = [np.arange(len(prefix_costs[-1]))]
+    for parent in reversed(parents):
+        rows.insert(0, parent[rows[0]])
+    coords = [a[pick[r]] for a, pick, r in zip(axes, picks, rows[1:])]
+    terms = [c[pick[r]] for c, pick, r in zip(axis_costs, picks, rows[1:])]
+
+    costs = prefix_costs[-1]
+    leftover = np.clip(budget - costs, 0.0, None)
+    values, pool_costs = [tables[-1][0]], [costs]
+    segments = [(None, rows[-1], None)]
+    for i, col in enumerate(coords):
+        # a tiny slope overflows the move to inf, which the bounds clip to 1 or 0
+        with np.errstate(over="ignore"):
+            rise = leftover / base_r[i]
+            fall = leftover / base_l[i]
+        up = np.minimum(1.0, col + np.where(col >= base_p[i], rise, 0.0))
+        down = np.maximum(0.0, col - np.where(col <= base_p[i], fall, 0.0))
         for moved in (up, down):
-            shifted = moved != col
-            variant = feasible[shifted]
-            variant[:, i] = moved[shifted]
-            cost = _cost_of(variant, base_p, base_l, base_r)
-            within = cost <= budget_cap
-            rows.append(variant[within])
-            costs.append(cost[within])
-    return np.concatenate(rows, axis=0), np.concatenate(costs)
+            src = np.nonzero(moved != col)[0]
+            moved = moved[src]
+            cost = prefix_costs[i][rows[i][src]] + _move_costs(
+                moved, base_p[i], base_l[i], base_r[i]
+            )
+            for term in terms[i + 1 :]:
+                cost = cost + term[src]
+            within = cost <= cap
+            src, moved, cost = src[within], moved[within], cost[within]
+            value = np.empty(len(src))
+            for lo in range(0, len(src), _EVAL_CHUNK):
+                part = src[lo : lo + _EVAL_CHUNK]
+                probs = [moved[lo : lo + _EVAL_CHUNK]] + [c[part] for c in coords[i + 1 :]]
+                # the empty prefix's single column broadcasts without a copy
+                table = tables[i][:, rows[i][part]] if i else tables[0]
+                value[lo : lo + len(part)] = _fold(table, probs)[0]
+            values.append(value)
+            pool_costs.append(cost)
+            segments.append((i, src, moved))
+
+    def candidate(index: int) -> np.ndarray:
+        for i, src, moved in segments:
+            if index < len(src):
+                point = np.array([c[src[index]] for c in coords])
+                if i is not None:
+                    point[i] = moved[index]
+                return point
+            index -= len(src)
+        raise IndexError("candidate index out of range")
+
+    return np.concatenate(values), np.concatenate(pool_costs), candidate
 
 
 def _grid_axis(baseline: float, resolution: float) -> np.ndarray:
+    """The multiples of ``resolution`` clipped at 1, with 1 and ``baseline``,
+    sorted and without repeats."""
     steps = int(round(1.0 / resolution))
-    pts = {min(1.0, i * resolution) for i in range(steps + 1)}
-    pts.add(1.0)
-    pts.add(baseline)
-    return np.array(sorted(pts), dtype=np.float64)
+    grid = np.minimum(1.0, np.arange(steps + 1) * resolution)
+    return np.unique(np.concatenate([grid, [1.0, baseline]]))
 
 
 def fractional_oracle(
@@ -207,16 +275,9 @@ def fractional_oracle(
 
     corners = _corner_shapley(vtable, x, baseline, cols)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        out = np.empty(points.shape[0])
-        for lo in range(0, points.shape[0], _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, points.shape[0])
-            out[lo:hi] = liveness_value(corners, points[lo:hi])
-        return out
-
     if k == 0:
         prof = ReliabilityProfile(tuple(baseline))
-        return AttackPlan(0.0, float(evaluate(base_p[None, :])[0]), profile=prof)
+        return AttackPlan(0.0, float(corners[0]), profile=prof)
 
     # every axis holds at least round(1 / resolution) + 1 points, so refuse
     # a grid over the limit before building any axis (1 / resolution is
@@ -236,12 +297,11 @@ def fractional_oracle(
             f"grid of {total} profiles exceeds the oracle limit ({_GRID_POINT_LIMIT}); "
             "coarsen grid_resolution"
         )
-    cands, cand_costs = _candidate_pool(axes, base_p, base_l, base_r, budget)
-    values = evaluate(cands)
+    values, cand_costs, candidate = _staged_pool(corners, axes, base_p, base_l, base_r, budget)
     # among exact value ties prefer the cheapest point (no wasted budget)
     tied = np.nonzero(values <= values.min() + 1e-15)[0]
     best_idx = int(tied[np.argmin(cand_costs[tied])])
-    point = cands[best_idx].copy()
+    point = candidate(best_idx)
     value = float(values[best_idx])
 
     # improving-swap descent along the budget-feasibility surface
@@ -255,7 +315,7 @@ def fractional_oracle(
         cands = cands[np.abs(cands - point).sum(axis=1) > 1e-15]
         cands = cands[_cost_of(cands, base_p, base_l, base_r) <= budget + 1e-12]
         if cands.size:
-            cand_values = evaluate(cands)
+            cand_values = _fold(corners[:, None], cands.T)[0]
             pick = int(np.argmin(cand_values))
             if cand_values[pick] < value - 1e-15:
                 point = cands[pick].copy()

@@ -21,6 +21,7 @@ from reliattack import (
     fractional_oracle,
     greedy_fractional_attack,
     liveness_transform,
+    liveness_value,
     shapley_closed,
 )
 from reliattack import oracle
@@ -137,6 +138,20 @@ class TestFractionalOracle:
         assert abs(plan.achieved - greedy.achieved) <= 1e-6
 
 
+    @pytest.mark.parametrize("slope", ["L", "R"])
+    def test_tiny_slopes_raise_no_warning(self, slope):
+        # leftover / 1e-310 overflows to inf before the move is clipped to
+        # [0, 1]; Tier-1 turns a leaked RuntimeWarning into an error
+        game = ClosedNeighborhoodGame(complete_graph(4))
+        p_star = (0.5, 0.6, 0.7, 0.8)
+        tiny, ones = (1e-310,) * 4, (1.0,) * 4
+        L, R = (tiny, ones) if slope == "L" else (ones, tiny)
+        problem = AttackProblem(game, 1, 0.5, CostModel(p_star, L, R, (0.0,) * 4))
+        plan = fractional_oracle(problem, OracleConfig(0.25))
+        assert plan.total_cost <= problem.budget + 1e-12
+        assert plan.achieved == pytest.approx(shapley_closed(game, plan.profile, 1), abs=1e-12)
+        assert plan.achieved < shapley_closed(game, ReliabilityProfile(p_star), 1)
+
     def test_note_when_refinements_run_out(self):
         game = ClosedNeighborhoodGame(complete_graph(4))
         cm = CostModel.uniform((0.31, 0.62, 0.47, 0.58))
@@ -176,23 +191,102 @@ def materialised_pool(axes, base_p, base_l, base_r, budget):
     return cands[keep], costs[keep]
 
 
+def reference_pool(corners, axes, base_p, base_l, base_r, budget):
+    """``oracle._staged_pool`` from the materialised pool: every row folded
+    from the whole corner table by ``liveness_value``."""
+    rows, costs = materialised_pool(axes, base_p, base_l, base_r, budget)
+    return liveness_value(corners, rows), costs, lambda index: rows[index].copy()
+
+
+def set_grid_axis(baseline, resolution):
+    """The oracle's grid axis built as a Python set of floats."""
+    steps = int(round(1.0 / resolution))
+    pts = {min(1.0, i * resolution) for i in range(steps + 1)}
+    pts.add(1.0)
+    pts.add(baseline)
+    return np.array(sorted(pts), dtype=np.float64)
+
+
+def random_pool_input(rng, k, resolution, budget_max):
+    # baselines on and off the grid, and at the bounds
+    base_p = np.array(
+        [rng.choice((rng.random(), rng.randrange(9) / 8, 0.0, 1.0)) for _ in range(k)]
+    )
+    base_l = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
+    base_r = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
+    axes = [oracle._grid_axis(p, resolution) for p in base_p]
+    corners = np.array([rng.uniform(-1.0, 1.0) for _ in range(1 << k)])
+    return corners, axes, base_p, base_l, base_r, rng.uniform(0.0, budget_max)
+
+
+def assert_same_pool(got, args):
+    """``oracle._staged_pool``'s output ``got`` for ``args`` against
+    ``reference_pool``: values, costs and every rebuilt row bit for bit,
+    which pins the segment order, and the winning row of the oracle's tie
+    rule among them."""
+    values, costs, candidate = got
+    want_values, want_costs, want_candidate = reference_pool(*args)
+    np.testing.assert_array_equal(values, want_values)
+    np.testing.assert_array_equal(costs, want_costs)
+    rows = np.array([candidate(index) for index in range(len(want_values))])
+    want_rows = np.array([want_candidate(index) for index in range(len(want_values))])
+    np.testing.assert_array_equal(rows, want_rows)
+    tied = np.nonzero(values <= values.min() + 1e-15)[0]
+    best = int(tied[np.argmin(costs[tied])])
+    np.testing.assert_array_equal(candidate(best), want_candidate(best))
+    with pytest.raises(IndexError):
+        candidate(len(want_values))
+
+
 class TestCandidatePool:
     @pytest.mark.parametrize("resolution", [1 / 4, 1 / 8])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_materialised_grid(self, rng, k, resolution):
         for _ in range(3):
-            # baselines on and off the grid, and at the bounds
-            base_p = np.array(
-                [rng.choice((rng.random(), rng.randrange(9) / 8, 0.0, 1.0)) for _ in range(k)]
+            args = random_pool_input(rng, k, resolution, 1.2 if k < 6 else 0.6)
+            assert_same_pool(oracle._staged_pool(*args), args)
+
+    def test_variant_segments_cross_chunk_boundaries(self, rng):
+        base_p, base_l, base_r = np.array([0.45, 0.7]), np.array([1.0, 1.5]), np.array([2.0, 0.8])
+        axes = [oracle._grid_axis(p, 1 / 256) for p in base_p]
+        corners = np.array([rng.uniform(-1.0, 1.0) for _ in range(4)])
+        args = (corners, axes, base_p, base_l, base_r, 1.0)
+        got = oracle._staged_pool(*args)
+        # at most one row per grid point is feasible, so the four variant
+        # segments hold more than four chunks and one of them spans two
+        assert len(got[0]) - len(axes[0]) * len(axes[1]) > 4 * oracle._EVAL_CHUNK
+        assert_same_pool(got, args)
+
+    @pytest.mark.parametrize("resolution", [1 / 4, 0.22, 1 / 8, 0.07, 1 / 64, 1 / 999, 1e-4])
+    def test_grid_axis_matches_set_construction(self, rng, resolution):
+        for baseline in [rng.random() for _ in range(5)] + [resolution * 3, 0.5, 1.0]:
+            np.testing.assert_array_equal(
+                oracle._grid_axis(baseline, resolution), set_grid_axis(baseline, resolution)
             )
-            base_l = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
-            base_r = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
-            budget = rng.uniform(0.0, 1.2 if k < 6 else 0.6)
-            axes = [oracle._grid_axis(p, resolution) for p in base_p]
-            got = oracle._candidate_pool(axes, base_p, base_l, base_r, budget)
-            want = materialised_pool(axes, base_p, base_l, base_r, budget)
-            for got_part, want_part in zip(got, want):
-                np.testing.assert_array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("case", ["K5", "C6", "fc-two-author", "fo-two-author"])
+    def test_oracle_plans_match_reference_pool(self, rng, monkeypatch, case):
+        for _ in range(3):
+            if case == "K5":
+                game = ClosedNeighborhoodGame(complete_graph(5))
+            elif case == "C6":
+                game = ClosedNeighborhoodGame(cycle_graph(6))
+            else:
+                inst = random_two_author_credit(rng, 6)
+                game = FullCreditGame(inst) if case == "fc-two-author" else FullObligationGame(inst)
+            n = game.n
+            costs = CostModel(
+                tuple(rng.uniform(0.05, 1.0) for _ in range(n)),
+                tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+                tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+                (0.0,) * n,
+            )
+            problem = AttackProblem(game, rng.randint(1, n), rng.uniform(0.0, 1.5), costs)
+            cfg = OracleConfig(rng.choice((1 / 4, 1 / 8)))
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_staged_pool", reference_pool)
+                want = fractional_oracle(problem, cfg)
+            assert repr(fractional_oracle(problem, cfg)) == repr(want)
 
     def test_huge_grid_is_refused_before_any_axis_is_built(self, monkeypatch):
         def no_axis(*args):
