@@ -156,30 +156,30 @@ class AttackPlan:
 def _greedy_raise(
     start: ReliabilityProfile,
     order: Sequence[int],
-    slopes: dict[int, float],
-    targets: dict[int, float],
+    slopes: Sequence[float],
+    target: float,
     budget: float,
 ) -> tuple[ReliabilityProfile, tuple[int, ...]]:
-    """Move each ordered player toward its target value (0 or 1) while the
-    budget lasts, partially on the first unaffordable one."""
+    """Move each ordered player toward ``target`` (0 or 1) at its cost
+    ``slopes[j - 1]`` per unit while the budget lasts, partially on the
+    first unaffordable one."""
     vals = list(start.values)
     left = budget
     touched: list[int] = []
     for j in order:
         cur = vals[j - 1]
-        tgt = targets[j]
-        gap = abs(tgt - cur)
+        gap = abs(target - cur)
         if gap == 0.0:
             continue
-        full = slopes[j] * gap
+        full = slopes[j - 1] * gap
         if full <= left + _COST_EPS:
-            vals[j - 1] = tgt
+            vals[j - 1] = target
             left = max(0.0, left - full)
             touched.append(j)
         else:
-            delta = left / slopes[j]
+            delta = left / slopes[j - 1]
             if delta > 0.0:
-                moved = cur + delta if tgt > cur else cur - delta
+                moved = cur + delta if target > cur else cur - delta
                 vals[j - 1] = min(1.0, max(0.0, moved))
                 touched.append(j)
             left = 0.0
@@ -235,7 +235,7 @@ def greedy_fractional_attack(
         return AttackPlan(0.0, shapley_closed(game, base, x), profile=base, note=note)
 
     _common_slope(problem.costs.L, attackable, "decrease")
-    r_slope = _common_slope(problem.costs.R, attackable, "increase")
+    _common_slope(problem.costs.R, attackable, "increase")
 
     p_star = problem.costs.p_star
     by_baseline = sorted(attackable, key=lambda j: (-p_star[j - 1], j))
@@ -245,11 +245,7 @@ def greedy_fractional_attack(
         order = by_baseline
 
     profile, touched = _greedy_raise(
-        problem.costs.baseline_profile(),
-        order,
-        {j: r_slope for j in order},
-        {j: 1.0 for j in order},
-        problem.budget,
+        problem.costs.baseline_profile(), order, problem.costs.R, 1.0, problem.budget
     )
     return AttackPlan(
         problem.costs.profile_cost(profile),
@@ -261,14 +257,13 @@ def greedy_fractional_attack(
 
 
 def _cycle_ring(game: ClosedNeighborhoodGame, x: int) -> tuple[int, ...]:
-    graph = game.graph
-    if cycle_sequence(graph) is None:
+    """The cycle in order from x, stepping first to x's smaller neighbor."""
+    seq = cycle_sequence(game.graph)
+    if seq is None:
         raise DomainError("cycle attack needs a cycle graph")
-    ring = [x, min(graph.neighbors(x))]
-    while len(ring) < graph.n:
-        (nxt,) = graph.neighbors(ring[-1]) - {ring[-2]}
-        ring.append(nxt)
-    return tuple(ring)
+    i = seq.index(x)
+    ring = seq[i:] + seq[:i]
+    return ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1]
 
 
 def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
@@ -309,7 +304,7 @@ def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
 
     if not live:
         return AttackPlan(0.0, evaluate(base), profile=base)
-    r_slope = _common_slope(problem.costs.R, live, "increase")
+    _common_slope(problem.costs.R, live, "increase")
 
     orders = (
         ("P", [succ, pred, pred2, succ2]),
@@ -320,13 +315,7 @@ def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
     best: tuple[float, str, ReliabilityProfile, tuple[int, ...]] | None = None
     for name, order in orders:
         seq = [j for j in order if j in attackable]
-        profile, touched = _greedy_raise(
-            base,
-            seq,
-            {j: r_slope for j in seq},
-            {j: 1.0 for j in seq},
-            problem.budget,
-        )
+        profile, touched = _greedy_raise(base, seq, problem.costs.R, 1.0, problem.budget)
         value = evaluate(profile)
         if best is None or value < best[0]:
             best = (value, name, profile, touched)
@@ -373,11 +362,7 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
     candidates = [l for l in contrib if l not in problem.exempt]
     order = sorted(candidates, key=lambda l: (-contrib[l] / slope_vec[l - 1], l))
     profile, touched = _greedy_raise(
-        problem.costs.baseline_profile(),
-        order,
-        {l: slope_vec[l - 1] for l in order},
-        {l: 1.0 if raising else 0.0 for l in order},
-        problem.budget,
+        problem.costs.baseline_profile(), order, slope_vec, float(raising), problem.budget
     )
     return AttackPlan(
         problem.costs.profile_cost(profile),

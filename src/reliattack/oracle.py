@@ -5,14 +5,15 @@ target's exact Shapley value from the raw coalition-value table (the
 liveness transform over all coalitions, then the marginal-weight sum that
 :func:`reliattack.shapley.shapley_definitional` also uses) at the 2^k
 corners of the attackable coordinates, interpolates every other profile
-from them (the halving fold of :func:`reliattack.reliability.liveness_value`
-over the corner table), and optimizes by enumerating a budget-feasible grid
-and its budget-exhausting variants, then descending with improving swaps
-until no small transfer of probability mass helps.  The grid is enumerated
-axis by axis: each budget-feasible prefix of coordinates carries its cost
-and the corner table with its coordinates folded in, so grid points that
-share a prefix share those fold steps, and neither the grid nor the
-candidates are ever held as a matrix.
+from them (by ``reliability._fold``, the halving fold of
+:func:`reliattack.reliability.liveness_value`, over the corner table), and
+optimizes by enumerating a budget-feasible grid and its budget-exhausting
+variants, then descending with improving swaps until no small transfer of
+probability mass helps.  The grid is enumerated axis by axis: each
+budget-feasible prefix of coordinates carries its cost and the corner
+table with its coordinates folded in, so grid points that share a prefix
+share those fold steps, and neither the grid nor the candidates are ever
+held as a matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
 from .games import _as_finite, _as_int
-from .reliability import ReliabilityProfile, liveness_transform
+from .reliability import ReliabilityProfile, _fold, liveness_transform
 from .shapley import _table_shapley
 
 _GRID_POINT_LIMIT = 4_000_000
@@ -116,16 +117,6 @@ def _move_costs(points, base_p, base_l, base_r) -> np.ndarray:
     return below * base_l + above * base_r
 
 
-def _fold(table: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Fold the probability vectors ``probs`` into ``table`` in turn, lowest
-    bit first: ``p * table[1::2] + (1 - p) * table[0::2]``, the step of
-    :func:`reliattack.reliability.liveness_value` with submasks on the first
-    axis and one profile per column, so its floats are the same."""
-    for p in probs:
-        table = p * table[1::2] + (1.0 - p) * table[0::2]
-    return table
-
-
 def _staged_pool(
     corners: np.ndarray,
     axes: Sequence[np.ndarray],
@@ -144,8 +135,9 @@ def _staged_pool(
     lowering it.  Competing greedy basins can differ by less than one grid
     step, so these exact variants matter.  A variant whose coordinate does
     not move repeats its feasible point and is left out; a variant over
-    budget is dropped.  Values are ``liveness_value(corners, point)`` bit
-    for bit, costs :func:`_cost_of`'s.
+    budget is dropped.  Values are ``liveness_value(corners, point)``, bit
+    for bit because both fold by ``reliability._fold``; costs are
+    :func:`_cost_of`'s.
 
     Neither the grid nor the candidates are materialised.  The grid is
     built axis by axis: stage j keeps the feasible prefixes (a_0 .. a_j) in

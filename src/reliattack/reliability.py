@@ -105,25 +105,31 @@ def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold(table: np.ndarray, probs) -> np.ndarray:
+    """Fold the probabilities ``probs[0], probs[1], ...`` into ``table``, its
+    submasks on the first axis, lowest bit first: each step pairs the
+    entries that differ in the lowest remaining bit,
+    ``table <- p * table[1::2] + (1 - p) * table[0::2]``, and halves the
+    table.  Each ``p`` broadcasts against ``table[0]``."""
+    for p in probs:
+        table = p * table[1::2] + (1.0 - p) * table[0::2]
+    return table
+
+
 def liveness_value(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The top entry of :func:`liveness_transform`, ``[..., -1]``, alone.
 
-    Folds player i into the pairs of entries that differ in the lowest
-    remaining bit, ``out <- p_i * out[1::2] + (1 - p_i) * out[0::2]``, which
-    halves the table each step: O(2^m) per row.  Every step is the
-    butterfly's own product-sum on the entries the top one depends on, so the
-    result equals the full transform's bit for bit.
+    Folds the players into the table in turn by :func:`_fold`, O(2^m) per
+    row.  Every step is the butterfly's own product-sum on the entries the
+    top one depends on, so the result equals the full transform's bit for
+    bit.
     """
     probs, batch = _checked(table, probs)
     table = np.asarray(table, dtype=np.float64)
     # submasks first, and the table's leading axes padded to the batch's, so
     # that a step over a batch of rows reads whole rows
     pad = (1,) * (len(batch) + 1 - table.ndim)
-    out = np.moveaxis(table.reshape(pad + table.shape), -1, 0)
-    p = np.moveaxis(probs, -1, 0)
-    q = 1.0 - p
-    for i in range(len(p)):
-        out = p[i] * out[1::2] + q[i] * out[0::2]
+    out = _fold(np.moveaxis(table.reshape(pad + table.shape), -1, 0), np.moveaxis(probs, -1, 0))
     return np.array(np.broadcast_to(out[0], batch))
 
 

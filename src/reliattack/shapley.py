@@ -152,36 +152,25 @@ def _pair_weights(q: int) -> np.ndarray:
 
 
 class _Batch:
-    """Reliability profiles, and the 0-based players whose values a kernel
-    returns: ``targets``, or every player when it is None.  Without ``rows``
-    there is one profile, p; with them, profile b equals p except on the
-    0-based players ``window``, which take ``rows[b]``.  Kernels gather from
-    the two (:meth:`take`), so no (profiles, n) matrix is built, and add
-    their terms (:meth:`add`) into an array with a row per profile and a
-    column per target in order, plus one for every other player."""
+    """Reliability profiles as the rows of a matrix ``P``: column j holds
+    0-based player j, or, with a map ``col``, column ``col[j]`` does.
+    Kernels gather from P (:meth:`take`) and add their terms (:meth:`add`)
+    into an array of P's shape."""
 
-    def __init__(self, p, targets=None, window=None, rows=None):
-        self.p, self.rows, self.size = p, rows, 1 if rows is None else len(rows)
-        self.targets, self.slot = np.arange(len(p)), None  # every player in its own column
-        if targets is not None:
-            self.targets, self.slot = targets, np.full(len(p), len(targets))
-            self.slot[targets] = np.arange(len(targets))
-        if rows is not None:  # a player outside the window reads the zero column
-            self.rows = np.hstack((rows, np.zeros((len(rows), 1))))
-            self.col = np.full(len(p), -1)
-            self.col[window] = np.arange(len(window))
+    def __init__(self, P: np.ndarray, col: np.ndarray | None = None):
+        self.P, self.col = P, col
+
+    def cols(self, players: np.ndarray) -> np.ndarray:
+        return players if self.col is None else self.col[players]
 
     def take(self, players: np.ndarray) -> np.ndarray:
         """The probabilities of ``players``, of shape (profiles,) + players.shape."""
-        if self.rows is None:
-            return self.p[players][None]
-        col = self.col[players]
-        return np.where(col >= 0, self.rows[:, col], self.p[players])
+        return self.P[:, self.cols(players)]
 
     def add(self, inner: np.ndarray, players: np.ndarray, vals: np.ndarray) -> None:
         """``inner[b, column of players[i]] += vals[b, i]``, added per
         profile in the order of ``players`` (one ``np.bincount``)."""
-        cols = (players if self.slot is None else self.slot[players]).ravel()
+        cols = self.cols(players).ravel()
         if len(inner) > 1:  # the columns of profile b follow those of b - 1
             cols = (cols + inner.shape[1] * np.arange(len(inner))[:, None]).ravel()
         inner += np.bincount(cols, vals.ravel(), minlength=inner.size).reshape(inner.shape)
@@ -233,21 +222,21 @@ def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
 #
 # One kernel per game family, over the sets of the game's ``_set_csr``: the
 # coverage games and nc2 by Owen's integral, fo by one product per paper.
-# A kernel returns the values of the batch's targets at each of its
-# profiles; the value of x is exact when every set of ``_sets_of[x]`` is
-# among those passed.  The whole vector passes every set, and the value of
-# one player x passes only x's sets.
+# A kernel returns an array of the batch's shape, the value of each
+# column's player at each profile; the value of x is exact when every set
+# of ``_sets_of[x]`` is among those passed.  The whole vector passes every
+# set, and the value of one player x passes only x's sets.
 
 
 def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
     """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
     coverers of e other than x)], over the elements ``sets``."""
-    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    inner = np.zeros(batch.P.shape)
     for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, sets):
         for logs, total, _, w in blocks:
             vals = game._weights[e[g]][:, None] * (np.exp(total[..., None, :] - logs) @ w)
             batch.add(inner, members[g], vals)
-    return batch.take(batch.targets) * inner[:, :-1]
+    return batch.P * inner
 
 
 def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,10 +269,9 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     threshold's correction at the sizes s < k - 1, where the true weights
     are 0 and 1.  A k above |A| + 1 is cut to |A| + 1: the weights stay all
     0 and 1, and the terms that cancel stay of size |A|, not k."""
-    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    inner = np.zeros(batch.P.shape)
     indptr = game._set_csr[0]
-    isolated = sets[indptr[sets + 1] - indptr[sets] == 0]
-    inner[:, isolated if batch.slot is None else batch.slot[isolated]] = 1.0  # their own term
+    inner[:, batch.cols(sets[indptr[sets + 1] - indptr[sets] == 0])] = 1.0  # isolated: own term
     for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
         if g.start == 0:  # a new bucket: the threshold's correction for all its rows
             a = members.shape[1]
@@ -304,7 +292,7 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
             own += k * (np.exp(total) @ w)
         batch.add(inner, ys[g], own)
         batch.add(inner, members[g], pair)
-    return batch.take(batch.targets) * inner[:, :-1]
+    return batch.P * inner
 
 
 def _fo_vector(game: FullObligationGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
@@ -312,9 +300,9 @@ def _fo_vector(game: FullObligationGame, batch: _Batch, sets: np.ndarray) -> np.
     papers ``sets``."""
     authors, sizes = _csr_rows(game._set_csr, sets)
     prods = np.multiply.reduceat(batch.take(authors), np.cumsum(sizes) - sizes, axis=1)
-    inner = np.zeros((batch.size, len(batch.targets) + 1))
+    inner = np.zeros(batch.P.shape)
     batch.add(inner, authors, np.repeat(game.instance._scores[sets] / sizes * prods, sizes, axis=1))
-    return inner[:, :-1]
+    return inner
 
 
 def _kernel(game: Game):
@@ -337,16 +325,25 @@ def _window(game: Game, x: int) -> np.ndarray:
 
 
 def _shapley_batch(game: Game, p: np.ndarray, x: int, window=None, rows=None) -> np.ndarray:
-    """Closed-form Sh_x at each profile of ``_Batch(p, window=window,
-    rows=rows)``: the game's kernel on x's sets, over as many profiles at a
-    time as keep its blocks within ``_BLOCK_ELEMENTS`` entries.  A row gives
-    the same floats as the call at its profile alone."""
-    kernel, sets, indptr = _kernel(game), game._sets_of[x], game._set_csr[0]
+    """Closed-form Sh_x at p, or at each profile that equals p except on the
+    0-based players ``window``, which take a row of ``rows``: the game's
+    kernel on x's sets.  A batch's matrix has a column for each player of
+    x's window and of ``window``, and runs as many profiles at a time as
+    keep its blocks within ``_BLOCK_ELEMENTS`` entries.  A row gives the
+    same floats as the call at its profile alone."""
+    kernel, sets = _kernel(game), game._sets_of[x]
+    if rows is None:
+        return kernel(game, _Batch(p[None]), sets)[:, x - 1]
+    indptr = game._set_csr[0]
     sizes = indptr[sets + 1] - indptr[sets]  # a set of size a takes at most a * (a // 2 + 1)
     step = max(1, _BLOCK_ELEMENTS // max(1, int(sizes @ (sizes // 2 + 1))))
-    pieces = [None] if rows is None else [rows[i : i + step] for i in range(0, len(rows), step)]
-    targets = np.array([x - 1])
-    return np.concatenate([kernel(game, _Batch(p, targets, window, r), sets)[:, 0] for r in pieces])
+    used = np.zeros(len(p), dtype=bool)
+    used[_window(game, x)] = used[window] = True
+    col = np.cumsum(used) - 1  # the column of each used player, in player order
+    P = np.repeat(p[used][None], len(rows), axis=0)
+    P[:, col[window]] = rows
+    pieces = (_Batch(P[i : i + step], col) for i in range(0, len(P), step))
+    return np.concatenate([kernel(game, batch, sets)[:, col[x - 1]] for batch in pieces])
 
 
 def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
@@ -368,7 +365,7 @@ def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
     prof = as_profile(profile, game.n)
     kernel = _kernel(game)
     # np.fromiter converts the tuple about twice as fast as np.array
-    batch = _Batch(np.fromiter(prof.values, float, prof.n))
+    batch = _Batch(np.fromiter(prof.values, float, prof.n)[None])
     sets = np.arange(len(game._set_csr[0]) - 1)
     return ShapleyVector(tuple(kernel(game, batch, sets)[0].tolist()))
 
@@ -414,7 +411,7 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
     other than x and j."""
     inner, slopes = 0.0, np.zeros(game.n)
-    batch = _Batch(np.fromiter(p.values, float, p.n))
+    batch = _Batch(np.fromiter(p.values, float, p.n)[None])
     for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, game._covers[x]):
         weights = game._weights[e[g]]
         for logs, sums, t, w in blocks:
