@@ -128,7 +128,7 @@ class AttackProblem:
         n = self.game.n
         if not 1 <= self.target <= n:
             raise DomainError(f"target {self.target} outside 1..{n}")
-        if self.budget < 0:
+        if _as_finite(self.budget, "budget") < 0:
             raise DomainError(f"budget {self.budget} is negative")
         if self.costs.n != n:
             raise DomainError(f"cost model covers {self.costs.n} players, game has {n}")
@@ -410,7 +410,8 @@ def removal_no_benefit_check(
 
     Applies to the centrality variants and the full-credit game, where the
     no-benefit theorems hold.  ``trials=None`` enumerates every removal
-    subset; an integer samples that many random subsets (seeded).
+    subset; an integer samples that many random subsets (seeded), at least
+    one.
     """
     if not isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
         raise DomainError(
@@ -418,6 +419,8 @@ def removal_no_benefit_check(
         )
     if not 1 <= x <= game.n:
         raise DomainError(f"player {x} outside 1..{game.n}")
+    if trials is not None:
+        trials = _at_least(trials, "trials", 1)
     base_profile = (
         ReliabilityProfile.ones(game.n) if profile is None else as_profile(profile, game.n)
     )
@@ -487,7 +490,7 @@ def fo_removal_exhaustive(
     then lexicographic order."""
     if costs.n != instance.n:
         raise DomainError(f"cost model covers {costs.n} players, instance has {instance.n}")
-    if budget < 0:
+    if _as_finite(budget, "budget") < 0:
         raise DomainError(f"budget {budget} is negative")
     candidates = sorted(instance.coauthors(x) - exempt - {x})
     return _removal_exhaustive_over(

@@ -228,9 +228,11 @@ def _cmd_oracle_check(args) -> int:
     if mode != "fractional":
         raise DomainError("oracle-check applies to fractional attack requests")
     cfg = OracleConfig(**_load_json(args.config)) if args.config else OracleConfig()
-    cap = int(os.environ.get(ORACLE_CAP_ENV, "6"))
+    cap = os.environ.get(ORACLE_CAP_ENV, "6")
+    if not cap.strip().isdecimal():
+        raise DomainError(f"{ORACLE_CAP_ENV} must be a nonnegative integer, got {cap!r}")
     plan = _solve_fractional(problem, large_cutoff)
-    reference = fractional_oracle(problem, cfg, attackable_cap=cap)
+    reference = fractional_oracle(problem, cfg, attackable_cap=int(cap))
     gap = abs(plan.achieved - reference.achieved)
     report = {
         "solver_value": plan.achieved,

@@ -254,7 +254,6 @@ def fractional_oracle(
         raise ResourceLimitError(
             f"{k} attackable players exceed the oracle cap ({attackable_cap})"
         )
-    vtable = game.subset_values(range(1, n + 1))
     costs = problem.costs
     baseline = np.array(costs.p_star, dtype=np.float64)
     x = problem.target
@@ -265,15 +264,10 @@ def fractional_oracle(
     base_r = np.array([costs.R[j - 1] for j in attackable])
     base_p = baseline[cols]
 
-    corners = _corner_shapley(vtable, x, baseline, cols)
-
-    if k == 0:
-        prof = ReliabilityProfile(tuple(baseline))
-        return AttackPlan(0.0, float(corners[0]), profile=prof)
-
     # every axis holds at least round(1 / resolution) + 1 points, so refuse
     # a grid over the limit before building any axis (1 / resolution is
-    # infinite for a subnormal resolution)
+    # infinite for a subnormal resolution), and both refusals come before
+    # the 2^k corner table
     least = (round(min(1.0 / cfg.grid_resolution, sys.float_info.max)) + 1) ** k
     if least > _GRID_POINT_LIMIT:
         raise ResourceLimitError(
@@ -289,6 +283,10 @@ def fractional_oracle(
             f"grid of {total} profiles exceeds the oracle limit ({_GRID_POINT_LIMIT}); "
             "coarsen grid_resolution"
         )
+
+    corners = _corner_shapley(game.subset_values(range(1, n + 1)), x, baseline, cols)
+    if k == 0:
+        return AttackPlan(0.0, float(corners[0]), profile=ReliabilityProfile(tuple(baseline)))
     values, cand_costs, candidate = _staged_pool(corners, axes, base_p, base_l, base_r, budget)
     # among exact value ties prefer the cheapest point (no wasted budget)
     tied = np.nonzero(values <= values.min() + 1e-15)[0]

@@ -160,17 +160,17 @@ class _Batch:
     def __init__(self, P: np.ndarray, col: np.ndarray | None = None):
         self.P, self.col = P, col
 
-    def cols(self, players: np.ndarray) -> np.ndarray:
+    def columns(self, players: np.ndarray) -> np.ndarray:
         return players if self.col is None else self.col[players]
 
     def take(self, players: np.ndarray) -> np.ndarray:
         """The probabilities of ``players``, of shape (profiles,) + players.shape."""
-        return self.P[:, self.cols(players)]
+        return self.P[:, self.columns(players)]
 
     def add(self, inner: np.ndarray, players: np.ndarray, vals: np.ndarray) -> None:
         """``inner[b, column of players[i]] += vals[b, i]``, added per
         profile in the order of ``players`` (one ``np.bincount``)."""
-        cols = self.cols(players).ravel()
+        cols = self.columns(players).ravel()
         if len(inner) > 1:  # the columns of profile b follow those of b - 1
             cols = (cols + inner.shape[1] * np.arange(len(inner))[:, None]).ravel()
         inner += np.bincount(cols, vals.ravel(), minlength=inner.size).reshape(inner.shape)
@@ -271,7 +271,7 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     0 and 1, and the terms that cancel stay of size |A|, not k."""
     inner = np.zeros(batch.P.shape)
     indptr = game._set_csr[0]
-    inner[:, batch.cols(sets[indptr[sets + 1] - indptr[sets] == 0])] = 1.0  # isolated: own term
+    inner[:, batch.columns(sets[indptr[sets + 1] - indptr[sets] == 0])] = 1.0  # isolated: own term
     for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
         if g.start == 0:  # a new bucket: the threshold's correction for all its rows
             a = members.shape[1]

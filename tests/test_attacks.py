@@ -106,6 +106,13 @@ class TestCostModel:
         assert problem.exempt == {1, 2}
         assert problem.attackable() == [3]
 
+    # a NaN budget used to pass, and the solvers then returned the baseline plan
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, True, "1"])
+    def test_problem_budget_must_be_finite(self, budget):
+        game = nc1(complete_graph(3))
+        with pytest.raises(DomainError, match="budget must be a finite number"):
+            AttackProblem(game, 1, budget, CostModel.uniform((0.5, 0.5, 0.5)))
+
 
 class TestGreedyAttack:
     def test_k3_trace(self):
@@ -370,10 +377,12 @@ class TestRemovalNoBenefit:
         after = shapley_closed(game, p.with_value(3, 0.0), 2)
         assert after >= before - 1e-12
 
-    def test_empty_removal_unchanged(self):
+    # zero or negative trials used to report a vacuous pass
+    @pytest.mark.parametrize("trials", [0, -5, True, 2.5])
+    def test_trials_must_be_at_least_one(self, trials):
         game = nc1(complete_graph(4))
-        check = removal_no_benefit_check(game, 1, 0)
-        assert check.passed and check.trials == 0
+        with pytest.raises(DomainError, match="trials"):
+            removal_no_benefit_check(game, 1, trials)
 
     def test_exhaustive_pass_where_theorem_holds(self, rng):
         from conftest import random_game
@@ -436,6 +445,14 @@ class TestFoRemoval:
         cm = CostModel.uniform((1.0,) * 3, c=1.0)
         plan = fo_removal_exhaustive(ci, cm, 2.0, 1)
         assert plan.removed == {2}
+
+    # a NaN budget used to fail with "need at least one array to concatenate"
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_budget_must_be_finite(self, budget):
+        ci = CreditInstance.of(3, [((1, 2), 1.0), ((1, 3), 2.0)])
+        cm = CostModel.uniform((1.0,) * 3, c=1.0)
+        with pytest.raises(DomainError, match="budget must be a finite number"):
+            fo_removal_exhaustive(ci, cm, budget, 1)
 
     def test_coauthor_cap(self):
         n = 30

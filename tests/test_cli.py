@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -233,6 +234,16 @@ class TestOracleCheck:
         assert code == 0
 
 
+    # a bare int() named no variable, and a negative cap exited 2 as if exceeded
+    @pytest.mark.parametrize("cap", ["abc", "2.5", "-1", ""])
+    def test_malformed_oracle_cap_env(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("RELIATTACK_ORACLE_CAP", cap)
+        cfg = write(tmp_path, "cfg.json", {"grid_resolution": 0.25})
+        code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
+        assert code == 1 and out == ""
+        assert "RELIATTACK_ORACLE_CAP" in err
+
+
 class TestReduceBmc:
     def test_fixture(self, tmp_path, capsys):
         code, out, _ = run(capsys, "reduce-bmc", write(tmp_path, "bmc.json", BMC))
@@ -289,6 +300,87 @@ class TestDeterminism:
         assert code == 0
         for value in json.loads(out)["values"]:
             assert value == float(f"{value:.12g}")
+
+
+def _costs(p_star, **vectors):
+    n = len(p_star)
+    return {"p_star": p_star, **{k: vectors.get(k, [1.0] * n) for k in ("L", "R")},
+            "c": vectors.get("c", [0.0] * n)}
+
+
+NC2_PATH = {"variant": "nc2", "n": 3, "edges": [[1, 2], [2, 3]], "k": 2}
+K4 = {"variant": "nc1", "n": 4, "edges": [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]}
+FO_TWO_AUTHOR = {
+    "variant": "fo",
+    "n": 4,
+    "papers": [
+        {"authors": [1, 2], "score": 2.0},
+        {"authors": [1, 3], "score": 3.0},
+        {"authors": [1, 4], "score": 1.0},
+    ],
+}
+
+# Each case's argv; an object item is written to a file and passed by path.
+# Their stdout is pinned in ``cli_golden.json``.
+GOLDEN = {
+    "shapley-nc1": ["shapley", K4, "--profile", {"p": [0.9, 0.4, 0.7, 0.55]}],
+    "shapley-nc2-table": [
+        "shapley", NC2_PATH, "--profile", {"p": [0.9, 0.6, 0.8]}, "--format", "table",
+    ],
+    "shapley-nc3": [
+        "shapley",
+        {"variant": "nc3", "n": 4, "edges": [[1, 2, 0.1], [2, 3, 0.2], [3, 4, 0.3]], "d_cut": 0.6},
+        "--profile",
+        {"p": [0.8, 0.5, 0.9, 0.3]},
+    ],
+    "shapley-fc": ["shapley", FC_GAME, "--profile", {"p": [0.9, 0.4, 0.7]}],
+    "shapley-fo": [
+        "shapley",
+        {"variant": "fo", "n": 4, "papers": [{"authors": [1, 2, 3], "score": 3.0},
+                                             {"authors": [2, 4], "score": 1.5}]},
+        "--profile",
+        {"p": [0.6, 0.7, 0.8, 0.5]},
+        "--player",
+        "2",
+    ],
+    "attack-greedy": ["attack", {
+        "game": K4, "target": 1, "budget": 0.6, "mode": "fractional",
+        "cost_model": _costs([0.8, 0.5, 0.7, 0.6]),
+    }],
+    "attack-cycle": ["attack", {
+        "game": {"variant": "nc1", "n": 5, "edges": [[i, i % 5 + 1] for i in range(1, 6)]},
+        "target": 1, "budget": 0.7, "mode": "fractional",
+        "cost_model": _costs([0.9, 0.6, 0.5, 0.8, 0.4]),
+    }],
+    "attack-knapsack": ["attack", {
+        "game": FO_TWO_AUTHOR, "target": 1, "budget": 0.9, "mode": "fractional",
+        "cost_model": _costs([0.9, 0.8, 0.7, 0.6], L=[1.0, 2.0, 1.0, 0.5]),
+    }],
+    "attack-removal": ["attack", {
+        "game": {"variant": "nc2", "n": 5, "edges": [[1, 2], [2, 3], [3, 4], [2, 5]], "k": 2},
+        "target": 1, "budget": 1.5, "mode": "removal",
+        "cost_model": _costs([1.0, 0.9, 0.8, 1.0, 0.7], c=[0.0, 1.0, 0.5, 1.0, 0.5]),
+    }],
+    "no-benefit": ["no-benefit", NC2_PATH, "--target", "1", "--trials", "20", "--seed", "3"],
+    "reduce-bmc": ["reduce-bmc", BMC],
+}
+
+
+class TestGoldenReports:
+    """The exact stdout of small runs of every report, so that a change to
+    any printed digit shows."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_stdout_matches_recorded_text(self, tmp_path, capsys, case):
+        argv = [
+            write(tmp_path, f"{i}.json", item) if isinstance(item, dict) else item
+            for i, item in enumerate(GOLDEN[case])
+        ]
+        code, out, err = run(capsys, *argv)
+        with open(os.path.join(os.path.dirname(__file__), "cli_golden.json")) as fh:
+            expected = json.load(fh)[case]
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestThinAdapter:

@@ -300,6 +300,22 @@ class TestCandidatePool:
         with pytest.raises(ResourceLimitError, match="coarsen grid_resolution"):
             fractional_oracle(problem, OracleConfig(grid_resolution=5e-324))
 
+    def test_refused_grid_builds_no_corner_table(self, monkeypatch):
+        def no_corners(*args):
+            raise AssertionError("corner table built")
+
+        monkeypatch.setattr(oracle, "_corner_shapley", no_corners)
+        # ten attackable players: at least 5^10 profiles at grid 1/4
+        game = ClosedNeighborhoodGame(complete_graph(11))
+        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.5,) * 11))
+        with pytest.raises(ResourceLimitError, match="at least 9765625 profiles"):
+            fractional_oracle(problem, OracleConfig(grid_resolution=0.25), attackable_cap=10)
+        # and the size of the built grid (see the test below)
+        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.4) + (0.9,) * 9),
+                                exempt=frozenset(range(4, 12)))
+        with pytest.raises(ResourceLimitError, match=r"grid of \d+ profiles exceeds"):
+            fractional_oracle(problem, OracleConfig(grid_resolution=1 / 1999))
+
     def test_built_grid_over_the_limit_names_its_size(self):
         # 2,000 points per axis pass the lower bound (2000^2 is the limit);
         # the off-grid baselines add one more to each axis
