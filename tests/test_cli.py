@@ -233,7 +233,6 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", path, "--config", cfg)
         assert code == 0
 
-
     # a bare int() named no variable, and a negative cap exited 2 as if exceeded
     @pytest.mark.parametrize("cap", ["abc", "2.5", "-1", ""])
     def test_malformed_oracle_cap_env(self, tmp_path, capsys, monkeypatch, cap):
@@ -302,10 +301,9 @@ class TestDeterminism:
             assert value == float(f"{value:.12g}")
 
 
-def _costs(p_star, **vectors):
+def _costs(p_star, L=None, c=None):
     n = len(p_star)
-    return {"p_star": p_star, **{k: vectors.get(k, [1.0] * n) for k in ("L", "R")},
-            "c": vectors.get("c", [0.0] * n)}
+    return {"p_star": p_star, "L": L or [1.0] * n, "R": [1.0] * n, "c": c or [0.0] * n}
 
 
 NC2_PATH = {"variant": "nc2", "n": 3, "edges": [[1, 2], [2, 3]], "k": 2}
