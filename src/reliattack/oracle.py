@@ -4,23 +4,26 @@ The fractional oracle never reuses the solvers' code paths: it evaluates the
 target's exact Shapley value from the raw coalition-value table (the
 liveness transform over all coalitions, then the marginal-weight sum that
 :func:`reliattack.shapley.shapley_definitional` also uses) at the 2^k
-corners of the attackable coordinates, interpolates every other profile
-from them (by ``reliability._fold``, the halving fold of
-:func:`reliattack.reliability.liveness_value`, over the corner table), and
-optimizes by enumerating a budget-feasible grid and its budget-exhausting
-variants, then descending with improving swaps until no small transfer of
-probability mass helps.  The grid is enumerated axis by axis: each
-budget-feasible prefix of coordinates carries its cost and the corner
-table with its coordinates folded in, so grid points that share a prefix
-share those fold steps, and neither the grid nor the candidates are ever
-held as a matrix.
+corners of the attackable coordinates.  Sh_x is multilinear in those
+coordinates (Owen 1972), so the corner table determines it everywhere, and
+the oracle minimises it by a best-first branch and bound over boxes that
+lie on one side of the baseline in every coordinate.  On such a box the
+cost is linear, so Sh_x + lambda * cost is extremal at the box's vertices
+for every lambda >= 0 (Boros & Hammer, Discrete Appl. Math. 123, 2002): the
+lower convex hull of the vertices' (cost, value) points, read at cost =
+budget, bounds Sh_x from below on the box's feasible part.  The best
+feasible vertex, and the point where the hull's segment crosses the budget,
+are feasible profiles.  The search stops when the best of them is within
+1e-9 of the least bound of the boxes still open, so the answer is certified
+to 1e-9.
 """
 
 from __future__ import annotations
 
-import sys
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,18 +33,22 @@ from .games import _as_finite, _as_int
 from .reliability import ReliabilityProfile, _fold, liveness_transform
 from .shapley import _table_shapley
 
-_GRID_POINT_LIMIT = 4_000_000
-_EVAL_CHUNK = 8192
 _ORACLE_N_LIMIT = 16
+_CORNER_LOG_LIMIT = 25  # 2^k profiles x 2^n coalitions in the corner transform
+_GAP = 1e-9
+_TIE = 1e-15
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tuning knobs for the grid-and-swaps oracle.
+    """Settings of the fractional oracle.
 
-    ``grid_resolution`` is the probability step of the initial grid (keep the
-    default only for a few attackable players; coarsen it as their number
-    grows - the swap refinement recovers the precision).
+    ``max_refinements`` caps the boxes the branch and bound opens; a plan
+    that reaches the cap before its certificate carries the note
+    ``"stopped at max_refinements"``.  ``tolerance`` is the solver-oracle
+    gap that ``oracle-check`` accepts.  ``grid_resolution`` and
+    ``swap_step`` are validated but steer nothing; they are kept so that
+    configuration files that set them stay valid.
     """
 
     grid_resolution: float = 1.0 / 64.0
@@ -80,149 +87,124 @@ def _corner_shapley(
     return _table_shapley(liveness_transform(vtable, profiles), x)
 
 
-def _swap_directions(k: int) -> np.ndarray:
-    """The swap moves as rows of +-1 steps, in the order whose first argmin
-    wins ties: each single-player nudge up then down, then for every pair
-    i < j the transfers (+, +), (+, -), (-, +), (-, -).  With piecewise
-    costs a coordinate below its baseline refunds budget by moving up, so
-    (+, +) and (-, -) are legitimate surface moves too."""
-    rows = []
-    for i in range(k):
-        for si in (1.0, -1.0):
-            row = np.zeros(k)
-            row[i] = si
-            rows.append(row)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    row = np.zeros(k)
-                    row[i], row[j] = si, sj
-                    rows.append(row)
-    return np.array(rows).reshape(-1, k)
-
-
 def _cost_of(
     points: np.ndarray, base_p: np.ndarray, base_l: np.ndarray, base_r: np.ndarray
 ) -> np.ndarray:
     """Cost of moving the coordinates from ``base_p`` to the rows of
     ``points``: L per unit lowered, R per unit raised, summed over the row."""
-    return _move_costs(points, base_p, base_l, base_r).sum(axis=-1)
-
-
-def _move_costs(points, base_p, base_l, base_r) -> np.ndarray:
-    """The terms of :func:`_cost_of`, one per coordinate, unsummed."""
     below = np.maximum(base_p - points, 0.0)
     above = np.maximum(points - base_p, 0.0)
-    return below * base_l + above * base_r
+    return (below * base_l + above * base_r).sum(axis=-1)
 
 
-def _staged_pool(
+def _branch_and_bound(
     corners: np.ndarray,
-    axes: Sequence[np.ndarray],
     base_p: np.ndarray,
     base_l: np.ndarray,
     base_r: np.ndarray,
     budget: float,
-) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
-    """The values and costs of the oracle's start candidates, and a function
-    that rebuilds the candidate at an index of them.
+    max_boxes: int,
+) -> tuple[np.ndarray, float, bool]:
+    """Minimise ``liveness_value(corners, q)`` over the points q of [0, 1]^k
+    whose :func:`_cost_of` is within ``budget``, k >= 1.
 
-    The candidates are first the budget-feasible points of the grid
-    ``axes[0] x ... x axes[k-1]`` in C order, then for each coordinate i its
-    budget-exhausting variants: every feasible point with the leftover
-    budget spent on coordinate i, raising it (in feasible order), then
-    lowering it.  Competing greedy basins can differ by less than one grid
-    step, so these exact variants matter.  A variant whose coordinate does
-    not move repeats its feasible point and is left out; a variant over
-    budget is dropped.  Values are ``liveness_value(corners, point)``, bit
-    for bit because both fold by ``reliability._fold``; costs are
-    :func:`_cost_of`'s.
+    Returns the best point found, a lower bound on the minimum and whether
+    the search stopped at ``max_boxes`` opened boxes with that bound more
+    than ``_GAP`` below the point's value.  A point counts as feasible up to
+    a cost of ``budget + 1e-12``, the bound is the exact budget's.  Among
+    values within ``_TIE`` the lower cost wins, then the lexicographically
+    smaller point.
 
-    Neither the grid nor the candidates are materialised.  The grid is
-    built axis by axis: stage j keeps the feasible prefixes (a_0 .. a_j) in
-    C order, their costs summed left to right like the row sums of
-    :func:`_cost_of` (numpy sums fewer than 8 terms in order), and the
-    corner table with a_0 .. a_j folded in, one column per prefix, so points
-    that share a prefix share its fold steps.  A prefix over budget is
-    dropped: costs are nonnegative, so none of its completions is feasible.
-    A variant on coordinate i starts from its point's prefix (a_0 .. a_i-1),
-    so it folds 2^(k-i) entries rather than 2^k, in pieces of at most
-    ``_EVAL_CHUNK``.
+    The boxes start as [0, 1]^k split at the baseline; a box's values at its
+    2^k vertices (axis i for coordinate i) come from the corner table at the
+    start, each vertex folded as ``reliability._fold`` folds it, and from
+    the parent's vertices when a box is halved, since Sh_x is linear along
+    every axis.  At most 2^k + ``max_boxes`` boxes are open at a time.
     """
+    k = len(base_p)
     cap = budget + 1e-12
-    axis_costs = [_move_costs(a, base_p[i], base_l[i], base_r[i]) for i, a in enumerate(axes)]
-    # tables[j] and prefix_costs[j] belong to the prefixes of length j,
-    # parents[j] and picks[j] give each prefix of length j + 1 its prefix of
-    # length j and its index on axes[j]
-    tables, prefix_costs, parents, picks = [corners[:, None]], [np.zeros(1)], [], []
-    for a, c in zip(axes, axis_costs):
-        extended = prefix_costs[-1][:, None] + c
-        parent, pick = np.nonzero(extended <= cap)
-        tables.append(_fold(tables[-1][:, parent], [a[pick]]))
-        prefix_costs.append(extended[parent, pick])
-        parents.append(parent)
-        picks.append(pick)
+    # vertex v of a box takes the upper end of axis i where bits[v, i] is set
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    best: list = []  # [value, cost, point as a tuple]
+    heap: list = []
+    floor = np.inf  # the least bound of the boxes never pushed
+    serial = itertools.count()
 
-    # each feasible point's prefix of length j (rows[j]), coordinates and
-    # per-axis costs
-    rows = [np.arange(len(prefix_costs[-1]))]
-    for parent in reversed(parents):
-        rows.insert(0, parent[rows[0]])
-    coords = [a[pick[r]] for a, pick, r in zip(axes, picks, rows[1:])]
-    terms = [c[pick[r]] for c, pick, r in zip(axis_costs, picks, rows[1:])]
+    def offer(value: float, cost: float, point: np.ndarray) -> None:
+        key = [float(value), float(cost), tuple(point.tolist())]
+        if not best or key[0] < best[0] - _TIE or (
+            key[0] <= best[0] + _TIE and key[1:] < best[1:]
+        ):
+            best[:] = key
 
-    costs = prefix_costs[-1]
-    leftover = np.clip(budget - costs, 0.0, None)
-    values, pool_costs = [tables[-1][0]], [costs]
-    segments = [(None, rows[-1], None)]
-    for i, col in enumerate(coords):
-        # a tiny slope overflows the move to inf, which the bounds clip to 1 or 0
-        with np.errstate(over="ignore"):
-            rise = leftover / base_r[i]
-            fall = leftover / base_l[i]
-        up = np.minimum(1.0, col + np.where(col >= base_p[i], rise, 0.0))
-        down = np.maximum(0.0, col - np.where(col <= base_p[i], fall, 0.0))
-        for moved in (up, down):
-            src = np.nonzero(moved != col)[0]
-            moved = moved[src]
-            cost = prefix_costs[i][rows[i][src]] + _move_costs(
-                moved, base_p[i], base_l[i], base_r[i]
-            )
-            for term in terms[i + 1 :]:
-                cost = cost + term[src]
-            within = cost <= cap
-            src, moved, cost = src[within], moved[within], cost[within]
-            value = np.empty(len(src))
-            for lo in range(0, len(src), _EVAL_CHUNK):
-                part = src[lo : lo + _EVAL_CHUNK]
-                probs = [moved[lo : lo + _EVAL_CHUNK]] + [c[part] for c in coords[i + 1 :]]
-                # the empty prefix's single column broadcasts without a copy
-                table = tables[i][:, rows[i][part]] if i else tables[0]
-                value[lo : lo + len(part)] = _fold(table, probs)[0]
-            values.append(value)
-            pool_costs.append(cost)
-            segments.append((i, src, moved))
+    def push(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Offer the box's feasible vertex and hull crossing, then queue it
+        by its bound unless that bound is settled or within ``_GAP``."""
+        nonlocal floor
+        points = np.where(bits, hi, lo)
+        costs = _cost_of(points, base_p, base_l, base_r)
+        flat = values.ravel()
+        feasible = np.flatnonzero(costs <= cap)
+        if feasible.size:
+            tied = feasible[flat[feasible] <= flat[feasible].min() + _TIE]
+            v = tied[np.argmin(costs[tied])]
+            offer(flat[v], costs[v], points[v])
+        # the vertices that no cheaper vertex matches in value, by cost
+        order = np.lexsort((flat, costs))
+        lower = flat[order]
+        stair = order[np.r_[True, lower[1:] < np.minimum.accumulate(lower)[:-1]]]
+        if costs[stair[0]] > budget:
+            bound, axis = np.inf, None  # no point of the box is within budget
+        elif costs[stair[-1]] <= budget:
+            bound, axis = flat[stair[-1]], None  # its least vertex is
+        else:
+            xs, ys = costs[stair].tolist(), flat[stair].tolist()
 
-    def candidate(index: int) -> np.ndarray:
-        for i, src, moved in segments:
-            if index < len(src):
-                point = np.array([c[src[index]] for c in coords])
-                if i is not None:
-                    point[i] = moved[index]
-                return point
-            index -= len(src)
-        raise IndexError("candidate index out of range")
+            def turn(h: int, g: int, j: int) -> float:
+                """Positive when g lies below the chord from h to j."""
+                return (xs[g] - xs[h]) * (ys[j] - ys[h]) - (ys[g] - ys[h]) * (xs[j] - xs[h])
 
-    return np.concatenate(values), np.concatenate(pool_costs), candidate
+            hull: list[int] = []  # the stair's lower convex hull
+            for j in range(len(xs)):
+                while len(hull) > 1 and turn(hull[-2], hull[-1], j) <= 0:
+                    hull.pop()
+                hull.append(j)
+            a, b = next((h, j) for h, j in itertools.pairwise(hull) if xs[j] > budget)
+            t = (budget - xs[a]) / (xs[b] - xs[a])
+            bound = ys[a] + t * (ys[b] - ys[a])
+            u, w = points[stair[a]], points[stair[b]]
+            point = np.clip(u + t * (w - u), lo, hi)
+            offer(_fold(corners, point)[0], _cost_of(point, base_p, base_l, base_r), point)
+            axis = int(np.argmax(np.abs(w - u)))
+        if axis is None or bound >= best[0] - _GAP:
+            floor = min(floor, bound)
+        else:
+            heapq.heappush(heap, (bound, next(serial), values, lo, hi, axis))
 
+    # the values at {0, b_i, 1} on every axis i; the middle one mixes the
+    # ends as the fold does, so every entry equals the fold bit for bit
+    table = corners.reshape((2,) * k).transpose()
+    for i, b in enumerate(base_p):
+        low, high = np.take(table, 0, axis=i), np.take(table, 1, axis=i)
+        table = np.stack((low, b * high + (1.0 - b) * low, high), axis=i)
+    ends = np.stack((np.zeros(k), base_p, np.ones(k)))
+    halves = [[s for s in (0, 1) if ends[s, i] < ends[s + 1, i]] for i in range(k)]
+    for sides in itertools.product(*halves):
+        s = np.array(sides)
+        push(table[tuple(slice(j, j + 2) for j in sides)], ends[s, range(k)], ends[s + 1, range(k)])
 
-def _grid_axis(baseline: float, resolution: float) -> np.ndarray:
-    """The multiples of ``resolution`` clipped at 1, with 1 and ``baseline``,
-    sorted and without repeats."""
-    steps = int(round(1.0 / resolution))
-    grid = np.minimum(1.0, np.arange(steps + 1) * resolution)
-    return np.unique(np.concatenate([grid, [1.0, baseline]]))
+    opened = 0
+    while heap and best[0] - heap[0][0] > _GAP and opened < max_boxes:
+        _, _, values, lo, hi, axis = heapq.heappop(heap)
+        opened += 1
+        upper, lower = hi.copy(), lo.copy()
+        upper[axis] = lower[axis] = (lo[axis] + hi[axis]) / 2.0
+        low, high = np.take(values, 0, axis=axis), np.take(values, 1, axis=axis)
+        half = (low + high) / 2.0
+        push(np.stack((low, half), axis=axis), lo, upper)
+        push(np.stack((half, high), axis=axis), lower, hi)
+    bound = min([floor] + [entry[0] for entry in heap])
+    return np.array(best[2]), bound, best[0] - bound > _GAP
 
 
 def fractional_oracle(
@@ -233,13 +215,11 @@ def fractional_oracle(
 ) -> AttackPlan:
     """Reference solution of a fractional attack problem.
 
-    Enumerates every budget-feasible grid profile over the attackable
-    players, then refines the best one with improving swaps (single-player
-    nudges and pairwise transfers of probability mass, step shrinking below
-    ``swap_step``) while they keep strictly decreasing the target's Shapley
-    value; each accepted move is monotone and the move count is capped by
-    ``max_refinements``.  A plan whose descent stopped at that cap carries
-    the note ``"stopped at max_refinements"``.
+    Minimises the target's Shapley value over the budget-feasible profiles
+    of the attackable players by branch and bound (see the module
+    docstring), certified to within 1e-9 of the minimum.  A search that
+    opens ``max_refinements`` boxes before its certificate returns its best
+    profile with the note ``"stopped at max_refinements"``.
     """
     cfg = cfg or OracleConfig()
     game = problem.game
@@ -254,78 +234,32 @@ def fractional_oracle(
         raise ResourceLimitError(
             f"{k} attackable players exceed the oracle cap ({attackable_cap})"
         )
+    if k + n > _CORNER_LOG_LIMIT:
+        raise ResourceLimitError(
+            f"corner table of 2^{k} profiles x 2^{n} coalitions exceeds the "
+            f"oracle limit of 2^{_CORNER_LOG_LIMIT} entries"
+        )
     costs = problem.costs
     baseline = np.array(costs.p_star, dtype=np.float64)
-    x = problem.target
-    budget = problem.budget
-
     cols = np.array([j - 1 for j in attackable], dtype=np.int64)
-    base_l = np.array([costs.L[j - 1] for j in attackable])
-    base_r = np.array([costs.R[j - 1] for j in attackable])
-    base_p = baseline[cols]
-
-    # every axis holds at least round(1 / resolution) + 1 points, so refuse
-    # a grid over the limit before building any axis (1 / resolution is
-    # infinite for a subnormal resolution), and both refusals come before
-    # the 2^k corner table
-    least = (round(min(1.0 / cfg.grid_resolution, sys.float_info.max)) + 1) ** k
-    if least > _GRID_POINT_LIMIT:
-        raise ResourceLimitError(
-            f"grid of at least {least} profiles exceeds the oracle limit "
-            f"({_GRID_POINT_LIMIT}); coarsen grid_resolution"
-        )
-    axes = [_grid_axis(base_p[i], cfg.grid_resolution) for i in range(k)]
-    total = 1
-    for a in axes:
-        total *= len(a)
-    if total > _GRID_POINT_LIMIT:
-        raise ResourceLimitError(
-            f"grid of {total} profiles exceeds the oracle limit ({_GRID_POINT_LIMIT}); "
-            "coarsen grid_resolution"
-        )
-
-    corners = _corner_shapley(game.subset_values(range(1, n + 1)), x, baseline, cols)
+    corners = _corner_shapley(
+        game.subset_values(range(1, n + 1)), problem.target, baseline, cols
+    )
     if k == 0:
         return AttackPlan(0.0, float(corners[0]), profile=ReliabilityProfile(tuple(baseline)))
-    values, cand_costs, candidate = _staged_pool(corners, axes, base_p, base_l, base_r, budget)
-    # among exact value ties prefer the cheapest point (no wasted budget)
-    tied = np.nonzero(values <= values.min() + 1e-15)[0]
-    best_idx = int(tied[np.argmin(cand_costs[tied])])
-    point = candidate(best_idx)
-    value = float(values[best_idx])
-
-    # improving-swap descent along the budget-feasibility surface
-    floor_eps = min(cfg.swap_step, cfg.tolerance * 0.1)
-    eps = max(cfg.grid_resolution / 2.0, cfg.swap_step)
-    directions = _swap_directions(k)
-    steps = 0
-    note = None
-    while steps < cfg.max_refinements:
-        cands = np.clip(point + eps * directions, 0.0, 1.0)
-        cands = cands[np.abs(cands - point).sum(axis=1) > 1e-15]
-        cands = cands[_cost_of(cands, base_p, base_l, base_r) <= budget + 1e-12]
-        if cands.size:
-            cand_values = _fold(corners[:, None], cands.T)[0]
-            pick = int(np.argmin(cand_values))
-            if cand_values[pick] < value - 1e-15:
-                point = cands[pick].copy()
-                value = float(cand_values[pick])
-                steps += 1
-                continue
-        if eps <= floor_eps:
-            break
-        eps = max(eps / 2.0, floor_eps)
-    else:
-        note = "stopped at max_refinements"
-
+    base_p = baseline[cols]
+    base_l = np.array([costs.L[j - 1] for j in attackable])
+    base_r = np.array([costs.R[j - 1] for j in attackable])
+    point, _, stopped = _branch_and_bound(
+        corners, base_p, base_l, base_r, problem.budget, cfg.max_refinements
+    )
     full = baseline.copy()
     full[cols] = point
-    profile = ReliabilityProfile(tuple(full))
     return AttackPlan(
         float(_cost_of(point, base_p, base_l, base_r)),
-        value,
-        profile=profile,
-        note=note,
+        float(_fold(corners, point)[0]),
+        profile=ReliabilityProfile(tuple(full)),
+        note="stopped at max_refinements" if stopped else None,
     )
 
 

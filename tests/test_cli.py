@@ -189,27 +189,6 @@ class TestOracleCheck:
         assert code == 3
         assert json.loads(out)["within_tolerance"] is False
 
-    def test_huge_grid_exits_2(self, tmp_path, capsys):
-        request = {
-            "game": K3,
-            "target": 1,
-            "budget": 0.3,
-            "cost_model": {
-                "p_star": [0.7, 0.8, 0.6],
-                "L": [1.0, 1.0, 1.0],
-                "R": [1.0, 1.0, 1.0],
-                "c": [0.0, 0.0, 0.0],
-            },
-            "mode": "fractional",
-        }
-        # refused from the grid's size before any grid axis is built
-        cfg = write(tmp_path, "cfg.json", {"grid_resolution": 1e-9})
-        code, out, err = run(
-            capsys, "oracle-check", write(tmp_path, "req.json", request), "--config", cfg
-        )
-        assert code == 2 and out == ""
-        assert "coarsen grid_resolution" in err
-
     def test_oracle_cap_env(self, tmp_path, capsys, monkeypatch):
         request = {
             "game": {"variant": "nc1", "n": 8,

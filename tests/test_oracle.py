@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from reliattack import (
     DomainError,
     FullCreditGame,
     FullObligationGame,
+    Graph,
     OracleConfig,
     ReliabilityProfile,
     ResourceLimitError,
@@ -22,14 +25,19 @@ from reliattack import (
     greedy_fractional_attack,
     liveness_transform,
     liveness_value,
+    ThresholdNeighborhoodGame,
     shapley_closed,
 )
 from reliattack import oracle
 from reliattack.shapley import _table_shapley, shapley_definitional
 
 from conftest import (
+    coverage_inner,
     cycle_graph,
     finite_difference,
+    fo_value,
+    nc2_inner,
+    random_game,
     random_profile,
     random_two_author_credit,
     star_graph,
@@ -153,176 +161,120 @@ class TestFractionalOracle:
         assert plan.achieved < shapley_closed(game, ReliabilityProfile(p_star), 1)
 
     def test_note_when_refinements_run_out(self):
-        game = ClosedNeighborhoodGame(complete_graph(4))
-        cm = CostModel.uniform((0.31, 0.62, 0.47, 0.58))
-        problem = AttackProblem(game, 1, 0.6, cm)
-        capped = fractional_oracle(problem, OracleConfig(0.25, max_refinements=0))
+        problem = pinned_nc2_problem()
+        capped = fractional_oracle(problem, OracleConfig(0.25, max_refinements=5))
         assert capped.note == "stopped at max_refinements"
+        assert capped.total_cost <= problem.budget + 1e-12
         assert fractional_oracle(problem, OracleConfig(0.25)).note is None
 
+    def test_tie_heavy_case_stops_at_the_cap(self):
+        # many vertices tie at p* = 0.5, and the bound closes too slowly to
+        # certify this case within the default cap
+        game = ThresholdNeighborhoodGame(complete_graph(7), 3)
+        p_star = ReliabilityProfile((0.5,) * 7)
+        problem = AttackProblem(game, 1, 0.7, CostModel.uniform(p_star.values))
+        plan = fractional_oracle(problem, OracleConfig(0.25, max_refinements=100))
+        assert plan.note == "stopped at max_refinements"
+        assert plan.total_cost <= problem.budget + 1e-12
+        assert plan.achieved == pytest.approx(shapley_closed(game, plan.profile, 1), abs=1e-12)
+        assert plan.achieved < shapley_closed(game, p_star, 1)
 
-def materialised_pool(axes, base_p, base_l, base_r, budget):
-    """The oracle's candidate pool built directly: the whole grid, the cost of
-    every row, then every budget-exhausting variant as a full copy of the
-    feasible rows, less the copies that equal their feasible row."""
-
-    def cost_of(points):
-        below = np.maximum(base_p - points, 0.0)
-        above = np.maximum(points - base_p, 0.0)
-        return (below * base_l + above * base_r).sum(axis=-1)
-
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    # row by row, in blocks that keep the temporaries small
-    grid_costs = np.concatenate([cost_of(rows) for rows in np.array_split(grid, 16)])
-    feasible = grid[grid_costs <= budget + 1e-12]
-    leftover = np.clip(budget - grid_costs[grid_costs <= budget + 1e-12], 0.0, None)
-    pool = [feasible]
-    for i in range(len(axes)):
-        up = feasible.copy()
-        room = np.where(up[:, i] >= base_p[i], leftover / base_r[i], 0.0)
-        up[:, i] = np.minimum(1.0, up[:, i] + room)
-        down = feasible.copy()
-        room = np.where(down[:, i] <= base_p[i], leftover / base_l[i], 0.0)
-        down[:, i] = np.maximum(0.0, down[:, i] - room)
-        pool += [variant[(variant != feasible).any(axis=1)] for variant in (up, down)]
-    cands = np.concatenate(pool, axis=0)
-    costs = cost_of(cands)
-    keep = costs <= budget + 1e-12
-    return cands[keep], costs[keep]
-
-
-def reference_pool(corners, axes, base_p, base_l, base_r, budget):
-    """``oracle._staged_pool`` from the materialised pool: every row folded
-    from the whole corner table by ``liveness_value``."""
-    rows, costs = materialised_pool(axes, base_p, base_l, base_r, budget)
-    return liveness_value(corners, rows), costs, lambda index: rows[index].copy()
-
-
-def set_grid_axis(baseline, resolution):
-    """The oracle's grid axis built as a Python set of floats."""
-    steps = int(round(1.0 / resolution))
-    pts = {min(1.0, i * resolution) for i in range(steps + 1)}
-    pts.add(1.0)
-    pts.add(baseline)
-    return np.array(sorted(pts), dtype=np.float64)
-
-
-def random_pool_input(rng, k, resolution, budget_max):
-    # baselines on and off the grid, and at the bounds
-    base_p = np.array(
-        [rng.choice((rng.random(), rng.randrange(9) / 8, 0.0, 1.0)) for _ in range(k)]
-    )
-    base_l = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
-    base_r = np.array([rng.uniform(0.5, 3.0) for _ in range(k)])
-    axes = [oracle._grid_axis(p, resolution) for p in base_p]
-    corners = np.array([rng.uniform(-1.0, 1.0) for _ in range(1 << k)])
-    return corners, axes, base_p, base_l, base_r, rng.uniform(0.0, budget_max)
-
-
-def assert_same_pool(got, args):
-    """``oracle._staged_pool``'s output ``got`` for ``args`` against
-    ``reference_pool``: values, costs and every rebuilt row bit for bit,
-    which pins the segment order, and the winning row of the oracle's tie
-    rule among them."""
-    values, costs, candidate = got
-    want_values, want_costs, want_candidate = reference_pool(*args)
-    np.testing.assert_array_equal(values, want_values)
-    np.testing.assert_array_equal(costs, want_costs)
-    rows = np.array([candidate(index) for index in range(len(want_values))])
-    want_rows = np.array([want_candidate(index) for index in range(len(want_values))])
-    np.testing.assert_array_equal(rows, want_rows)
-    tied = np.nonzero(values <= values.min() + 1e-15)[0]
-    best = int(tied[np.argmin(costs[tied])])
-    np.testing.assert_array_equal(candidate(best), want_candidate(best))
-    with pytest.raises(IndexError):
-        candidate(len(want_values))
-
-
-class TestCandidatePool:
-    @pytest.mark.parametrize("resolution", [1 / 4, 1 / 8])
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_matches_materialised_grid(self, rng, k, resolution):
-        for _ in range(3):
-            args = random_pool_input(rng, k, resolution, 1.2 if k < 6 else 0.6)
-            assert_same_pool(oracle._staged_pool(*args), args)
-
-    def test_variant_segments_cross_chunk_boundaries(self, rng):
-        base_p, base_l, base_r = np.array([0.45, 0.7]), np.array([1.0, 1.5]), np.array([2.0, 0.8])
-        axes = [oracle._grid_axis(p, 1 / 256) for p in base_p]
-        corners = np.array([rng.uniform(-1.0, 1.0) for _ in range(4)])
-        args = (corners, axes, base_p, base_l, base_r, 1.0)
-        got = oracle._staged_pool(*args)
-        # at most one row per grid point is feasible, so the four variant
-        # segments hold more than four chunks and one of them spans two
-        assert len(got[0]) - len(axes[0]) * len(axes[1]) > 4 * oracle._EVAL_CHUNK
-        assert_same_pool(got, args)
-
-    @pytest.mark.parametrize("resolution", [1 / 4, 0.22, 1 / 8, 0.07, 1 / 64, 1 / 999, 1e-4])
-    def test_grid_axis_matches_set_construction(self, rng, resolution):
-        for baseline in [rng.random() for _ in range(5)] + [resolution * 3, 0.5, 1.0]:
-            np.testing.assert_array_equal(
-                oracle._grid_axis(baseline, resolution), set_grid_axis(baseline, resolution)
-            )
-
-    @pytest.mark.parametrize("case", ["K5", "C6", "fc-two-author", "fo-two-author"])
-    def test_oracle_plans_match_reference_pool(self, rng, monkeypatch, case):
-        for _ in range(3):
-            if case == "K5":
-                game = ClosedNeighborhoodGame(complete_graph(5))
-            elif case == "C6":
-                game = ClosedNeighborhoodGame(cycle_graph(6))
-            else:
-                inst = random_two_author_credit(rng, 6)
-                game = FullCreditGame(inst) if case == "fc-two-author" else FullObligationGame(inst)
-            n = game.n
-            costs = CostModel(
-                tuple(rng.uniform(0.05, 1.0) for _ in range(n)),
-                tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
-                tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
-                (0.0,) * n,
-            )
-            problem = AttackProblem(game, rng.randint(1, n), rng.uniform(0.0, 1.5), costs)
-            cfg = OracleConfig(rng.choice((1 / 4, 1 / 8)))
-            with monkeypatch.context() as patch:
-                patch.setattr(oracle, "_staged_pool", reference_pool)
-                want = fractional_oracle(problem, cfg)
-            assert repr(fractional_oracle(problem, cfg)) == repr(want)
-
-    def test_huge_grid_is_refused_before_any_axis_is_built(self, monkeypatch):
-        def no_axis(*args):
-            raise AssertionError("grid axis built")
-
-        monkeypatch.setattr(oracle, "_grid_axis", no_axis)
-        game = ClosedNeighborhoodGame(complete_graph(3))
-        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.8, 0.6)))
-        with pytest.raises(ResourceLimitError, match="at least 1000000002000000001 profiles"):
-            fractional_oracle(problem, OracleConfig(grid_resolution=1e-9))
-        with pytest.raises(ResourceLimitError, match="coarsen grid_resolution"):
-            fractional_oracle(problem, OracleConfig(grid_resolution=5e-324))
-
-    def test_refused_grid_builds_no_corner_table(self, monkeypatch):
+    def test_oversized_corner_table_is_refused_before_it_is_built(self, monkeypatch):
         def no_corners(*args):
             raise AssertionError("corner table built")
 
         monkeypatch.setattr(oracle, "_corner_shapley", no_corners)
-        # ten attackable players: at least 5^10 profiles at grid 1/4
-        game = ClosedNeighborhoodGame(complete_graph(11))
-        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.5,) * 11))
-        with pytest.raises(ResourceLimitError, match="at least 9765625 profiles"):
-            fractional_oracle(problem, OracleConfig(grid_resolution=0.25), attackable_cap=10)
-        # and the size of the built grid (see the test below)
-        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.4) + (0.9,) * 9),
-                                exempt=frozenset(range(4, 12)))
-        with pytest.raises(ResourceLimitError, match=r"grid of \d+ profiles exceeds"):
-            fractional_oracle(problem, OracleConfig(grid_resolution=1 / 1999))
+        # ten attackable players of 16: 2^26 corner-table entries
+        game = ClosedNeighborhoodGame(complete_graph(16))
+        problem = AttackProblem(
+            game, 1, 0.3, CostModel.uniform((0.5,) * 16), exempt=frozenset(range(12, 17))
+        )
+        with pytest.raises(ResourceLimitError, match=r"2\^10 profiles x 2\^16 coalitions"):
+            fractional_oracle(problem, attackable_cap=10)
 
-    def test_built_grid_over_the_limit_names_its_size(self):
-        # 2,000 points per axis pass the lower bound (2000^2 is the limit);
-        # the off-grid baselines add one more to each axis
-        game = ClosedNeighborhoodGame(complete_graph(3))
-        problem = AttackProblem(game, 1, 0.3, CostModel.uniform((0.7, 0.4, 0.9)))
-        with pytest.raises(ResourceLimitError, match=r"grid of \d+ profiles exceeds"):
-            fractional_oracle(problem, OracleConfig(grid_resolution=1 / 1999))
+
+def pinned_nc2_problem():
+    """nc2 with k = 2 on the edges (1,2), (2,3), (2,4), (3,4), target 1,
+    budget 0.67, unequal slopes.  The profile (0.66, 0.76, 0.049767814,
+    0.455116093) costs 0.67 and scores 0.737909694884 (shapley_closed and
+    shapley_definitional agree to 12 digits)."""
+    game = ThresholdNeighborhoodGame(Graph(4, [(1, 2), (2, 3), (2, 4), (3, 4)]), 2)
+    costs = CostModel(
+        (0.66, 0.76, 0.6, 0.85), (0.9, 1.7, 0.5, 1.0), (1.3, 1.4, 1.2, 1.9), (0.0,) * 4
+    )
+    return AttackProblem(game, 1, 0.67, costs)
+
+
+class TestCertifiedOptimum:
+    """nc2 with k = 2, where the optimum is not a vertex point: a grid and
+    swap search stopped above it."""
+
+    def test_four_player_case(self):
+        problem = pinned_nc2_problem()
+        plan = fractional_oracle(problem)
+        assert plan.note is None
+        assert plan.total_cost <= problem.budget + 1e-12
+        assert plan.achieved <= 0.737909694884 + 1e-9
+        want = shapley_definitional(problem.game, plan.profile)[1]
+        assert plan.achieved == pytest.approx(want, abs=1e-12)
+
+    def test_k5_equal_slopes(self):
+        game = ThresholdNeighborhoodGame(complete_graph(5), 2)
+        problem = AttackProblem(game, 1, 0.7, CostModel.uniform((0.5,) * 5))
+        plan = fractional_oracle(problem)
+        # the optimum raises two players to 0.85
+        assert plan.achieved == pytest.approx(0.713958333333, abs=1e-9)
+        assert plan.profile.values == (0.5, 0.5, 0.5, 0.85, 0.85)
+
+
+def exact_target_value(game, variant, profile, x):
+    if variant == "fo":
+        return fo_value(game, profile, x)
+    inner = nc2_inner if variant.startswith("nc2") else coverage_inner
+    return Fraction(profile[x]) * inner(game, profile, x)
+
+
+@pytest.mark.parametrize(
+    "variant, k",
+    [("nc1", 3), ("nc2-2", 2), ("nc2-2", 3), ("nc2-3", 3), ("fc", 3), ("fo", 3)],
+)
+def test_bound_below_dense_grid_minimum(rng, variant, k):
+    """The branch and bound's lower bound against the exact minimum over the
+    budget-feasible points of the grid of eighths, on dyadic data so that
+    costs and values are exact Fractions."""
+    steps = [j / 8 for j in range(9)]
+    for _ in range(2):
+        n = 5
+        game = random_game(rng, variant, n)
+        p_star = tuple(rng.choice(steps) for _ in range(n))
+        slopes = [tuple(rng.choice((0.5, 1.0, 1.5, 2.0)) for _ in range(n)) for _ in "LR"]
+        budget = rng.choice(steps[1:])
+        attackable = sorted(rng.sample(range(2, n + 1), k))
+        cols = np.array(attackable) - 1
+        base_p, base_l, base_r = (np.array(v)[cols] for v in (p_star, *slopes))
+        corners = oracle._corner_shapley(
+            game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols
+        )
+        point, bound, stopped = oracle._branch_and_bound(
+            corners, base_p, base_l, base_r, budget, 10_000
+        )
+        assert not stopped
+        assert bound >= liveness_value(corners, point) - 1e-9
+        least = None
+        for q in itertools.product(steps, repeat=k):
+            cost = sum(
+                Fraction(l) * max(Fraction(b - v), Fraction(0))
+                + Fraction(r) * max(Fraction(v - b), Fraction(0))
+                for v, b, l, r in zip(q, base_p, base_l, base_r)
+            )
+            if cost <= Fraction(budget):
+                full = list(p_star)
+                for j, v in zip(cols, q):
+                    full[j] = v
+                value = exact_target_value(game, variant, ReliabilityProfile(full), 1)
+                least = value if least is None else min(least, value)
+        # the float bound may exceed an exactly attained minimum by rounding
+        assert bound <= float(least) + 1e-12
 
 
 class TestCornerInterpolation:
