@@ -110,10 +110,10 @@ def _branch_and_bound(
 
     Returns the best point found, a lower bound on the minimum and whether
     the search stopped at ``max_boxes`` opened boxes with that bound more
-    than ``_GAP`` below the point's value.  A point counts as feasible up to
-    a cost of ``budget + 1e-12``, the bound is the exact budget's.  Among
-    values within ``_TIE`` the lower cost wins, then the lexicographically
-    smaller point.
+    than ``_GAP`` below the point's value.  A point counts as feasible up
+    to a cost of ``budget + 1e-12``; the bound is taken at ``budget``
+    itself.  Among values within ``_TIE`` the lower cost wins, then the
+    lexicographically smaller point.
 
     The boxes start as [0, 1]^k split at the baseline; a box's values at its
     2^k vertices (axis i for coordinate i) come from the corner table at the
@@ -151,12 +151,12 @@ def _branch_and_bound(
             offer(flat[v], costs[v], points[v])
         # the vertices that no cheaper vertex matches in value, by cost
         order = np.lexsort((flat, costs))
-        lower = flat[order]
-        stair = order[np.r_[True, lower[1:] < np.minimum.accumulate(lower)[:-1]]]
+        ranked = flat[order]
+        stair = order[np.r_[True, ranked[1:] < np.minimum.accumulate(ranked)[:-1]]]
         if costs[stair[0]] > budget:
             bound, axis = np.inf, None  # no point of the box is within budget
         elif costs[stair[-1]] <= budget:
-            bound, axis = flat[stair[-1]], None  # its least vertex is
+            bound, axis = flat[stair[-1]], None  # its least vertex is within budget
         else:
             xs, ys = costs[stair].tolist(), flat[stair].tolist()
 
@@ -191,7 +191,8 @@ def _branch_and_bound(
     halves = [[s for s in (0, 1) if ends[s, i] < ends[s + 1, i]] for i in range(k)]
     for sides in itertools.product(*halves):
         s = np.array(sides)
-        push(table[tuple(slice(j, j + 2) for j in sides)], ends[s, range(k)], ends[s + 1, range(k)])
+        window = tuple(slice(j, j + 2) for j in sides)
+        push(table[window], ends[s, range(k)], ends[s + 1, range(k)])
 
     opened = 0
     while heap and best[0] - heap[0][0] > _GAP and opened < max_boxes:
