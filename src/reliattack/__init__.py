@@ -13,7 +13,6 @@ from .attacks import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
-    fo_removal_exhaustive,
     greedy_fractional_attack,
     pairwise_exempt_set,
     removal_attack,

@@ -44,6 +44,7 @@ _COST_EPS = 1e-12
 _TIE_EPS = 1e-12
 _NO_BENEFIT_SLACK = 1e-9
 _COAUTHOR_CAP = 24
+_WINDOW_CAP = 16
 _SET_CAP = 24
 
 
@@ -477,44 +478,38 @@ def _best_affordable(masks: np.ndarray, scores: np.ndarray) -> tuple[float, tupl
     return best
 
 
-def fo_removal_exhaustive(
-    instance: CreditInstance,
-    costs: CostModel,
-    budget: float,
-    x: int,
-    *,
-    exempt: frozenset[int] = frozenset(),
-) -> AttackPlan:
-    """Exact optimal removal attack on the full-obligation game by exhaustive
-    search over affordable coauthor subsets; ties prefer smaller subsets,
-    then lexicographic order."""
-    if costs.n != instance.n:
-        raise DomainError(f"cost model covers {costs.n} players, instance has {instance.n}")
-    if _as_finite(budget, "budget") < 0:
-        raise DomainError(f"budget {budget} is negative")
-    candidates = sorted(instance.coauthors(x) - exempt - {x})
-    return _removal_exhaustive_over(
-        FullObligationGame(instance), costs, budget, x, candidates, _COAUTHOR_CAP, "coauthors"
-    )
+def removal_attack(problem: AttackProblem) -> AttackPlan:
+    """Optimal removal attack for the studied games.
 
-
-def _removal_exhaustive_over(
-    game: Game,
-    costs: CostModel,
-    budget: float,
-    x: int,
-    candidates: list[int],
-    cap: int,
-    what: str,
-) -> AttackPlan:
-    """Best affordable removal among all subsets of the sorted ``candidates``
-    (called ``what`` in the cap message), by the tie rule of
-    :func:`_best_affordable`."""
+    Full obligation is solved by exhaustive search over the target's
+    removable coauthors.  For the coverage variants, the full-credit game and
+    threshold 1, no removal can decrease the target's value, so the empty
+    removal is optimal.  The threshold game with threshold >= 2 genuinely
+    admits beneficial removals (a neighbor's neighbor may be needed to reach
+    the threshold), so it is searched exhaustively over the target's
+    distance-two window.  The search scores every affordable subset of the
+    candidates; ties prefer smaller subsets, then lexicographic order.
+    """
+    game, x, costs = problem.game, problem.target, problem.costs
+    if isinstance(game, FullObligationGame):
+        candidates, cap, what = game.instance.coauthors(x), _COAUTHOR_CAP, "coauthors"
+    elif isinstance(game, ThresholdNeighborhoodGame) and game.threshold >= 2:
+        candidates, cap, what = pairwise_exempt_set(game, x), _WINDOW_CAP, "players"
+    elif isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
+        return AttackPlan(
+            0.0,
+            shapley_closed(game, costs.baseline_profile(), x),
+            removed=frozenset(),
+            note="removal attacks cannot decrease this target's value; empty removal is optimal",
+        )
+    else:
+        raise DomainError(f"removal attack undefined for variant {game.variant!r}")
+    candidates = sorted(candidates - problem.exempt)
     if len(candidates) > cap:
         raise ResourceLimitError(
             f"{len(candidates)} removable {what} exceed the exhaustive-search cap ({cap})"
         )
-    masks = _affordable_masks([costs.c[j - 1] for j in candidates], budget)
+    masks = _affordable_masks([costs.c[j - 1] for j in candidates], problem.budget)
     p, cols = np.array(costs.p_star), np.array(candidates, dtype=np.intp) - 1
     bits, step = np.arange(len(cols)), _BLOCK_ELEMENTS // max(1, len(cols))
     drops = (masks[i : i + step, None] >> bits & 1 for i in range(0, len(masks), step))
@@ -522,42 +517,6 @@ def _removal_exhaustive_over(
     value, chosen = _best_affordable(masks, np.concatenate(scores))
     removed = tuple(candidates[i] for i in chosen)
     return AttackPlan(costs.removal_cost(removed), value, removed=frozenset(removed), order=removed)
-
-
-def removal_attack(problem: AttackProblem) -> AttackPlan:
-    """Optimal removal attack for the studied games.
-
-    Full obligation is solved by exhaustive subset search.  For the coverage
-    variants, the full-credit game and threshold 1, no removal can decrease
-    the target's value, so the empty removal is optimal.  The threshold game
-    with threshold >= 2 genuinely admits beneficial removals (a neighbor's
-    neighbor may be needed to reach the threshold), so it is searched
-    exhaustively over the target's distance-two window.
-    """
-    game = problem.game
-    if isinstance(game, FullObligationGame):
-        return fo_removal_exhaustive(
-            game.instance,
-            problem.costs,
-            problem.budget,
-            problem.target,
-            exempt=problem.exempt,
-        )
-    if isinstance(game, ThresholdNeighborhoodGame) and game.threshold >= 2:
-        window = pairwise_exempt_set(game, problem.target)
-        candidates = sorted(window - problem.exempt)
-        return _removal_exhaustive_over(
-            game, problem.costs, problem.budget, problem.target, candidates, 16, "players"
-        )
-    if isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
-        base = problem.costs.baseline_profile()
-        return AttackPlan(
-            0.0,
-            shapley_closed(game, base, problem.target),
-            removed=frozenset(),
-            note="removal attacks cannot decrease this target's value; empty removal is optimal",
-        )
-    raise DomainError(f"removal attack undefined for variant {game.variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +632,16 @@ def bmc_solve_exact(
         raise ResourceLimitError(
             f"{len(norm)} sets exceed the exhaustive-coverage cap ({_SET_CAP})"
         )
-    masks = _affordable_masks([cost for _, cost in norm], budget)
-    scores = [
-        -covered_weight(weights, norm, [j + 1 for j in range(len(norm)) if mask >> j & 1])
-        for mask in masks.tolist()
+    # element i becomes a paper of the sets that contain it, scored by its
+    # weight, so the weight that a choice of sets covers is its full-credit
+    # value; an element in no set needs no paper, and the instance keeps one
+    # author when there are no sets
+    papers = [
+        ([j for j, (members, _) in enumerate(norm, start=1) if i in members], w)
+        for i, w in enumerate(weights, start=1)
     ]
-    neg_weight, chosen = _best_affordable(masks, np.array(scores))
+    instance = CreditInstance.of(max(len(norm), 1), [paper for paper in papers if paper[0]])
+    table = FullCreditGame(instance).subset_values(range(1, len(norm) + 1))
+    masks = _affordable_masks([cost for _, cost in norm], budget)
+    neg_weight, chosen = _best_affordable(masks, -table[masks])
     return tuple(j + 1 for j in chosen), -neg_weight

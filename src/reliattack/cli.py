@@ -21,7 +21,6 @@ from .attacks import (
     bmc_solve_exact,
     credit_knapsack_attack,
     cycle_fractional_attack,
-    fo_removal_exhaustive,
     greedy_fractional_attack,
     pairwise_exempt_set,
     removal_attack,
@@ -258,9 +257,7 @@ def _cmd_reduce_bmc(args) -> int:
     reduction = bmc_reduce(weights, sets, k, threshold)
     game = FullObligationGame(reduction.instance)
     baseline = shapley_closed(game, reduction.costs.baseline_profile(), reduction.target)
-    plan = fo_removal_exhaustive(
-        reduction.instance, reduction.costs, reduction.budget, reduction.target
-    )
+    plan = removal_attack(AttackProblem(game, reduction.target, reduction.budget, reduction.costs))
     decrease = baseline - plan.achieved
     chosen, coverage = bmc_solve_exact(weights, sets, k)
     removal_yes = decrease >= threshold - 1e-9

@@ -96,7 +96,6 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
     _adj: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-    _nbr_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -125,9 +124,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
-        object.__setattr__(
-            self, "_nbr_mask", tuple(_mask_of(a) for a in self._adj)
-        )
 
     @cached_property
     def _wadj(self) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -566,14 +562,10 @@ class ThresholdNeighborhoodGame(Game):
         return self.graph.n
 
     def value_mask(self, mask: int) -> float:
-        count = mask.bit_count()
-        nbr = self.graph._nbr_mask
-        for x in range(1, self.n + 1):
-            if mask >> (x - 1) & 1:
-                continue
-            if (nbr[x] & mask).bit_count() >= self.threshold:
-                count += 1
-        return float(count)
+        members = _players_of(mask)
+        reached = _hits(self._rows, members, self.n + 1) >= self.threshold
+        reached[list(members)] = True
+        return float(reached.sum())
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, ...]:
@@ -583,7 +575,7 @@ class ThresholdNeighborhoodGame(Game):
     @cached_property
     def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The sets of the closed form: N(y), row y - 1 for each player y."""
-        return _csr(_index_rows(self.graph._adj[1:]))
+        return _csr(self._rows[1:])
 
     @cached_property
     def _sets_of(self) -> tuple[np.ndarray, ...]:

@@ -31,9 +31,8 @@ from .attacks import AttackPlan, AttackProblem
 from .errors import DomainError, ResourceLimitError
 from .games import _as_finite, _as_int
 from .reliability import ReliabilityProfile, _fold, liveness_transform
-from .shapley import _table_shapley
+from .shapley import _TABLE_PLAYER_CAP, _table_shapley
 
-_ORACLE_N_LIMIT = 16
 _CORNER_LOG_LIMIT = 25  # 2^k profiles x 2^n coalitions in the corner transform
 _GAP = 1e-9
 _TIE = 1e-15
@@ -225,9 +224,9 @@ def fractional_oracle(
     cfg = cfg or OracleConfig()
     game = problem.game
     n = game.n
-    if n > _ORACLE_N_LIMIT:
+    if n > _TABLE_PLAYER_CAP:
         raise ResourceLimitError(
-            f"n = {n} exceeds the oracle coalition-table cap ({_ORACLE_N_LIMIT})"
+            f"n = {n} exceeds the oracle coalition-table cap ({_TABLE_PLAYER_CAP})"
         )
     attackable = problem.attackable()
     k = len(attackable)

@@ -45,8 +45,6 @@ from .reliability import (
     liveness_transform,
 )
 
-_PLAYER_CAP = 9
-
 
 @dataclass(frozen=True)
 class ShapleyVector:
@@ -67,6 +65,11 @@ class ShapleyVector:
         return iter(self.values)
 
 
+# the most players whose 2^n coalition table the definitional route and the
+# fractional oracle build
+_TABLE_PLAYER_CAP = 16
+
+
 def _table_shapley(table: np.ndarray, x: int) -> np.ndarray:
     """Shapley value of player x from values over all 2^n coalitions on the
     last axis of ``table`` (bit i of an index is player i + 1); leading axes
@@ -85,12 +88,12 @@ def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> Shap
     With a profile, the marginals are exact expectations of the reliability
     extension; without one, the game itself is used.  Every coalition's
     value is computed, n * 2^n terms in all - this is the oracle everything
-    else is checked against - so n is limited to ``_PLAYER_CAP``.
+    else is checked against - so n is limited to ``_TABLE_PLAYER_CAP``.
     """
     n = game.n
-    if n > _PLAYER_CAP:
+    if n > _TABLE_PLAYER_CAP:
         raise ResourceLimitError(
-            f"n = {n} exceeds the definitional-oracle player cap ({_PLAYER_CAP})"
+            f"n = {n} exceeds the definitional-oracle player cap ({_TABLE_PLAYER_CAP})"
         )
     table = game.subset_values(range(1, n + 1))
     if profile is not None:

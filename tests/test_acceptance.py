@@ -24,11 +24,11 @@ from reliattack import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
-    fo_removal_exhaustive,
     fractional_knapsack_optimum,
     fractional_oracle,
     greedy_fractional_attack,
     pairwise_exempt_set,
+    removal_attack,
     removal_no_benefit_check,
     shapley_closed,
     shapley_cycle_closed,
@@ -321,7 +321,7 @@ def test_criterion_7_coverage_reduction_round_trip():
         game = FullObligationGame(reduction.instance)
         baseline = shapley_closed(game, reduction.costs.baseline_profile(), 1)
         assert baseline == pytest.approx(sum(weights), abs=1e-9)
-        plan = fo_removal_exhaustive(reduction.instance, reduction.costs, reduction.budget, 1)
+        plan = removal_attack(AttackProblem(game, 1, reduction.budget, reduction.costs))
         decrease = baseline - plan.achieved
         chosen, coverage = bmc_solve_exact(weights, sets, k)
         assert decrease == pytest.approx(coverage, abs=1e-9)
@@ -330,7 +330,7 @@ def test_criterion_7_coverage_reduction_round_trip():
     reduction = bmc_reduce(weights, sets, k, threshold)
     game = FullObligationGame(reduction.instance)
     baseline = shapley_closed(game, reduction.costs.baseline_profile(), 1)
-    plan = fo_removal_exhaustive(reduction.instance, reduction.costs, reduction.budget, 1)
+    plan = removal_attack(AttackProblem(game, 1, reduction.budget, reduction.costs))
     assert baseline - plan.achieved == pytest.approx(3.0, abs=1e-12)
     report(7, "coverage reduction: optimal removal decrease equals optimal coverage on "
               "31 instances (YES/NO answers agree; worked fixture decreases by 3)")

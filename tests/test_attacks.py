@@ -27,7 +27,6 @@ from reliattack import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
-    fo_removal_exhaustive,
     greedy_fractional_attack,
     pairwise_exempt_set,
     removal_attack,
@@ -419,14 +418,14 @@ class TestFoRemoval:
     def test_zero_budget_removes_nothing(self):
         red = bmc_reduce(BMC_WEIGHTS, BMC_SETS, 1, 1)
         cm = CostModel(red.costs.p_star, red.costs.L, red.costs.R, (0.0, 1.0, 2.0))
-        plan = fo_removal_exhaustive(red.instance, cm, 0.0, 1)
+        plan = removal_attack(AttackProblem(FullObligationGame(red.instance), 1, 0.0, cm))
         assert plan.removed == frozenset()
         assert plan.total_cost == 0.0
 
     def test_full_budget_leaves_solo_credit(self):
         ci = CreditInstance.of(3, [((1,), 5.0), ((1, 2), 2.0), ((1, 3), 4.0)])
         cm = CostModel.uniform((1.0, 1.0, 1.0), c=1.0)
-        plan = fo_removal_exhaustive(ci, cm, 2.0, 1)
+        plan = removal_attack(AttackProblem(FullObligationGame(ci), 1, 2.0, cm))
         assert plan.removed == {2, 3}
         assert plan.achieved == pytest.approx(5.0, abs=1e-12)
 
@@ -434,7 +433,7 @@ class TestFoRemoval:
         red = bmc_reduce(BMC_WEIGHTS, BMC_SETS, 2, 3)
         game = FullObligationGame(red.instance)
         baseline = shapley_closed(game, red.costs.baseline_profile(), 1)
-        plan = fo_removal_exhaustive(red.instance, red.costs, red.budget, 1)
+        plan = removal_attack(AttackProblem(game, 1, red.budget, red.costs))
         assert plan.removed == {3}  # the player standing for the second set
         assert plan.total_cost == pytest.approx(2.0)
         assert baseline - plan.achieved == pytest.approx(3.0, abs=1e-12)
@@ -443,23 +442,22 @@ class TestFoRemoval:
         # removing either coauthor alone wipes the same paper
         ci = CreditInstance.of(3, [((1, 2, 3), 3.0)])
         cm = CostModel.uniform((1.0,) * 3, c=1.0)
-        plan = fo_removal_exhaustive(ci, cm, 2.0, 1)
+        plan = removal_attack(AttackProblem(FullObligationGame(ci), 1, 2.0, cm))
         assert plan.removed == {2}
-
-    # a NaN budget used to fail with "need at least one array to concatenate"
-    @pytest.mark.parametrize("budget", [math.nan, math.inf])
-    def test_budget_must_be_finite(self, budget):
-        ci = CreditInstance.of(3, [((1, 2), 1.0), ((1, 3), 2.0)])
-        cm = CostModel.uniform((1.0,) * 3, c=1.0)
-        with pytest.raises(DomainError, match="budget must be a finite number"):
-            fo_removal_exhaustive(ci, cm, budget, 1)
 
     def test_coauthor_cap(self):
         n = 30
         ci = CreditInstance.of(n, [((1, l), 1.0) for l in range(2, n + 1)])
         cm = CostModel.uniform((1.0,) * n, c=1.0)
         with pytest.raises(ResourceLimitError, match="cap"):
-            fo_removal_exhaustive(ci, cm, 3.0, 1)
+            removal_attack(AttackProblem(FullObligationGame(ci), 1, 3.0, cm))
+
+    def test_window_cap(self):
+        # the centre of a 17-leaf star has 17 players in its distance-two window
+        game = ThresholdNeighborhoodGame(star_graph(18), 2)
+        cm = CostModel.uniform((1.0,) * 18, c=1.0)
+        with pytest.raises(ResourceLimitError, match=r"17 removable players .* cap \(16\)"):
+            removal_attack(AttackProblem(game, 1, 3.0, cm))
 
     def test_removal_attack_dispatch(self):
         game = nc1(complete_graph(3))
@@ -499,8 +497,8 @@ class TestBmc:
 
     def test_empty_family_answer(self):
         red = bmc_reduce([3], [], 1, 1)
-        plan = fo_removal_exhaustive(red.instance, red.costs, red.budget, 1)
         game = FullObligationGame(red.instance)
+        plan = removal_attack(AttackProblem(game, 1, red.budget, red.costs))
         baseline = shapley_closed(game, red.costs.baseline_profile(), 1)
         assert baseline - plan.achieved == pytest.approx(0.0)  # NO for threshold 1
 
@@ -637,7 +635,7 @@ class TestAffordableEnumeration:
             costs = self._costs(rng, n)
             budget = self._budget(rng, costs)
             exempt = frozenset(j for j in range(2, n + 1) if rng.random() < 0.2)
-            plan = fo_removal_exhaustive(inst, costs, budget, 1, exempt=exempt)
+            plan = removal_attack(AttackProblem(FullObligationGame(inst), 1, budget, costs, exempt))
             candidates = sorted(inst.coauthors(1) - exempt)
             assert plan == _removal_loop(FullObligationGame(inst), costs, budget, 1, candidates)
 
@@ -662,9 +660,9 @@ class TestAffordableEnumeration:
             ]
             k, threshold = rng.randint(1, 6), rng.randint(1, 8)
             red = bmc_reduce(weights, sets, k, threshold)
-            plan = fo_removal_exhaustive(red.instance, red.costs, red.budget, 1)
-            candidates = list(range(2, red.instance.n + 1))
             game = FullObligationGame(red.instance)
+            plan = removal_attack(AttackProblem(game, 1, red.budget, red.costs))
+            candidates = list(range(2, red.instance.n + 1))
             assert plan == _removal_loop(game, red.costs, red.budget, 1, candidates)
             assert bmc_solve_exact(weights, sets, k) == _bmc_loop(weights, sets, k)
 

@@ -36,6 +36,7 @@ from conftest import (
     random_graph,
     random_weighted_graph,
     star_graph,
+    threshold_value,
 )
 
 
@@ -138,6 +139,17 @@ class TestCharValue:
             TableGame(2, {(1,): 1.0})  # empty coalition undefined
         with pytest.raises(DomainError):
             TableGame(2, {(): 0.5})  # nonzero empty value
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_nc2_matches_its_definition(self, rng, k):
+        # player n + 1 is isolated, and sparse graphs isolate more
+        for p_edge in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                n = rng.randint(1, 7)
+                graph = Graph(n + 1, random_graph(rng, n, p_edge).edges)
+                game, value = ThresholdNeighborhoodGame(graph, k), threshold_value(graph, k)
+                for coalition in all_coalitions(n + 1):
+                    assert game.value(coalition) == value(coalition)
 
     def test_nc2_requires_k(self):
         with pytest.raises(DomainError):

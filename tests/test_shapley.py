@@ -37,6 +37,7 @@ from reliattack import shapley
 
 from conftest import (
     TableGame,
+    all_coalitions,
     coverage_gradient,
     coverage_inner,
     cycle_graph,
@@ -51,6 +52,7 @@ from conftest import (
     random_game,
     random_graph,
     random_profile,
+    random_two_author_credit,
     size_pmf,
     star_graph,
     threshold_value,
@@ -82,7 +84,7 @@ class TestDefinitional:
         assert shapley_definitional(game).values == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_player_cap(self):
-        game = FullObligationGame(CreditInstance.of(10, [((1,), 1.0)]))
+        game = FullObligationGame(CreditInstance.of(17, [((1,), 1.0)]))
         with pytest.raises(ResourceLimitError, match="cap"):
             shapley_definitional(game)
 
@@ -378,14 +380,27 @@ class TestTwoAuthorFormula:
             shapley_fc_two_author(ci, ReliabilityProfile.ones(3), 1)
 
     def test_matches_closed_form(self, rng):
-        from conftest import random_two_author_credit
-
         for _ in range(15):
             n = rng.randint(2, 6)
             ci = random_two_author_credit(rng, n)
             p = random_profile(rng, n)
             expected = shapley_closed(FullCreditGame(ci), p, 1)
             assert shapley_fc_two_author(ci, p, 1) == pytest.approx(expected, abs=1e-12)
+
+    def test_exact_at_dyadic_profiles(self, rng):
+        # exact rationals of the definition, relative to the score of x's
+        # papers, which bounds the value: above 8 one ulp exceeds 1e-15
+        for _ in range(15):
+            n = rng.randint(2, 7)
+            ci = random_two_author_credit(rng, n)
+            table = [
+                sum((Fraction(s) for a, s in ci.papers if a & coalition), Fraction(0))
+                for coalition in all_coalitions(n)
+            ]
+            p = [rng.randint(0, 16) / 16 for _ in range(n)]
+            exact = exact_table_shapley(table, p)[0]
+            scale = max(1.0, sum(s for a, s in ci.papers if 1 in a))
+            assert abs(Fraction(shapley_fc_two_author(ci, p, 1)) - exact) <= Fraction(1e-15) * scale
 
 
 class TestCycleClosedForm:
@@ -408,6 +423,18 @@ class TestCycleClosedForm:
             assert shapley_cycle_closed(p) == pytest.approx(
                 shapley_definitional(game, p)[1], abs=1e-9
             )
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_exact_at_dyadic_profiles(self, rng, n):
+        graph = cycle_graph(n)
+        table = [
+            Fraction(len(set().union(*(graph.closed_neighborhood(v) for v in coalition))))
+            for coalition in all_coalitions(n)
+        ]
+        for _ in range(10):
+            p = [rng.randint(0, 16) / 16 for _ in range(n)]
+            exact = exact_table_shapley(table, p)[0]
+            assert abs(Fraction(shapley_cycle_closed(p)) - exact) <= Fraction(1e-15)
 
 
 def _with_certain_players(rng, p):
