@@ -467,9 +467,12 @@ def _best_affordable(masks: np.ndarray, scores: np.ndarray) -> tuple[float, tupl
     :func:`_affordable_masks`), and the subset of bit indices that attains
     it.  Scores within ``_TIE_EPS`` tie; a tie prefers the smaller subset,
     then the lexicographically first.  That rule is not transitive, so the
-    masks are scanned in increasing order."""
+    masks are scanned in increasing order; a score above the best by more
+    than ``_TIE_EPS`` can neither win nor tie, so its subset is not built."""
     best: tuple[float, tuple[int, ...]] | None = None
     for mask, value in zip(masks.tolist(), scores.tolist()):
+        if best is not None and value > best[0] + _TIE_EPS:
+            continue
         chosen = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         if best is None or value < best[0] - _TIE_EPS or (
             abs(value - best[0]) <= _TIE_EPS and (len(chosen), chosen) < (len(best[1]), best[1])

@@ -13,9 +13,10 @@ for every lambda >= 0 (Boros & Hammer, Discrete Appl. Math. 123, 2002): the
 lower convex hull of the vertices' (cost, value) points, read at cost =
 budget, bounds Sh_x from below on the box's feasible part.  The best
 feasible vertex, and the point where the hull's segment crosses the budget,
-are feasible profiles.  The search stops when the best of them is within
-1e-9 of the least bound of the boxes still open, so the answer is certified
-to 1e-9.
+are feasible profiles.  The boxes are evaluated as a stack, the root ones
+together and the two halves of an opened box together.  The search stops
+when the best feasible profile is within 1e-9 of the least bound of the
+boxes still open, so the answer is certified to 1e-9.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def _branch_and_bound(
     2^k vertices (axis i for coordinate i) come from the corner table at the
     start, each vertex folded as ``reliability._fold`` folds it, and from
     the parent's vertices when a box is halved, since Sh_x is linear along
-    every axis.  At most 2^k + ``max_boxes`` boxes are open at a time.
+    every axis.  Boxes are evaluated as a stack on a leading axis: the root
+    boxes in one call of ``push``, the two halves of an opened box in
+    another.  At most 2^k + ``max_boxes`` boxes are open at a time.
     """
     k = len(base_p)
     cap = budget + 1e-12
@@ -129,40 +132,41 @@ def _branch_and_bound(
     floor = np.inf  # the least bound of the boxes never pushed
     serial = itertools.count()
 
-    def offer(value: float, cost: float, point: np.ndarray) -> None:
-        key = [float(value), float(cost), tuple(point.tolist())]
-        if not best or key[0] < best[0] - _TIE or (
-            key[0] <= best[0] + _TIE and key[1:] < best[1:]
+    def offer(value: float, cost: float, point: list) -> None:
+        if not best or value < best[0] - _TIE or (
+            value <= best[0] + _TIE and [cost, tuple(point)] < best[1:]
         ):
-            best[:] = key
+            best[:] = [value, cost, tuple(point)]
 
     def push(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Offer the box's feasible vertex and hull crossing, then queue it
-        by its bound unless that bound is settled or within ``_GAP``."""
+        """Offer each box's feasible vertex and hull crossing, then queue the
+        box by its bound unless that bound is settled or within ``_GAP``.
+        The boxes are stacked on the first axis and taken in that order."""
         nonlocal floor
-        points = np.where(bits, hi, lo)
+        points = np.where(bits, hi[:, None], lo[:, None])
         costs = _cost_of(points, base_p, base_l, base_r)
-        flat = values.ravel()
-        feasible = np.flatnonzero(costs <= cap)
-        if feasible.size:
-            tied = feasible[flat[feasible] <= flat[feasible].min() + _TIE]
-            v = tied[np.argmin(costs[tied])]
-            offer(flat[v], costs[v], points[v])
-        # the vertices that no cheaper vertex matches in value, by cost
+        flat = values.reshape(costs.shape)
+        rows = np.arange(len(flat))
+        feasible = costs <= cap
+        least = np.where(feasible, flat, np.inf).min(axis=1, keepdims=True)
+        pick = np.where(feasible & (flat <= least + _TIE), costs, np.inf).argmin(axis=1)
+        # per box, the vertices by cost and the stair of those no cheaper vertex matches
         order = np.lexsort((flat, costs))
-        ranked = flat[order]
-        stair = order[np.r_[True, ranked[1:] < np.minimum.accumulate(ranked)[:-1]]]
-        if costs[stair[0]] > budget:
-            bound, axis = np.inf, None  # no point of the box is within budget
-        elif costs[stair[-1]] <= budget:
-            bound, axis = flat[stair[-1]], None  # its least vertex is within budget
-        else:
-            xs, ys = costs[stair].tolist(), flat[stair].tolist()
+        ranked, by_cost = np.take_along_axis(flat, order, 1), np.take_along_axis(costs, order, 1)
+        stairs = np.c_[rows >= 0, ranked[:, 1:] < np.minimum.accumulate(ranked, 1)[:, :-1]]
+        last = flat.shape[1] - 1 - stairs[:, ::-1].argmax(axis=1)
+        # no point of the box is within budget, or its least vertex is
+        bounds = np.where(by_cost[:, 0] > budget, np.inf, ranked[rows, last])
+        crossing = np.flatnonzero((by_cost[:, 0] <= budget) & (by_cost[rows, last] > budget))
 
-            def turn(h: int, g: int, j: int) -> float:
-                """Positive when g lies below the chord from h to j."""
-                return (xs[g] - xs[h]) * (ys[j] - ys[h]) - (ys[g] - ys[h]) * (xs[j] - xs[h])
+        def turn(h: int, g: int, j: int) -> float:
+            """Positive when g lies below the chord from h to j."""
+            return (xs[g] - xs[h]) * (ys[j] - ys[h]) - (ys[g] - ys[h]) * (xs[j] - xs[h])
 
+        segments = np.zeros((len(crossing), 3))  # per crossing box, t and the segment's ends
+        for n, i in enumerate(crossing.tolist()):
+            stair = order[i, stairs[i]]
+            xs, ys = costs[i, stair].tolist(), flat[i, stair].tolist()
             hull: list[int] = []  # the stair's lower convex hull
             for j in range(len(xs)):
                 while len(hull) > 1 and turn(hull[-2], hull[-1], j) <= 0:
@@ -170,15 +174,27 @@ def _branch_and_bound(
                 hull.append(j)
             a, b = next((h, j) for h, j in itertools.pairwise(hull) if xs[j] > budget)
             t = (budget - xs[a]) / (xs[b] - xs[a])
-            bound = ys[a] + t * (ys[b] - ys[a])
-            u, w = points[stair[a]], points[stair[b]]
-            point = np.clip(u + t * (w - u), lo, hi)
-            offer(_fold(corners, point)[0], _cost_of(point, base_p, base_l, base_r), point)
-            axis = int(np.argmax(np.abs(w - u)))
-        if axis is None or bound >= best[0] - _GAP:
-            floor = min(floor, bound)
-        else:
-            heapq.heappush(heap, (bound, next(serial), values, lo, hi, axis))
+            bounds[i] = ys[a] + t * (ys[b] - ys[a])
+            segments[n] = t, stair[a], stair[b]
+        t, a, b = segments.T
+        u, w = points[crossing, a.astype(int)], points[crossing, b.astype(int)]
+        point = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
+        crossed = dict(zip(crossing.tolist(), zip(*(column.tolist() for column in (
+            _fold(corners[:, None], point.T)[0], _cost_of(point, base_p, base_l, base_r),
+            point, np.abs(w - u).argmax(axis=1))))))  # value, cost, point, split axis
+        vertex = zip(feasible.any(axis=1).tolist(), flat[rows, pick].tolist(),
+                     costs[rows, pick].tolist(), points[rows, pick].tolist(), bounds.tolist())
+        for j, (some, value, cost, point, bound) in enumerate(vertex):
+            if some:
+                offer(value, cost, point)
+            axis = None
+            if j in crossed:
+                value, cost, point, axis = crossed[j]
+                offer(value, cost, point)
+            if axis is None or bound >= best[0] - _GAP:
+                floor = min(floor, bound)
+            else:
+                heapq.heappush(heap, (bound, next(serial), values[j], lo[j], hi[j], axis))
 
     # the values at {0, b_i, 1} on every axis i; the middle one mixes the
     # ends as the fold does, so every entry equals the fold bit for bit
@@ -188,21 +204,19 @@ def _branch_and_bound(
         table = np.stack((low, b * high + (1.0 - b) * low, high), axis=i)
     ends = np.stack((np.zeros(k), base_p, np.ones(k)))
     halves = [[s for s in (0, 1) if ends[s, i] < ends[s + 1, i]] for i in range(k)]
-    for sides in itertools.product(*halves):
-        s = np.array(sides)
-        window = tuple(slice(j, j + 2) for j in sides)
-        push(table[window], ends[s, range(k)], ends[s + 1, range(k)])
+    sides = np.array(list(itertools.product(*halves)))
+    windows = np.lib.stride_tricks.sliding_window_view(table, (2,) * k)[np.ix_(*halves)]
+    push(windows.reshape((-1,) + (2,) * k), ends[sides, range(k)], ends[sides + 1, range(k)])
 
     opened = 0
     while heap and best[0] - heap[0][0] > _GAP and opened < max_boxes:
         _, _, values, lo, hi, axis = heapq.heappop(heap)
         opened += 1
-        upper, lower = hi.copy(), lo.copy()
-        upper[axis] = lower[axis] = (lo[axis] + hi[axis]) / 2.0
+        los, his = np.stack((lo, lo)), np.stack((hi, hi))
+        his[0, axis] = los[1, axis] = (lo[axis] + hi[axis]) / 2.0
         low, high = np.take(values, 0, axis=axis), np.take(values, 1, axis=axis)
-        half = (low + high) / 2.0
-        push(np.stack((low, half), axis=axis), lo, upper)
-        push(np.stack((half, high), axis=axis), lower, hi)
+        split = np.stack((low, (low + high) / 2.0, high), axis=axis)
+        push(np.stack((split.take((0, 1), axis), split.take((1, 2), axis))), los, his)
     bound = min([floor] + [entry[0] for entry in heap])
     return np.array(best[2]), bound, best[0] - bound > _GAP
 

@@ -1,10 +1,14 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reliattack import (
     AttackProblem,
@@ -22,6 +26,7 @@ from reliattack import (
     credit_knapsack_attack,
     fractional_knapsack_optimum,
     fractional_oracle,
+    game_from_json,
     greedy_fractional_attack,
     liveness_transform,
     liveness_value,
@@ -278,6 +283,99 @@ def test_bound_below_dense_grid_minimum(rng, variant, k):
         assert bound <= float(least) + 1e-12
 
 
+GOLDEN = Path(__file__).with_name("oracle_golden.json")
+
+
+def golden_cases(count: int = 60, seed: int = 19) -> list[dict]:
+    """Random oracle problems as JSON: nc1, nc2 with k = 1, 2 and 3, fc and
+    fo in turn, each at the caps 0, 5 and 10,000 in turn; n 3-8, random
+    exempt sets leaving at most 6 attackable players, unequal L and R."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        variant = ("nc1", "nc2", "nc2", "nc2", "fc", "fo")[i % 6]
+        n = rng.randint(3, 8)
+        players = range(1, n + 1)
+        if variant in ("fc", "fo"):
+            papers = [
+                {"authors": rng.sample(players, rng.randint(1, min(n, 4))),
+                 "score": rng.uniform(0.2, 3.0)}
+                for _ in range(rng.randint(1, 6))
+            ]
+            game = {"variant": variant, "n": n, "papers": papers}
+        else:
+            edges = [[u, v] for u, v in itertools.combinations(players, 2) if rng.random() < 0.5]
+            game = {"variant": variant, "n": n, "edges": edges}
+            if variant == "nc2":
+                game["k"] = i % 6
+        target = rng.randint(1, n)
+        others = [j for j in players if j != target]
+        exempt = rng.sample(others, max(rng.randint(0, 2), len(others) - 6))
+        cases.append({
+            "game": game,
+            "target": target,
+            "budget": rng.uniform(0.0, 1.5),
+            "p_star": [1.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0) for _ in players],
+            "L": [rng.uniform(0.3, 3.0) for _ in players],
+            "R": [rng.uniform(0.3, 3.0) for _ in players],
+            "exempt": sorted(exempt),
+            "max_refinements": (0, 5, 10_000)[i // 6 % 3],
+        })
+    return cases
+
+
+def golden_plan(case: dict) -> str:
+    """The ``repr`` of (total_cost, achieved, profile, note) of the oracle's
+    plan for one case of :func:`golden_cases`."""
+    n = case["game"]["n"]
+    costs = CostModel(case["p_star"], case["L"], case["R"], (0.0,) * n)
+    problem = AttackProblem(
+        game_from_json(case["game"]), case["target"], case["budget"], costs,
+        frozenset(case["exempt"]),
+    )
+    plan = fractional_oracle(problem, OracleConfig(max_refinements=case["max_refinements"]))
+    return repr((plan.total_cost, plan.achieved, plan.profile, plan.note))
+
+
+def test_plans_match_the_recorded_fixture():
+    """The oracle's plans, bit for bit, against ``oracle_golden.json``.  A
+    change that means to alter them regenerates the fixture with
+    ``PYTHONPATH=src python tests/test_oracle.py`` and says why."""
+    recorded = json.loads(GOLDEN.read_text())
+    assert [entry["case"] for entry in recorded] == golden_cases()
+    for entry in recorded:
+        assert golden_plan(entry["case"]) == entry["plan"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_unopened_search_beats_every_feasible_root_vertex(hrng):
+    """With no box opened, the search has still offered every root orthant's
+    best feasible vertex, so neither its plan nor its bound lies above the
+    least budget-feasible point of the grid {0, b_i, 1}^k."""
+    n = hrng.randint(3, 7)
+    game = random_game(hrng, hrng.choice(("nc1", "nc2", "fc", "fo")), n)
+    p_star = tuple(1.0 if hrng.random() < 0.1 else hrng.uniform(0.05, 1.0) for _ in range(n))
+    slopes = [tuple(hrng.uniform(0.3, 3.0) for _ in range(n)) for _ in "LR"]
+    budget = hrng.uniform(0.0, 1.5)
+    attackable = sorted(hrng.sample(range(2, n + 1), hrng.randint(1, min(n - 1, 4))))
+    problem = AttackProblem(
+        game, 1, budget, CostModel(p_star, *slopes, (0.0,) * n),
+        frozenset(range(2, n + 1)) - set(attackable),
+    )
+    plan = fractional_oracle(problem, OracleConfig(max_refinements=0))
+    cols = np.array(attackable) - 1
+    base_p, base_l, base_r = (np.array(v)[cols] for v in (p_star, *slopes))
+    corners = oracle._corner_shapley(game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols)
+    _, bound, _ = oracle._branch_and_bound(corners, base_p, base_l, base_r, budget, 0)
+    grid = np.array(list(itertools.product(*[(0.0, b, 1.0) for b in base_p])))
+    feasible = grid[oracle._cost_of(grid, base_p, base_l, base_r) <= budget]
+    least = liveness_value(corners, feasible).min()
+    assert plan.total_cost <= budget + 1e-12
+    assert plan.achieved <= least + 1e-12
+    assert bound <= least + 1e-12
+
+
 class TestCornerInterpolation:
     """Evaluating through the 2^k corner values against the liveness transform
     of the whole coalition table at every profile row."""
@@ -344,3 +442,10 @@ class TestKnapsackLp:
     def test_negative_capacity(self):
         with pytest.raises(DomainError):
             fractional_knapsack_optimum([1.0], [1.0], -1.0)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps([{"case": case, "plan": golden_plan(case)} for case in golden_cases()], indent=1)
+        + "\n"
+    )
