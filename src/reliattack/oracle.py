@@ -119,9 +119,8 @@ def _branch_and_bound(
     2^k vertices (axis i for coordinate i) come from the corner table at the
     start, each vertex folded as ``reliability._fold`` folds it, and from
     the parent's vertices when a box is halved, since Sh_x is linear along
-    every axis.  Boxes are evaluated as a stack on a leading axis: the root
-    boxes in one call of ``push``, the two halves of an opened box in
-    another.  At most 2^k + ``max_boxes`` boxes are open at a time.
+    every axis.  ``push`` takes the root boxes, or an opened box's halves, as
+    one stack.  At most 2^k + ``max_boxes`` boxes are open at a time.
     """
     k = len(base_p)
     cap = budget + 1e-12
@@ -139,9 +138,9 @@ def _branch_and_bound(
             best[:] = [value, cost, tuple(point)]
 
     def push(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Offer each box's feasible vertex and hull crossing, then queue the
-        box by its bound unless that bound is settled or within ``_GAP``.
-        The boxes are stacked on the first axis and taken in that order."""
+        """Offer each box's feasible vertex and hull crossing, then queue it by
+        its bound unless that bound is settled or within ``_GAP``: box by box,
+        as one box at a time, since a tie can raise the incumbent by ``_TIE``."""
         nonlocal floor
         points = np.where(bits, hi[:, None], lo[:, None])
         costs = _cost_of(points, base_p, base_l, base_r)
@@ -152,8 +151,9 @@ def _branch_and_bound(
         pick = np.where(feasible & (flat <= least + _TIE), costs, np.inf).argmin(axis=1)
         # per box, the vertices by cost and the stair of those no cheaper vertex matches
         order = np.lexsort((flat, costs))
-        ranked, by_cost = np.take_along_axis(flat, order, 1), np.take_along_axis(costs, order, 1)
-        stairs = np.c_[rows >= 0, ranked[:, 1:] < np.minimum.accumulate(ranked, 1)[:, :-1]]
+        ranked, by_cost = flat[rows[:, None], order], costs[rows[:, None], order]
+        stairs = np.ones(flat.shape, bool)
+        stairs[:, 1:] = ranked[:, 1:] < np.minimum.accumulate(ranked, 1)[:, :-1]
         last = flat.shape[1] - 1 - stairs[:, ::-1].argmax(axis=1)
         # no point of the box is within budget, or its least vertex is
         bounds = np.where(by_cost[:, 0] > budget, np.inf, ranked[rows, last])
@@ -163,8 +163,8 @@ def _branch_and_bound(
             """Positive when g lies below the chord from h to j."""
             return (xs[g] - xs[h]) * (ys[j] - ys[h]) - (ys[g] - ys[h]) * (xs[j] - xs[h])
 
-        segments = np.zeros((len(crossing), 3))  # per crossing box, t and the segment's ends
-        for n, i in enumerate(crossing.tolist()):
+        segments = []  # per crossing box, t and the ends of its hull segment over the budget
+        for i in crossing.tolist():
             stair = order[i, stairs[i]]
             xs, ys = costs[i, stair].tolist(), flat[i, stair].tolist()
             hull: list[int] = []  # the stair's lower convex hull
@@ -175,13 +175,14 @@ def _branch_and_bound(
             a, b = next((h, j) for h, j in itertools.pairwise(hull) if xs[j] > budget)
             t = (budget - xs[a]) / (xs[b] - xs[a])
             bounds[i] = ys[a] + t * (ys[b] - ys[a])
-            segments[n] = t, stair[a], stair[b]
-        t, a, b = segments.T
-        u, w = points[crossing, a.astype(int)], points[crossing, b.astype(int)]
-        point = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
-        crossed = dict(zip(crossing.tolist(), zip(*(column.tolist() for column in (
-            _fold(corners[:, None], point.T)[0], _cost_of(point, base_p, base_l, base_r),
-            point, np.abs(w - u).argmax(axis=1))))))  # value, cost, point, split axis
+            segments.append((t, points[i, stair[a]], points[i, stair[b]]))
+        crossed = {}  # per crossing box, its point's value, cost, point and split axis
+        if segments:
+            t, u, w = map(np.array, zip(*segments))
+            point = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
+            crossed = dict(zip(crossing.tolist(), zip(*(column.tolist() for column in (
+                _fold(corners[:, None], point.T)[0], _cost_of(point, base_p, base_l, base_r),
+                point, np.abs(w - u).argmax(axis=1))))))
         vertex = zip(feasible.any(axis=1).tolist(), flat[rows, pick].tolist(),
                      costs[rows, pick].tolist(), points[rows, pick].tolist(), bounds.tolist())
         for j, (some, value, cost, point, bound) in enumerate(vertex):
@@ -212,7 +213,7 @@ def _branch_and_bound(
     while heap and best[0] - heap[0][0] > _GAP and opened < max_boxes:
         _, _, values, lo, hi, axis = heapq.heappop(heap)
         opened += 1
-        los, his = np.stack((lo, lo)), np.stack((hi, hi))
+        los, his = np.array((lo, lo)), np.array((hi, hi))
         his[0, axis] = los[1, axis] = (lo[axis] + hi[axis]) / 2.0
         low, high = np.take(values, 0, axis=axis), np.take(values, 1, axis=axis)
         split = np.stack((low, (low + high) / 2.0, high), axis=axis)
