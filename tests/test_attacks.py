@@ -38,9 +38,11 @@ from reliattack import (
 from reliattack import attacks
 
 from conftest import (
+    all_coalitions,
     best_affordable_loop,
     cycle_graph,
     exact_shapley,
+    exact_table_shapley,
     no_benefit_loop,
     path_graph,
     random_game,
@@ -238,6 +240,33 @@ class TestCycleAttack:
     def test_crossover_lambda_examples(self):
         assert crossover_lambda_pq((1.0, 0.5, 0.3, 0.3, 0.5)) == pytest.approx(0.5)
         assert crossover_lambda_pq((1.0, 0.9, 0.3, 0.3, 0.1)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("p_star", [
+        (1, Fraction(1, 4), Fraction(1, 2), Fraction(7, 8), Fraction(1, 8)),
+        tuple(Fraction(v, 16) for v in (12, 8, 4, 10, 15, 4)),
+    ])
+    def test_crossover_lambda_is_exact(self, p_star):
+        # p*_{n-1} - p*_n > 1/2: at budget crossover_lambda_pq, orders P and Q
+        # (each player raised to 1 at unit cost in turn) decrease Sh_1 by
+        # the same exact amount
+        n = len(p_star)
+        lam = Fraction(crossover_lambda_pq([float(v) for v in p_star]))
+        assert lam == Fraction(3, 2) - p_star[1] - p_star[-1]
+        graph = cycle_graph(n)
+        table = [
+            Fraction(len(set().union(*(graph.closed_neighborhood(v) for v in coalition))))
+            for coalition in all_coalitions(n)
+        ]
+
+        def decrease(order):
+            p, left = list(p_star), lam
+            for j in order:
+                step = min(left, 1 - p[j - 1])
+                p[j - 1] += step
+                left -= step
+            return exact_table_shapley(table, p_star)[0] - exact_table_shapley(table, p)[0]
+
+        assert decrease([2, n, n - 1, 3]) == decrease([2, n - 1, n, 3])  # P, then Q
 
     def test_budget_feasibility_random(self, rng):
         for _ in range(20):

@@ -728,6 +728,21 @@ class TestGradients:
         assert slope == Fraction(1, 6)
         assert abs(Fraction(shapley_gradient(game, (1.0, 1.0, 1.0), 1)[2]) - slope) <= 1e-12
 
+    @pytest.mark.parametrize("p1", [Fraction(1), Fraction(1, 2)])
+    def test_threshold_path_mixed_partial_is_minus_p1_over_three(self, p1):
+        # path 1-2-3 with k = 2: Sh_1 is multilinear in p_2 and p_3, so its
+        # mixed partial in them is the exact four-point difference over
+        # their corners, -p_1 / 3
+        graph = path_graph(3)
+        value = threshold_value(graph, 2)
+        table = [Fraction(value(coalition)) for coalition in all_coalitions(3)]
+        game = ThresholdNeighborhoodGame(graph, 2)
+        signs = {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
+        exact = sum(s * exact_table_shapley(table, (p1, a, b))[0] for (a, b), s in signs.items())
+        assert exact == -p1 / 3
+        closed = sum(s * shapley_closed(game, (float(p1), a, b), 1) for (a, b), s in signs.items())
+        assert abs(Fraction(closed) - exact) <= 1e-12
+
     def test_exact_enumerator_matches_the_closed_form(self, rng):
         # the exact pins above rest on conftest's Fraction enumerator
         for _ in range(4):
