@@ -176,26 +176,25 @@ def _branch_and_bound(
             t = (budget - xs[a]) / (xs[b] - xs[a])
             bounds[i] = ys[a] + t * (ys[b] - ys[a])
             segments.append((t, points[i, stair[a]], points[i, stair[b]]))
-        crossed = {}  # per crossing box, its point's value, cost, point and split axis
+        at = {i: c for c, i in enumerate(crossing.tolist())}  # box -> its row among the crossing
         if segments:
             t, u, w = map(np.array, zip(*segments))
-            point = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
-            crossed = dict(zip(crossing.tolist(), zip(*(column.tolist() for column in (
-                _fold(corners[:, None], point.T)[0], _cost_of(point, base_p, base_l, base_r),
-                point, np.abs(w - u).argmax(axis=1))))))
+            cross = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
+            cross_values = _fold(corners[:, None], cross.T)[0].tolist()
+            cross_costs = _cost_of(cross, base_p, base_l, base_r).tolist()
+            cross_points, cross_axes = cross.tolist(), np.abs(w - u).argmax(axis=1).tolist()
         vertex = zip(feasible.any(axis=1).tolist(), flat[rows, pick].tolist(),
                      costs[rows, pick].tolist(), points[rows, pick].tolist(), bounds.tolist())
         for j, (some, value, cost, point, bound) in enumerate(vertex):
             if some:
                 offer(value, cost, point)
-            axis = None
-            if j in crossed:
-                value, cost, point, axis = crossed[j]
-                offer(value, cost, point)
-            if axis is None or bound >= best[0] - _GAP:
+            c = at.get(j)
+            if c is not None:
+                offer(cross_values[c], cross_costs[c], cross_points[c])
+            if c is None or bound >= best[0] - _GAP:
                 floor = min(floor, bound)
             else:
-                heapq.heappush(heap, (bound, next(serial), values[j], lo[j], hi[j], axis))
+                heapq.heappush(heap, (bound, next(serial), values[j], lo[j], hi[j], cross_axes[c]))
 
     # the values at {0, b_i, 1} on every axis i; the middle one mixes the
     # ends as the fold does, so every entry equals the fold bit for bit

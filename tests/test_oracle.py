@@ -324,27 +324,69 @@ def golden_cases(count: int = 60, seed: int = 19) -> list[dict]:
     return cases
 
 
-def golden_plan(case: dict) -> str:
-    """The ``repr`` of (total_cost, achieved, profile, note) of the oracle's
-    plan for one case of :func:`golden_cases`."""
+def golden_record(case: dict) -> dict:
+    """The oracle's corner table, search and plan for one case of
+    :func:`golden_cases`: the corners as floats, the ``repr`` of the
+    (point, bound, stopped) that ``_branch_and_bound`` returns from them
+    (None when no player is attackable), and the plan's total_cost,
+    achieved, profile and note."""
     n = case["game"]["n"]
     costs = CostModel(case["p_star"], case["L"], case["R"], (0.0,) * n)
-    problem = AttackProblem(
-        game_from_json(case["game"]), case["target"], case["budget"], costs,
-        frozenset(case["exempt"]),
+    game = game_from_json(case["game"])
+    problem = AttackProblem(game, case["target"], case["budget"], costs, frozenset(case["exempt"]))
+    cols = np.array(problem.attackable(), dtype=np.int64) - 1
+    baseline = np.array(case["p_star"])
+    corners = oracle._corner_shapley(
+        game.subset_values(range(1, n + 1)), case["target"], baseline, cols
     )
     plan = fractional_oracle(problem, OracleConfig(max_refinements=case["max_refinements"]))
-    return repr((plan.total_cost, plan.achieved, plan.profile, plan.note))
+    return {
+        "corners": corners.tolist(),
+        "search": golden_search(case, corners),
+        "plan": [plan.total_cost, plan.achieved, list(plan.profile.values), plan.note],
+    }
 
 
-def test_plans_match_the_recorded_fixture():
-    """The oracle's plans, bit for bit, against ``oracle_golden.json``.  A
-    change that means to alter them regenerates the fixture with
+def golden_search(case: dict, corners: np.ndarray) -> str | None:
+    """``repr`` of ``_branch_and_bound``'s (point, bound, stopped) for one
+    case of :func:`golden_cases` from the corner table ``corners``."""
+    exempt = {case["target"], *case["exempt"]}
+    cols = [j for j in range(case["game"]["n"]) if j + 1 not in exempt]
+    if not cols:
+        return None
+    base_p, base_l, base_r = (np.array(case[key])[cols] for key in ("p_star", "L", "R"))
+    point, bound, stopped = oracle._branch_and_bound(
+        corners, base_p, base_l, base_r, case["budget"], case["max_refinements"]
+    )
+    return repr((point.tolist(), float(bound), bool(stopped)))
+
+
+def test_search_matches_the_recorded_fixture():
+    """The branch and bound, bit for bit, against ``oracle_golden.json``: it
+    runs on the recorded corner tables and uses only elementwise numpy and
+    short sums, so its output does not hang on the machine's BLAS.  A change
+    that means to alter it regenerates the fixture with
     ``PYTHONPATH=src python tests/test_oracle.py`` and says why."""
     recorded = json.loads(GOLDEN.read_text())
     assert [entry["case"] for entry in recorded] == golden_cases()
     for entry in recorded:
-        assert golden_plan(entry["case"]) == entry["plan"]
+        assert golden_search(entry["case"], np.array(entry["corners"])) == entry["search"]
+
+
+def test_plans_match_the_recorded_fixture():
+    """The oracle's corner tables and plans against ``oracle_golden.json``, to
+    a few ulps of their scale: the corners come from a BLAS contraction,
+    whose rounding can differ between machines."""
+    def close(actual, recorded):
+        return np.allclose(actual, recorded, rtol=1e-13, atol=1e-13)
+
+    for entry in json.loads(GOLDEN.read_text()):
+        record = golden_record(entry["case"])
+        assert close(record["corners"], entry["corners"])
+        *numbers, note = record["plan"]
+        *recorded_numbers, recorded_note = entry["plan"]
+        assert note == recorded_note
+        assert all(close(a, b) for a, b in zip(numbers, recorded_numbers, strict=True))
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,7 +408,9 @@ def test_unopened_search_beats_every_feasible_root_vertex(hrng):
     plan = fractional_oracle(problem, OracleConfig(max_refinements=0))
     cols = np.array(attackable) - 1
     base_p, base_l, base_r = (np.array(v)[cols] for v in (p_star, *slopes))
-    corners = oracle._corner_shapley(game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols)
+    corners = oracle._corner_shapley(
+        game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols
+    )
     _, bound, _ = oracle._branch_and_bound(corners, base_p, base_l, base_r, budget, 0)
     grid = np.array(list(itertools.product(*[(0.0, b, 1.0) for b in base_p])))
     feasible = grid[oracle._cost_of(grid, base_p, base_l, base_r) <= budget]
@@ -446,6 +490,6 @@ class TestKnapsackLp:
 
 if __name__ == "__main__":
     GOLDEN.write_text(
-        json.dumps([{"case": case, "plan": golden_plan(case)} for case in golden_cases()], indent=1)
+        json.dumps([{"case": case, **golden_record(case)} for case in golden_cases()], indent=1)
         + "\n"
     )

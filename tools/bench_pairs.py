@@ -1,23 +1,24 @@
 """Run alternating parent/change pairs of the benchmark and record them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --label NAME --seeds 101 102 ... \\
-        [--traced-seeds 201 202 ...] [--workloads W ...] [--traced-workloads W ...] \\
-        [--seconds S] [--traced-seconds S] [--what TEXT] [--claim TEXT]
+        [--traced-seeds 201 202 ...] [--traced-workloads W ...]
 
 PARENT and CHANGE are git revisions of this repository.  For every seed and
 workload, both sides run ``perfbench/run.py`` once, back to back: odd seeds
 run the parent first, even seeds the change.  Every run starts from a fresh
 ``git archive`` tree of its side's commit in a temporary directory, so
 neither side sees the working tree or the other's leftovers.  The seeds
-give the end-to-end runs (``--trace 0``, ``--seconds`` from
-``BENCHMARK.json`` unless given); the traced seeds give the per-layer runs
-(``--trace 1``, 5 s unless given) of the traced workloads.
+give the end-to-end runs of every workload (``--trace 0``, for the
+``run_seconds`` of ``BENCHMARK.json``); the traced seeds give the per-layer
+runs (``--trace 1``, 5 s) of the traced workloads, all of them unless given.
+A run that exits nonzero or outlasts 15 minutes is recorded with an error.
 
 The record goes to ``BENCH_<label>.json`` at the root of the repository:
 the commits, commands, seeds, order and machine, every run's result, and
 per workload and metric each side's quartiles and median, the change of
 the median in percent and the number of pairs in which the change read
-lower.  ``notes`` is left empty for the reader's account of the runs.
+lower.  ``what``, ``claim`` and ``notes`` are left empty for the reader's
+account of the runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import gen  # noqa: E402  (the benchmark's own modules)
 
 SIDES = ("parent", "change")
+TRACED_SECONDS = 5.0
 
 
 def _git(*args: str) -> bytes:
@@ -52,7 +54,11 @@ def _run(archive: bytes, workload: str, seed: int, seconds: float, trace: int) -
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
         t0 = perf_counter()
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=900)
+        try:
+            proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                                  timeout=900)
+        except subprocess.TimeoutExpired:
+            return {"elapsed_s": round(perf_counter() - t0, 1), "result": None, "error": "timeout"}
         elapsed = round(perf_counter() - t0, 1)
     if proc.returncode != 0:
         return {"elapsed_s": elapsed, "result": None, "error": proc.stderr.strip()[-2000:]}
@@ -129,19 +135,16 @@ def main() -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--traced-seeds", type=int, nargs="*", default=[])
-    for flag in ("--workloads", "--traced-workloads"):
-        ap.add_argument(flag, nargs="+", choices=gen.WORKLOADS, default=list(gen.WORKLOADS))
-    ap.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
-    ap.add_argument("--traced-seconds", type=float, default=5.0)
-    ap.add_argument("--what")
-    ap.add_argument("--claim")
+    ap.add_argument("--traced-workloads", nargs="+", choices=gen.WORKLOADS,
+                    default=list(gen.WORKLOADS))
     args = ap.parse_args()
+    seconds = float(bench["run_seconds"])
 
     commits = {side: _git("rev-parse", rev).decode().strip()
                for side, rev in zip(SIDES, (args.parent, args.change))}
     archives = {side: _git("archive", commits[side]) for side in SIDES}
-    runs = _pairs(archives, args.workloads, args.seeds, args.seconds, 0)
-    traced = _pairs(archives, args.traced_workloads, args.traced_seeds, args.traced_seconds, 1)
+    runs = _pairs(archives, gen.WORKLOADS, args.seeds, seconds, 0)
+    traced = _pairs(archives, args.traced_workloads, args.traced_seeds, TRACED_SECONDS, 1)
 
     def command(workloads, seconds, trace):
         names = workloads[0] if len(workloads) == 1 else f"<{'|'.join(workloads)}>"
@@ -150,11 +153,11 @@ def main() -> int:
         )
 
     record = {
-        "what": args.what,
+        "what": None,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
-        "command": command(args.workloads, args.seconds, 0),
-        "traced_command": traced and command(args.traced_workloads, args.traced_seconds, 1) or None,
+        "command": command(gen.WORKLOADS, seconds, 0),
+        "traced_command": traced and command(args.traced_workloads, TRACED_SECONDS, 1) or None,
         "seeds": args.seeds,
         "traced_seeds": args.traced_seeds,
         "order": "alternating: odd seeds run parent first, even seeds run change first; per seed "
@@ -164,7 +167,7 @@ def main() -> int:
                    f"{len(os.sched_getaffinity(0))} CPUs available, no CPU pinning; "
                    f"Python {platform.python_version()}, numpy {metadata.version('numpy')}, "
                    f"scipy {metadata.version('scipy')}",
-        "claim": args.claim,
+        "claim": None,
         "notes": None,
         "summary": summarize(runs),
         "traced_summary": summarize(traced),
