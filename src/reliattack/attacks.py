@@ -1,11 +1,11 @@
 """Budget-constrained attacks on a target player's Shapley value.
 
 Fractional attacks move other players' reliabilities under piecewise-linear
-costs; removal attacks zero them out at per-player prices.  The structured
-solvers here (greedy on complete/star graphs, best-of-four on cycles,
-fractional-knapsack greedy on two-author credit instances, exhaustive
-full-obligation removal search) are each validated against independent
-oracles by the test suite.
+costs; removal attacks zero them out at per-player prices.  The three
+fractional solvers (complete and star graphs, cycles, two-author credit
+instances) are one greedy raise along one order, or the best of the
+cycle's four (:func:`_best_raise`); the removal search is exhaustive.  Each
+solver is validated against independent oracles by the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,13 +64,15 @@ class CostModel:
     c: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        n = len(self.p_star)
         for name, label in (("p_star", "p*"), ("L", "L"), ("R", "R"), ("c", "c")):
             values = getattr(self, name)
+            if len(values) != n:
+                raise DomainError(
+                    f"cost model vector {label} has {len(values)} entries, p* has {n}"
+                )
             entries = (_as_finite(v, f"{label}_{i}") for i, v in enumerate(values, start=1))
             object.__setattr__(self, name, tuple(entries))
-        n = len(self.p_star)
-        if not (len(self.L) == len(self.R) == len(self.c) == n):
-            raise DomainError("cost model vectors must all have length n")
         for i in range(n):
             if not 0.0 < self.p_star[i] <= 1.0:
                 raise DomainError(f"baseline p*_{i + 1} = {self.p_star[i]} outside (0, 1]")
@@ -155,17 +157,13 @@ class AttackPlan:
 
 
 def _greedy_raise(
-    start: ReliabilityProfile,
-    order: Sequence[int],
-    slopes: Sequence[float],
-    target: float,
-    budget: float,
+    problem: AttackProblem, order: Sequence[int], slopes: Sequence[float], target: float
 ) -> tuple[ReliabilityProfile, tuple[int, ...]]:
-    """Move each ordered player toward ``target`` (0 or 1) at its cost
-    ``slopes[j - 1]`` per unit while the budget lasts, partially on the
-    first unaffordable one."""
-    vals = list(start.values)
-    left = budget
+    """Move each ordered player from its baseline toward ``target`` (0 or 1)
+    at its cost ``slopes[j - 1]`` per unit while the problem's budget lasts,
+    partially on the first unaffordable one."""
+    vals = list(problem.costs.p_star)
+    left = problem.budget
     touched: list[int] = []
     for j in order:
         cur = vals[j - 1]
@@ -188,13 +186,29 @@ def _greedy_raise(
     return ReliabilityProfile(tuple(vals)), tuple(touched)
 
 
-def _common_slope(values: Sequence[float], players: Sequence[int], name: str) -> float:
+def _best_raise(
+    problem: AttackProblem, orders: Sequence[Sequence[int]], slopes: Sequence[float],
+    target: float, value: Callable[[ReliabilityProfile], float], notes: Sequence[str | None],
+) -> AttackPlan:
+    """The plan of the greedy raise along each of ``orders`` whose profile
+    ``value`` scores least, the first on a tie, noted by its entry of
+    ``notes``."""
+    plans = []
+    for order, note in zip(orders, notes):
+        profile, touched = _greedy_raise(problem, order, slopes, target)
+        plans.append((value(profile), profile, touched, note))
+    achieved, profile, touched, note = min(plans, key=lambda plan: plan[0])
+    return AttackPlan(
+        problem.costs.profile_cost(profile), achieved, profile=profile, order=touched, note=note
+    )
+
+
+def _common_slope(values: Sequence[float], players: Sequence[int], name: str) -> None:
     slopes = {values[j - 1] for j in players}
     if len(slopes) > 1:
         raise DomainError(
             f"attackable players must share a common {name} slope, got {sorted(slopes)}"
         )
-    return next(iter(slopes))
 
 
 def greedy_fractional_attack(
@@ -231,10 +245,6 @@ def greedy_fractional_attack(
         raise DomainError("greedy attack needs a complete or star graph")
 
     attackable = problem.attackable()
-    if not attackable:
-        base = problem.costs.baseline_profile()
-        return AttackPlan(0.0, shapley_closed(game, base, x), profile=base, note=note)
-
     _common_slope(problem.costs.L, attackable, "decrease")
     _common_slope(problem.costs.R, attackable, "increase")
 
@@ -244,16 +254,8 @@ def greedy_fractional_attack(
         order = [center] + [j for j in by_baseline if j != center]
     else:
         order = by_baseline
-
-    profile, touched = _greedy_raise(
-        problem.costs.baseline_profile(), order, problem.costs.R, 1.0, problem.budget
-    )
-    return AttackPlan(
-        problem.costs.profile_cost(profile),
-        shapley_closed(game, profile, x),
-        profile=profile,
-        order=touched,
-        note=note,
+    return _best_raise(
+        problem, [order], problem.costs.R, 1.0, lambda p: shapley_closed(game, p, x), [note]
     )
 
 
@@ -297,37 +299,22 @@ def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
             stacklevel=2,
         )
     live = [j for j in window if j in attackable]
-    base = problem.costs.baseline_profile()
+    _common_slope(problem.costs.R, live, "increase")
 
     def evaluate(profile: ReliabilityProfile) -> float:
         relabeled = ReliabilityProfile(tuple(profile[v] for v in ring))
         return shapley_cycle_closed(relabeled)
 
-    if not live:
-        return AttackPlan(0.0, evaluate(base), profile=base)
-    _common_slope(problem.costs.R, live, "increase")
-
     orders = (
-        ("P", [succ, pred, pred2, succ2]),
-        ("Q", [succ, pred2, pred, succ2]),
-        ("R", [pred, succ2, succ, pred2]),
-        ("S", [pred, succ, succ2, pred2]),
+        [succ, pred, pred2, succ2],
+        [succ, pred2, pred, succ2],
+        [pred, succ2, succ, pred2],
+        [pred, succ, succ2, pred2],
     )
-    best: tuple[float, str, ReliabilityProfile, tuple[int, ...]] | None = None
-    for name, order in orders:
-        seq = [j for j in order if j in attackable]
-        profile, touched = _greedy_raise(base, seq, problem.costs.R, 1.0, problem.budget)
-        value = evaluate(profile)
-        if best is None or value < best[0]:
-            best = (value, name, profile, touched)
-    value, name, profile, touched = best
-    return AttackPlan(
-        problem.costs.profile_cost(profile),
-        value,
-        profile=profile,
-        order=touched,
-        note=f"best-of-four targeting order {name}",
-    )
+    # with no live player every order leaves the baseline, and the plan has no note
+    notes = [f"best-of-four targeting order {name}" if live else None for name in "PQRS"]
+    seqs = [[j for j in order if j in attackable] for order in orders]
+    return _best_raise(problem, seqs, problem.costs.R, 1.0, evaluate, notes)
 
 
 def crossover_lambda_pq(p_star: ProfileLike) -> float:
@@ -362,14 +349,8 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
     slope_vec = problem.costs.R if raising else problem.costs.L
     candidates = [l for l in contrib if l not in problem.exempt]
     order = sorted(candidates, key=lambda l: (-contrib[l] / slope_vec[l - 1], l))
-    profile, touched = _greedy_raise(
-        problem.costs.baseline_profile(), order, slope_vec, float(raising), problem.budget
-    )
-    return AttackPlan(
-        problem.costs.profile_cost(profile),
-        shapley_closed(game, profile, x),
-        profile=profile,
-        order=touched,
+    return _best_raise(
+        problem, [order], slope_vec, float(raising), lambda p: shapley_closed(game, p, x), [None]
     )
 
 

@@ -226,7 +226,10 @@ def _cmd_oracle_check(args) -> int:
     problem, mode, large_cutoff = _attack_problem(request)
     if mode != "fractional":
         raise DomainError("oracle-check applies to fractional attack requests")
-    cfg = OracleConfig(**_load_json(args.config)) if args.config else OracleConfig()
+    config = _load_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise DomainError(f"oracle config {args.config} must be a JSON object, got {config!r}")
+    cfg = OracleConfig(**config)
     cap = os.environ.get(ORACLE_CAP_ENV, "6")
     if not cap.strip().isdecimal():
         raise DomainError(f"{ORACLE_CAP_ENV} must be a nonnegative integer, got {cap!r}")

@@ -750,6 +750,8 @@ def game_from_json(data: Mapping) -> Game:
             raise DomainError(f"variant {variant!r} must not carry field 'edges'")
         papers = []
         for i, paper in enumerate(_as_list(data["papers"], "field 'papers'")):
+            if not isinstance(paper, Mapping):
+                raise DomainError(f"paper {i} must be an object, got {paper!r}")
             try:
                 papers.append((_as_list(paper["authors"], f"authors of paper {i}"), paper["score"]))
             except KeyError as exc:

@@ -115,12 +115,13 @@ def _branch_and_bound(
     itself.  Among values within ``_TIE`` the lower cost wins, then the
     lexicographically smaller point.
 
-    The boxes start as [0, 1]^k split at the baseline; a box's values at its
-    2^k vertices (axis i for coordinate i) come from the corner table at the
-    start, each vertex folded as ``reliability._fold`` folds it, and from
-    the parent's vertices when a box is halved, since Sh_x is linear along
-    every axis.  ``push`` takes the root boxes, or an opened box's halves, as
-    one stack.  At most 2^k + ``max_boxes`` boxes are open at a time.
+    A box carries its values at its 2^k vertices (axis i for coordinate i).
+    ``halve`` cuts a stack of boxes along one axis and mixes the ends at the
+    cut as ``reliability._fold`` does, since Sh_x is linear along every axis.
+    The roots are [0, 1]^k, valued by the corner table and halved at every
+    baseline b_i < 1; an opened box is halved at its midpoint.  ``push``
+    takes the roots, or an opened box's halves, as one stack.  At most 2^k +
+    ``max_boxes`` boxes are open at a time.
     """
     k = len(base_p)
     cap = budget + 1e-12
@@ -196,27 +197,26 @@ def _branch_and_bound(
             else:
                 heapq.heappush(heap, (bound, next(serial), values[j], lo[j], hi[j], cross_axes[c]))
 
-    # the values at {0, b_i, 1} on every axis i; the middle one mixes the
-    # ends as the fold does, so every entry equals the fold bit for bit
-    table = corners.reshape((2,) * k).transpose()
+    def halve(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, axis: int, s: float):
+        """Each box of the stack cut at ``s`` of its way along ``axis``, lower half first."""
+        low, high = values.take(0, axis + 1), values.take(1, axis + 1)
+        mid = s * high + (1.0 - s) * low
+        halves = np.stack((np.stack((low, mid), axis + 1), np.stack((mid, high), axis + 1)), 1)
+        lo, hi = lo.repeat(2, 0), hi.repeat(2, 0)
+        hi[::2, axis] = lo[1::2, axis] = s * hi[::2, axis] + (1.0 - s) * lo[::2, axis]
+        return halves.reshape((-1,) + values.shape[1:]), lo, hi
+
+    box = corners.reshape((2,) * k).transpose()[None], np.zeros((1, k)), np.ones((1, k))
     for i, b in enumerate(base_p):
-        low, high = np.take(table, 0, axis=i), np.take(table, 1, axis=i)
-        table = np.stack((low, b * high + (1.0 - b) * low, high), axis=i)
-    ends = np.stack((np.zeros(k), base_p, np.ones(k)))
-    halves = [[s for s in (0, 1) if ends[s, i] < ends[s + 1, i]] for i in range(k)]
-    sides = np.array(list(itertools.product(*halves)))
-    windows = np.lib.stride_tricks.sliding_window_view(table, (2,) * k)[np.ix_(*halves)]
-    push(windows.reshape((-1,) + (2,) * k), ends[sides, range(k)], ends[sides + 1, range(k)])
+        if b < 1.0:
+            box = halve(*box, i, b)
+    push(*box)
 
     opened = 0
     while heap and best[0] - heap[0][0] > _GAP and opened < max_boxes:
         _, _, values, lo, hi, axis = heapq.heappop(heap)
         opened += 1
-        los, his = np.array((lo, lo)), np.array((hi, hi))
-        his[0, axis] = los[1, axis] = (lo[axis] + hi[axis]) / 2.0
-        low, high = np.take(values, 0, axis=axis), np.take(values, 1, axis=axis)
-        split = np.stack((low, (low + high) / 2.0, high), axis=axis)
-        push(np.stack((split.take((0, 1), axis), split.take((1, 2), axis))), los, his)
+        push(*halve(values[None], lo[None], hi[None], axis, 0.5))
     bound = min([floor] + [entry[0] for entry in heap])
     return np.array(best[2]), bound, best[0] - bound > _GAP
 

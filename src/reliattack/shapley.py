@@ -144,16 +144,6 @@ def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-@lru_cache(maxsize=256)
-def _pair_weights(q: int) -> np.ndarray:
-    """The weights w and w * (1 - t) of q-point quadrature as the columns of
-    one matrix, for nc2's pair term."""
-    t, w = _gauss_legendre(q)
-    out = np.stack((w, w * (1.0 - t)), axis=1)
-    out.flags.writeable = False
-    return out
-
-
 class _Batch:
     """Reliability profiles as the rows of a matrix ``P``: column j holds
     0-based player j, or, with a map ``col``, column ``col[j]`` does.
@@ -287,10 +277,9 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
             for c in (slice(i, i + chunk) for i in range(0, len(ys), chunk)):
                 full[:, c], loo = _low_order_pmfs(probs[:, c], k - 1)
                 pair0[:, c] = k * py[:, c] * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
-        own, pair, i = full[:, g] @ (1.0 - k / s1), pair0[:, g], 0
+        own, pair = full[:, g] @ (1.0 - k / s1), pair0[:, g]
         for logs, total, t, w in blocks:
-            f = np.exp(total[..., None, :] - logs) @ _pair_weights(a // 2 + 1)[i : i + len(t)]
-            i += len(t)
+            f = np.exp(total[..., None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
             pair += f[..., 0] - k * py[:, g] * f[..., 1]
             own += k * (np.exp(total) @ w)
         batch.add(inner, ys[g], own)

@@ -185,6 +185,16 @@ class TestGreedyAttack:
         assert plan.profile.values == cm.p_star
         assert plan.total_cost == 0.0
 
+    def test_raise_skips_a_player_already_at_one(self):
+        # player 2 leads the order at p* = 1: it gets nothing and is left out
+        # of the order, and the budget goes to player 3
+        game = nc1(complete_graph(4))
+        cm = CostModel.uniform((0.5, 1.0, 0.6, 0.5))
+        plan = greedy_fractional_attack(AttackProblem(game, 1, 0.5, cm))
+        assert plan.order == (3, 4)
+        assert plan.profile.values == pytest.approx((0.5, 1.0, 1.0, 0.6))
+        assert plan.total_cost == pytest.approx(0.5)
+
 
 def cycle_problem(n, p_star, budget, target=1, exempt=frozenset()):
     game = nc1(cycle_graph(n))
@@ -289,6 +299,15 @@ class TestCycleAttack:
         assert abs(after - before) <= 1e-12
         for j in exempt:
             assert plan.profile[j] == p_star[j - 1]
+
+    def test_exempt_window_returns_the_baseline(self):
+        p_star = (0.9, 0.4, 0.5, 0.6, 0.7)
+        exempt = pairwise_exempt_set(nc1(cycle_graph(5)), 1)
+        plan = cycle_fractional_attack(cycle_problem(5, p_star, 2.0, exempt=exempt))
+        assert plan.profile.values == p_star
+        assert plan.total_cost == 0.0
+        assert plan.order == ()
+        assert plan.note is None
 
 
 class _nullcontext:

@@ -128,6 +128,18 @@ class TestAttack:
         assert report["removed"] == [3]
         assert report["shapley_after"] == pytest.approx(1.0)
 
+    def test_unsupported_topology_points_to_the_oracle(self, tmp_path, capsys):
+        request = {
+            "game": {"variant": "nc1", "n": 5, "edges": [[i, i + 1] for i in range(1, 5)]},
+            "target": 1,
+            "budget": 0.5,
+            "cost_model": {"p_star": [0.5] * 5, "L": [1.0] * 5, "R": [1.0] * 5, "c": [0.0] * 5},
+            "mode": "fractional",
+        }
+        code, out, err = run(capsys, "attack", write(tmp_path, "req.json", request))
+        assert code == 1 and out == ""
+        assert "oracle-check" in err
+
     def test_bad_mode(self, tmp_path, capsys):
         code, _, err = run(capsys, "attack", fc_request(tmp_path, mode="sideways"))
         assert code == 1
@@ -211,6 +223,20 @@ class TestOracleCheck:
         cfg = write(tmp_path, "cfg.json", {"grid_resolution": 0.25})
         code, out, _ = run(capsys, "oracle-check", path, "--config", cfg)
         assert code == 0
+
+    def test_oracle_player_cap(self, tmp_path, capsys):
+        request = {
+            "game": {"variant": "nc1", "n": 17,
+                     "edges": [[u, v] for u in range(1, 18) for v in range(u + 1, 18)]},
+            "target": 1,
+            "budget": 0.5,
+            "cost_model": {"p_star": [0.5] * 17, "L": [1.0] * 17, "R": [1.0] * 17,
+                           "c": [0.0] * 17},
+            "mode": "fractional",
+        }
+        code, out, err = run(capsys, "oracle-check", write(tmp_path, "req.json", request))
+        assert code == 2 and out == ""
+        assert "cap (16)" in err
 
     # a bare int() named no variable, and a negative cap exited 2 as if exceeded
     @pytest.mark.parametrize("cap", ["abc", "2.5", "-1", ""])
@@ -494,6 +520,7 @@ class TestMalformedInput:
             ({**FC_GAME, "papers": [{"authors": [1, 2], "score": True}]}, "score of paper 0"),
             ({**FC_GAME, "papers": [{"authors": [True, 2], "score": 1.0}]}, "author set"),
             ({**FC_GAME, "papers": [{"authors": [1, True], "score": 1.0}]}, "author set"),
+            ({**FC_GAME, "papers": [[1, 2]]}, "paper 0 must be an object"),
         ],
     )
     def test_game_fields(self, tmp_path, capsys, game, field):
@@ -530,6 +557,14 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert entry in err
 
+    @pytest.mark.parametrize("vector", ["L", "R", "c"])
+    def test_cost_model_lengths(self, tmp_path, capsys, vector):
+        request = json.loads(open(fc_request(tmp_path)).read())
+        request["cost_model"][vector].append(1.0)
+        code, out, err = run(capsys, "attack", write(tmp_path, "request.json", request))
+        assert code == 1 and out == ""
+        assert f"cost model vector {vector} has 4 entries, p* has 3" in err
+
     # a NaN swap_step used to keep the swap descent from ever stopping
     @pytest.mark.parametrize(
         "config, field",
@@ -540,10 +575,13 @@ class TestMalformedInput:
             ({"max_refinements": True}, "max_refinements"),
             ({"max_refinements": 2.5}, "max_refinements"),
             ({"max_refinements": "10"}, "max_refinements"),
+            ([{"grid_resolution": 0.25}], "cfg.json must be a JSON object"),
         ],
     )
     def test_oracle_config_fields(self, tmp_path, capsys, config, field):
-        cfg = write(tmp_path, "cfg.json", {"grid_resolution": 0.25, **config})
+        if isinstance(config, dict):
+            config = {"grid_resolution": 0.25, **config}
+        cfg = write(tmp_path, "cfg.json", config)
         code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
         assert code == 1 and out == ""
         assert field in err
