@@ -750,14 +750,14 @@ def game_from_json(data: Mapping) -> Game:
             raise DomainError(f"variant {variant!r} must not carry field 'edges'")
         papers = []
         for i, paper in enumerate(_as_list(data["papers"], "field 'papers'")):
-            if not isinstance(paper, Mapping):
-                raise DomainError(f"paper {i} must be an object, got {paper!r}")
             try:
                 papers.append((_as_list(paper["authors"], f"authors of paper {i}"), paper["score"]))
             except KeyError as exc:
                 raise DomainError(
                     f"paper {i} missing field {exc.args[0]!r}"
                 ) from None
+            except TypeError:  # a list, string or number has no named fields
+                raise DomainError(f"paper {i} must be an object, got {paper!r}") from None
         inst = CreditInstance.of(n, papers)
         return FullCreditGame(inst) if variant == "fc" else FullObligationGame(inst)
     raise DomainError(f"unknown game variant {variant!r}")
