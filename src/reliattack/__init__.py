@@ -13,6 +13,7 @@ from .attacks import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
+    fractional_attack,
     greedy_fractional_attack,
     pairwise_exempt_set,
     removal_attack,

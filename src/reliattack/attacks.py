@@ -4,8 +4,9 @@ Fractional attacks move other players' reliabilities under piecewise-linear
 costs; removal attacks zero them out at per-player prices.  The three
 fractional solvers (complete and star graphs, cycles, two-author credit
 instances) are one greedy raise along one order, or the best of the
-cycle's four (:func:`_best_raise`); the removal search is exhaustive.  Each
-solver is validated against independent oracles by the test suite.
+cycle's four (:func:`_best_raise`), and :func:`fractional_attack` picks the
+one for a problem's game and topology; the removal search is exhaustive.
+Each solver is validated against independent oracles by the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .games import (
     ThresholdNeighborhoodGame,
     _as_finite,
     _as_int,
+    _as_player,
     _as_playerset,
     _require_two_authors,
     coauthor_contributions,
@@ -129,8 +131,7 @@ class AttackProblem:
 
     def __post_init__(self) -> None:
         n = self.game.n
-        if not 1 <= self.target <= n:
-            raise DomainError(f"target {self.target} outside 1..{n}")
+        _as_player(self.target, n, "target")
         if _as_finite(self.budget, "budget") < 0:
             raise DomainError(f"budget {self.budget} is negative")
         if self.costs.n != n:
@@ -354,6 +355,26 @@ def credit_knapsack_attack(problem: AttackProblem) -> AttackPlan:
     )
 
 
+def fractional_attack(problem: AttackProblem, *, assume_large_cutoff: bool = False) -> AttackPlan:
+    """Optimal fractional attack by the solver of the problem's game and
+    topology: the knapsack greedy for credit games, the greedy on complete
+    and star graphs, the best of four orders on cycles."""
+    game = problem.game
+    if isinstance(game, (FullCreditGame, FullObligationGame)):
+        return credit_knapsack_attack(problem)
+    if isinstance(game, (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame)):
+        graph = game.graph
+        if is_complete(graph) or star_center(graph) is not None:
+            return greedy_fractional_attack(problem, assume_large_cutoff=assume_large_cutoff)
+        if cycle_sequence(graph) is not None:
+            return cycle_fractional_attack(problem)
+        raise DomainError(
+            "fractional attack supports complete, star and cycle graphs; "
+            "run oracle-check for other topologies"
+        )
+    raise DomainError(f"fractional attack undefined for variant {game.variant!r}")
+
+
 def pairwise_exempt_set(game: Game, y: int) -> frozenset[int]:
     """Players whose reliabilities contribute to the Shapley value of y and
     are therefore untouchable in a pairwise attack protecting y: y and the
@@ -362,8 +383,7 @@ def pairwise_exempt_set(game: Game, y: int) -> frozenset[int]:
     In a coverage game these are y and the coverers of every element y
     covers; in the threshold game the distance-two ball of y, and in the
     full-obligation game y and its coauthors."""
-    if not 1 <= y <= game.n:
-        raise DomainError(f"player {y} outside 1..{game.n}")
+    y = _as_player(y, game.n)
     if not hasattr(game, "_sets_of"):
         raise DomainError(f"pairwise exemption undefined for variant {game.variant!r}")
     return frozenset((_window(game, y) + 1).tolist())
@@ -399,8 +419,7 @@ def removal_no_benefit_check(
         raise DomainError(
             f"no-benefit check covers nc1/nc2/nc3/fc, not {game.variant!r}"
         )
-    if not 1 <= x <= game.n:
-        raise DomainError(f"player {x} outside 1..{game.n}")
+    x = _as_player(x, game.n)
     if trials is not None:
         trials = _at_least(trials, "trials", 1)
     base_profile = (

@@ -19,29 +19,13 @@ from .attacks import (
     CostModel,
     bmc_reduce,
     bmc_solve_exact,
-    credit_knapsack_attack,
-    cycle_fractional_attack,
-    greedy_fractional_attack,
+    fractional_attack,
     pairwise_exempt_set,
     removal_attack,
     removal_no_benefit_check,
 )
 from .errors import DomainError, ResourceLimitError
-from .games import (
-    ClosedNeighborhoodGame,
-    DistanceCutoffGame,
-    FullCreditGame,
-    FullObligationGame,
-    Game,
-    ThresholdNeighborhoodGame,
-    _as_finite,
-    _as_int,
-    _as_list,
-    cycle_sequence,
-    game_from_json,
-    is_complete,
-    star_center,
-)
+from .games import FullObligationGame, Game, _as_finite, _as_int, _as_list, game_from_json
 from .oracle import OracleConfig, fractional_oracle
 from .reliability import ReliabilityProfile
 from .shapley import shapley_closed, shapley_vector_closed
@@ -156,23 +140,6 @@ def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
     return AttackProblem(game, target, budget, costs, exempt), mode, large_cutoff
 
 
-def _solve_fractional(problem: AttackProblem, assume_large_cutoff: bool) -> AttackPlan:
-    game = problem.game
-    if isinstance(game, (FullCreditGame, FullObligationGame)):
-        return credit_knapsack_attack(problem)
-    if isinstance(game, (ClosedNeighborhoodGame, ThresholdNeighborhoodGame, DistanceCutoffGame)):
-        graph = game.graph
-        if is_complete(graph) or star_center(graph) is not None:
-            return greedy_fractional_attack(problem, assume_large_cutoff=assume_large_cutoff)
-        if cycle_sequence(graph) is not None:
-            return cycle_fractional_attack(problem)
-        raise DomainError(
-            "fractional attack supports complete, star and cycle graphs; "
-            "run oracle-check for other topologies"
-        )
-    raise DomainError(f"fractional attack undefined for variant {game.variant!r}")
-
-
 def _plan_report(problem: AttackProblem, mode: str, plan: AttackPlan) -> dict:
     before = shapley_closed(problem.game, problem.costs.baseline_profile(), problem.target)
     report = {
@@ -214,7 +181,7 @@ def _cmd_attack(args) -> int:
     request = _load_json(args.request)
     problem, mode, large_cutoff = _attack_problem(request)
     if mode == "fractional":
-        plan = _solve_fractional(problem, large_cutoff)
+        plan = fractional_attack(problem, assume_large_cutoff=large_cutoff)
     else:
         plan = removal_attack(problem)
     _emit(_plan_report(problem, mode, plan), args.format)
@@ -233,7 +200,7 @@ def _cmd_oracle_check(args) -> int:
     cap = os.environ.get(ORACLE_CAP_ENV, "6")
     if not cap.strip().isdecimal():
         raise DomainError(f"{ORACLE_CAP_ENV} must be a nonnegative integer, got {cap!r}")
-    plan = _solve_fractional(problem, large_cutoff)
+    plan = fractional_attack(problem, assume_large_cutoff=large_cutoff)
     reference = fractional_oracle(problem, cfg, attackable_cap=int(cap))
     gap = abs(plan.achieved - reference.achieved)
     report = {

@@ -42,6 +42,16 @@ def _as_int(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_player(x, n: int, what: str = "player") -> int:
+    """``x`` as a player of 1..n; bools and non-integers (numpy integers
+    pass) are rejected."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    if not 1 <= x <= n:
+        raise DomainError(f"{what} {x} outside 1..{n}")
+    return int(x)
+
+
 def _as_finite(value, what: str) -> float:
     """``value`` as a float; bools, non-numbers and infinite or NaN values
     are rejected."""
@@ -182,9 +192,7 @@ class Graph:
         return self.weights is not None
 
     def neighbors(self, x: int) -> frozenset[int]:
-        if not 1 <= x <= self.n:
-            raise DomainError(f"player {x} outside 1..{self.n}")
-        return self._adj[x]
+        return self._adj[_as_player(x, self.n)]
 
     def closed_neighborhood(self, x: int) -> frozenset[int]:
         return self.neighbors(x) | {x}
@@ -277,10 +285,10 @@ class CreditInstance:
         if self.n < 1:
             raise DomainError(f"need at least one author, got n={self.n}")
         norm = []
-        for authors, score in self.papers:
+        for i, (authors, score) in enumerate(self.papers):
             authors = _as_playerset(authors, self.n, "author set")
             if not authors:
-                raise DomainError("paper with empty author set")
+                raise DomainError(f"paper {i} has an empty author set")
             if not math.isfinite(score):
                 raise DomainError(f"paper score {score} is not finite")
             if score < 0:
@@ -309,9 +317,7 @@ class CreditInstance:
 
     def papers_of(self, x: int) -> list[int]:
         """Indices (0-based into ``papers``) of the papers authored by x."""
-        if not 1 <= x <= self.n:
-            raise DomainError(f"player {x} outside 1..{self.n}")
-        return self._rows[x].tolist()
+        return self._rows[_as_player(x, self.n)].tolist()
 
     def coauthors(self, x: int) -> frozenset[int]:
         out: set[int] = set()
@@ -728,6 +734,8 @@ def game_from_json(data: Mapping) -> Game:
         n = _as_int(data["n"], "field 'n'")
     except KeyError as exc:
         raise DomainError(f"game file missing field {exc.args[0]!r}") from None
+    if not isinstance(variant, str):
+        raise DomainError(f"field 'variant' must be a string, got {variant!r}")
     if variant in _NC_VARIANTS:
         if "edges" not in data:
             raise DomainError(f"variant {variant!r} requires field 'edges'")

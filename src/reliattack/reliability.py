@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .games import Coalition, Game, _as_playerset
+from .games import Coalition, Game, _as_player, _as_playerset
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -41,9 +41,7 @@ class ReliabilityProfile:
         return len(self.values)
 
     def __getitem__(self, player: int) -> float:
-        if not 1 <= player <= self.n:
-            raise DomainError(f"player {player} outside 1..{self.n}")
-        return self.values[player - 1]
+        return self.values[_as_player(player, self.n) - 1]
 
     def __iter__(self):
         return iter(self.values)
@@ -54,9 +52,7 @@ class ReliabilityProfile:
     def with_values(self, changes: dict[int, float]) -> "ReliabilityProfile":
         vals = list(self.values)
         for player, p in changes.items():
-            if not 1 <= player <= self.n:
-                raise DomainError(f"player {player} outside 1..{self.n}")
-            vals[player - 1] = p
+            vals[_as_player(player, self.n) - 1] = p
         return ReliabilityProfile(tuple(vals))
 
 

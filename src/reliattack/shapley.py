@@ -33,6 +33,7 @@ from .games import (
     Game,
     Graph,
     ThresholdNeighborhoodGame,
+    _as_player,
     _csr_rows,
     _popcount,
     _require_two_authors,
@@ -57,9 +58,7 @@ class ShapleyVector:
         return len(self.values)
 
     def __getitem__(self, player: int) -> float:
-        if not 1 <= player <= self.n:
-            raise DomainError(f"player {player} outside 1..{self.n}")
-        return self.values[player - 1]
+        return self.values[_as_player(player, self.n) - 1]
 
     def __iter__(self):
         return iter(self.values)
@@ -346,8 +345,7 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     go through :func:`shapley_definitional`.
     """
     p = as_profile(profile, game.n)
-    if not 1 <= player <= game.n:
-        raise DomainError(f"player {player} outside 1..{game.n}")
+    player = _as_player(player, game.n)
     return float(_shapley_batch(game, np.fromiter(p.values, float, p.n), player)[0])
 
 
@@ -437,9 +435,7 @@ def shapley_gradient(game: Game, profile: ProfileLike, x: int) -> tuple[float, .
     of x's sets enter Sh_x, so their two points form one batch of profiles
     (in pieces of at most 2 * 128 rows) and every other entry is 0.
     """
-    p = as_profile(profile, game.n)
-    if not 1 <= x <= game.n:
-        raise DomainError(f"player {x} outside 1..{game.n}")
+    p, x = as_profile(profile, game.n), _as_player(x, game.n)
     if isinstance(game, CoverageGame):
         return _coverage_gradient(game, p, x)
     _kernel(game)  # a game without a closed form stops here

@@ -333,22 +333,26 @@ def exact_table_shapley(table: list[Fraction], profile) -> list[Fraction]:
     """The Shapley vector of the reliability extension of the game whose
     values over all 2^n coalitions (bit i of an index is player i + 1) are
     ``table``, in Fractions and without numpy: the liveness of each player
-    folded in turn, v[S + i] <- p_i * v[S + i] + (1 - p_i) * v[S], then
-    Sh_x as the sum over the coalitions S without x of |S|! (n - 1 - |S|)!
-    / n! * (v[S + x] - v[S])."""
+    folded in turn, v[S + i] <- v[S] + p_i * (v[S + i] - v[S]), then Sh_x as
+    the sum over the sizes s of s! (n - 1 - s)! / n! times the sum of
+    v[S + x] - v[S] over the coalitions S of size s without x."""
     n = len(profile)
     vbar = list(table)
     for i, q in enumerate(Fraction(q) for q in profile):
+        if q == 1:  # a certain player's fold changes nothing
+            continue
+        bit = 1 << i
         for s in range(1 << n):
-            if s >> i & 1:
-                vbar[s] = q * vbar[s] + (1 - q) * vbar[s ^ 1 << i]
+            if s & bit:
+                low = vbar[s ^ bit]
+                vbar[s] = low + q * (vbar[s] - low)
     out = []
     for x in range(n):
-        total = Fraction(0)
+        by_size = [Fraction(0)] * n
         for s in range(1 << n):
             if not s >> x & 1:
-                size = bin(s).count("1")
-                total += factorial(size) * factorial(n - 1 - size) * (vbar[s | 1 << x] - vbar[s])
+                by_size[bin(s).count("1")] += vbar[s | 1 << x] - vbar[s]
+        total = sum(factorial(s) * factorial(n - 1 - s) * d for s, d in enumerate(by_size))
         out.append(total / factorial(n))
     return out
 

@@ -27,6 +27,7 @@ from reliattack import (
     credit_knapsack_attack,
     crossover_lambda_pq,
     cycle_fractional_attack,
+    fractional_attack,
     greedy_fractional_attack,
     pairwise_exempt_set,
     removal_attack,
@@ -38,6 +39,7 @@ from reliattack import (
 from reliattack import attacks
 
 from conftest import (
+    TableGame,
     all_coalitions,
     best_affordable_loop,
     cycle_graph,
@@ -370,6 +372,81 @@ class TestKnapsackAttack:
             assert abs(after - before) <= 1e-12
             for j in exempt:
                 assert plan.profile[j] == cm.p_star[j - 1]
+
+
+def _outcome(solve, problem, **kwargs):
+    """The plan's repr, or the type and message of the error it raises."""
+    try:
+        return repr(solve(problem, **kwargs))
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _graph_problem(rng, variant, graph):
+    if variant == "nc3":
+        graph = Graph(graph.n, graph.edges, tuple(rng.uniform(0.2, 2.0) for _ in graph.edges))
+        game = DistanceCutoffGame(graph, rng.uniform(0.3, 2.5))
+    elif variant == "nc2":
+        game = ThresholdNeighborhoodGame(graph, rng.randint(1, 3))
+    else:
+        game = nc1(graph)
+    n = game.n
+    cm = CostModel.uniform(
+        tuple(rng.uniform(0.05, 1.0) for _ in range(n)), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    )
+    target = rng.randint(1, n)
+    exempt = frozenset(rng.sample(range(1, n + 1), rng.randint(0, 1)))
+    return AttackProblem(game, target, rng.uniform(0.0, 1.5), cm, exempt)
+
+
+class TestFractionalAttack:
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3"])
+    @pytest.mark.parametrize("topology", ["complete", "star", "cycle"])
+    def test_matches_the_solver_of_its_graph(self, variant, topology):
+        rng = random.Random(f"{variant}-{topology}")
+        for _ in range(12):
+            n = rng.randint(4, 8)
+            if topology == "complete":
+                graph, solver = complete_graph(n), greedy_fractional_attack
+            elif topology == "star":
+                graph, solver = star_graph(n, rng.randint(1, n)), greedy_fractional_attack
+            else:
+                graph, solver = cycle_graph(n), cycle_fractional_attack
+            problem = _graph_problem(rng, variant, graph)
+            kwargs = {}
+            if solver is greedy_fractional_attack:
+                kwargs = {"assume_large_cutoff": rng.random() < 0.7}
+            expected = _outcome(solver, problem, **kwargs)
+            assert _outcome(fractional_attack, problem, **kwargs) == expected
+
+    @pytest.mark.parametrize("variant", ["fc", "fo"])
+    def test_matches_the_knapsack_on_two_author_credit(self, variant):
+        rng = random.Random(variant)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            x = rng.randint(1, n)
+            instance = random_two_author_credit(rng, n, x)
+            game = FullCreditGame(instance) if variant == "fc" else FullObligationGame(instance)
+            cm = CostModel(
+                tuple(rng.uniform(0.05, 1.0) for _ in range(n)),
+                tuple(rng.uniform(0.3, 3.0) for _ in range(n)),
+                tuple(rng.uniform(0.3, 3.0) for _ in range(n)),
+                (0.0,) * n,
+            )
+            problem = AttackProblem(game, x, rng.uniform(0.0, 2.0), cm)
+            plan = fractional_attack(problem)
+            assert repr(plan) == repr(credit_knapsack_attack(problem))
+
+    def test_other_topologies_point_to_the_oracle(self):
+        problem = AttackProblem(nc1(path_graph(5)), 1, 0.5, CostModel.uniform((0.5,) * 5))
+        with pytest.raises(DomainError, match="run oracle-check for other topologies"):
+            fractional_attack(problem)
+
+    def test_games_without_a_solver_are_refused(self):
+        game = TableGame(2, {(): 0.0, (1,): 1.0, (2,): 1.0, (1, 2): 1.0})
+        problem = AttackProblem(game, 1, 0.5, CostModel.uniform((0.5, 0.5)))
+        with pytest.raises(DomainError, match="fractional attack undefined for variant 'table'"):
+            fractional_attack(problem)
 
 
 class TestPairwiseExemptSet:

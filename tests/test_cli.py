@@ -521,6 +521,11 @@ class TestMalformedInput:
             ({**FC_GAME, "papers": [{"authors": [True, 2], "score": 1.0}]}, "author set"),
             ({**FC_GAME, "papers": [{"authors": [1, True], "score": 1.0}]}, "author set"),
             ({**FC_GAME, "papers": [[1, 2]]}, "paper 0 must be an object"),
+            ({**K3, "variant": ["nc1"]}, "field 'variant'"),
+            (
+                {**FC_GAME, "papers": [{"authors": [1], "score": 1.0}, {"authors": [], "score": 1.0}]},
+                "paper 1 has an empty author set",
+            ),
         ],
     )
     def test_game_fields(self, tmp_path, capsys, game, field):

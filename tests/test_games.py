@@ -7,13 +7,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from reliattack import (
+    AttackProblem,
     ClosedNeighborhoodGame,
+    CostModel,
     CreditInstance,
     DistanceCutoffGame,
     DomainError,
     FullCreditGame,
     FullObligationGame,
     Graph,
+    ReliabilityProfile,
     ThresholdNeighborhoodGame,
     ball,
     coauthor_contributions,
@@ -21,6 +24,11 @@ from reliattack import (
     cycle_sequence,
     game_from_json,
     is_complete,
+    pairwise_exempt_set,
+    removal_no_benefit_check,
+    shapley_closed,
+    shapley_gradient,
+    shapley_vector_closed,
     star_center,
 )
 from reliattack.games import Game
@@ -482,3 +490,40 @@ class TestCoverageIncidence:
             covers = {(x, e) for x in range(game.n + 1) for e in game._covers[x].tolist()}
             coverers = {(x, e) for e in range(size) for x in game._coverers[e].tolist()}
             assert covers == coverers
+
+
+def _player_entry_points():
+    """Each public call that takes one player of a 3-player game, as a
+    function of that player."""
+    game = ClosedNeighborhoodGame(complete_graph(3))
+    p = ReliabilityProfile((0.5, 0.6, 0.7))
+    instance = CreditInstance.of(3, [((1, 2), 1.0), ((2, 3), 2.0)])
+    return {
+        "shapley_closed": lambda x: shapley_closed(game, p, x),
+        "shapley_gradient": lambda x: shapley_gradient(game, p, x),
+        "ShapleyVector[x]": lambda x: shapley_vector_closed(game, p)[x],
+        "AttackProblem.target": lambda x: AttackProblem(
+            game, x, 0.5, CostModel.uniform((0.5,) * 3)
+        ).target,
+        "pairwise_exempt_set": lambda x: pairwise_exempt_set(game, x),
+        "removal_no_benefit_check": lambda x: removal_no_benefit_check(game, x, None),
+        "Graph.neighbors": lambda x: game.graph.neighbors(x),
+        "CreditInstance.papers_of": lambda x: instance.papers_of(x),
+        "ReliabilityProfile[x]": lambda x: p[x],
+        "ReliabilityProfile.with_value": lambda x: p.with_value(x, 0.1),
+    }
+
+
+class TestPlayerArguments:
+    @pytest.mark.parametrize("entry", sorted(_player_entry_points()))
+    def test_only_integer_players_in_range(self, entry):
+        call = _player_entry_points()[entry]
+        what = "target" if entry == "AttackProblem.target" else "player"
+        for bad in (True, False, 2.0, 1.5, "2", None):
+            with pytest.raises(DomainError, match=f"^{what} must be an integer, got "):
+                call(bad)
+        for outside in (0, 4, -1):
+            with pytest.raises(DomainError) as info:
+                call(outside)
+            assert str(info.value) == f"{what} {outside} outside 1..3"
+        assert call(np.int64(2)) == call(2)

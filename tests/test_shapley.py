@@ -647,6 +647,43 @@ def _gradient_nc1_over_all_players(graph, p, x):
     return tuple(out)
 
 
+def _graph_of_mask(n, mask):
+    """The graph on 1..n whose edges are the set bits of ``mask`` over the
+    pairs (u, v), u < v, in lexicographic order."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return Graph(n, tuple(e for b, e in enumerate(pairs) if mask >> b & 1))
+
+
+def _labelled_graphs(n):
+    return [_graph_of_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)]
+
+
+def _graph_classes(n):
+    """One graph per isomorphism class on n players: the least edge mask
+    of each class, over the images of every mask under every relabelling."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: b for b, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs))
+    bits = masks[:, None] >> np.arange(len(pairs)) & 1
+    least = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        image = [index[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        least = np.minimum(least, (bits << np.array(image)).sum(axis=1))
+    return [_graph_of_mask(n, mask) for mask in np.unique(least).tolist()]
+
+
+def _integral_game(rng, variant, n):
+    """A seeded nc3, fc or fo game whose coalition values are integers."""
+    if variant == "nc3":
+        return random_game(rng, "nc3", n)  # its values are ball sizes
+    papers = [
+        (rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))), rng.randint(1, 9))
+        for _ in range(rng.randint(1, 5))
+    ]
+    instance = CreditInstance.of(n, papers)
+    return FullCreditGame(instance) if variant == "fc" else FullObligationGame(instance)
+
+
 class TestGradients:
     def test_restricted_loop_is_unchanged(self, rng):
         for _ in range(20):
@@ -742,6 +779,38 @@ class TestGradients:
         assert exact == -p1 / 3
         closed = sum(s * shapley_closed(game, (float(p1), a, b), 1) for (a, b), s in signs.items())
         assert abs(Fraction(closed) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["nc1-labelled", "nc1-classes", "nc3", "fc", "fo"])
+    def test_mixed_partials_are_nonnegative(self, family):
+        # the vertex property of the exact attack: for nc1, nc3, fc and fo,
+        # d^2 Sh_x / dp_i dp_j >= 0 for i, j != x.  Sh_x is multilinear, so
+        # the mixed partial is the exact four-point difference over the
+        # corners of (p_i, p_j), at one rational non-uniform profile
+        profile = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(2, 5), Fraction(5, 6))
+        if family == "nc1-labelled":
+            games = [ClosedNeighborhoodGame(g) for n in range(1, 5) for g in _labelled_graphs(n)]
+        elif family == "nc1-classes":
+            classes = _graph_classes(5)
+            assert len(classes) == 34
+            games = [ClosedNeighborhoodGame(g) for g in classes]
+        else:
+            rng = random.Random(31)
+            games = [_integral_game(rng, family, n) for n in (2, 3, 4, 4, 5, 5)]
+        for game in games:
+            n = game.n
+            # integral values, so the float table is exact
+            table = [Fraction(game.value_mask(mask)) for mask in range(1 << n)]
+            for i, j in itertools.combinations(range(n), 2):
+                corners = {}
+                for a, b in itertools.product((0, 1), repeat=2):
+                    q = list(profile[:n])
+                    q[i], q[j] = a, b
+                    corners[a, b] = exact_table_shapley(table, q)
+                for x in set(range(n)) - {i, j}:
+                    mixed = sum(
+                        (-1) ** (a + b) * corners[a, b][x] for a, b in corners
+                    )
+                    assert mixed >= 0, (game, x + 1, i + 1, j + 1, mixed)
 
     def test_exact_enumerator_matches_the_closed_form(self, rng):
         # the exact pins above rest on conftest's Fraction enumerator
