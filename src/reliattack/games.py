@@ -45,11 +45,13 @@ def _as_int(value, what: str) -> int:
 def _as_player(x, n: int, what: str = "player") -> int:
     """``x`` as a player of 1..n; bools and non-integers (numpy integers
     pass) are rejected."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise DomainError(f"{what} must be an integer, got {x!r}")
+    if type(x) is not int:  # a plain int skips the slow numbers.Integral check
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise DomainError(f"{what} must be an integer, got {x!r}")
+        x = int(x)
     if not 1 <= x <= n:
         raise DomainError(f"{what} {x} outside 1..{n}")
-    return int(x)
+    return x
 
 
 def _as_finite(value, what: str) -> float:
