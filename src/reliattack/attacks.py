@@ -111,8 +111,8 @@ class CostModel:
         return self.R[j - 1] * (p - base)
 
     def profile_cost(self, profile: ProfileLike) -> float:
-        p = as_profile(profile, self.n)
-        return sum(self.change_cost(j, p[j]) for j in range(1, self.n + 1))
+        p = as_profile(profile, self.n).values
+        return sum(self.change_cost(j, p[j - 1]) for j in range(1, self.n + 1))
 
     def removal_cost(self, removed: Iterable[int]) -> float:
         return sum(self.c[j - 1] for j in removed)
@@ -303,7 +303,7 @@ def cycle_fractional_attack(problem: AttackProblem) -> AttackPlan:
     _common_slope(problem.costs.R, live, "increase")
 
     def evaluate(profile: ReliabilityProfile) -> float:
-        relabeled = ReliabilityProfile(tuple(profile[v] for v in ring))
+        relabeled = ReliabilityProfile(tuple(profile.values[v - 1] for v in ring))
         return shapley_cycle_closed(relabeled)
 
     orders = (

@@ -23,12 +23,24 @@ from .errors import DomainError
 Coalition = Iterable[int]
 
 
+def _integer(x) -> int | None:
+    """``x`` as an int if it is an int or a numpy integer, else None (bools
+    too): the one type rule for a player, alone or in a set."""
+    if type(x) is int:  # a plain int skips the slow numbers.Integral check
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        return None
+    return int(x)
+
+
 def _as_playerset(players: Coalition, n: int, what: str = "coalition") -> frozenset[int]:
-    players = list(players)  # bools are checked before a set merges True with 1
+    out = []  # bools are checked before a set merges True with 1
     for x in players:
-        if isinstance(x, bool) or not isinstance(x, int) or not 1 <= x <= n:
+        i = _integer(x)
+        if i is None or not 1 <= i <= n:
             raise DomainError(f"{what} contains player {x!r}, expected integers in 1..{n}")
-    return frozenset(players)
+        out.append(i)
+    return frozenset(out)
 
 
 def _as_int(value, what: str) -> int:
@@ -45,13 +57,12 @@ def _as_int(value, what: str) -> int:
 def _as_player(x, n: int, what: str = "player") -> int:
     """``x`` as a player of 1..n; bools and non-integers (numpy integers
     pass) are rejected."""
-    if type(x) is not int:  # a plain int skips the slow numbers.Integral check
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-            raise DomainError(f"{what} must be an integer, got {x!r}")
-        x = int(x)
-    if not 1 <= x <= n:
-        raise DomainError(f"{what} {x} outside 1..{n}")
-    return x
+    i = _integer(x)
+    if i is None:
+        raise DomainError(f"{what} must be an integer, got {x!r}")
+    if not 1 <= i <= n:
+        raise DomainError(f"{what} {i} outside 1..{n}")
+    return i
 
 
 def _as_finite(value, what: str) -> float:
@@ -359,14 +370,16 @@ def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
     the bitmask ``base``."""
     if not isinstance(base, int) or not 0 <= base < 1 << n:
         raise DomainError(f"base mask {base!r} is not a coalition of 1..{n}")
-    out = list(players)
+    out = []
     seen = base
-    for x in out:
-        if not isinstance(x, int) or not 1 <= x <= n:
+    for x in players:
+        i = _integer(x)
+        if i is None or not 1 <= i <= n:
             raise DomainError(f"players contains {x!r}, expected integers in 1..{n}")
-        if seen >> (x - 1) & 1:
-            raise DomainError(f"player {x} is repeated or already in the base")
-        seen |= 1 << (x - 1)
+        if seen >> (i - 1) & 1:
+            raise DomainError(f"player {i} is repeated or already in the base")
+        seen |= 1 << (i - 1)
+        out.append(i)
     return out
 
 

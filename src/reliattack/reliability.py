@@ -4,7 +4,9 @@ For a profile ``p`` and coalitions ``T <= S``, the probability that exactly
 the players of T are live among S is
 ``pi(T, S, p) = prod_{i in T} p_i * prod_{i in S - T} (1 - p_i)``.  The
 reliability extension of a game v is
-``vbar(S) = sum_{T<=S} v(T) * pi(T, S, p)``.
+``vbar(S) = sum_{T<=S} v(T) * pi(T, S, p)``, Owen's multilinear extension
+of v at the profile q that is p on S and 0 elsewhere (Owen, Management
+Science 18(5), 1972).
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .games import Coalition, Game, _as_player, _as_playerset
+from .games import (
+    Coalition,
+    CoverageGame,
+    FullObligationGame,
+    Game,
+    ThresholdNeighborhoodGame,
+    _as_player,
+    _as_playerset,
+)
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -129,6 +139,60 @@ def liveness_value(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.array(np.broadcast_to(out[0], batch))
 
 
+def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``probs`` (shape (..., a)), P(s players of the row
+    live) and, for each j, P(s players of the row other than its j-th live),
+    for s < m: shapes (..., m) and (..., a, m).  Prefix and suffix pmfs
+    truncated at m, combined without division, so exact 0s and 1s are safe."""
+    a = probs.shape[-1]
+    both = np.array((probs, probs[..., ::-1]))  # the suffixes are prefixes of the reversed rows
+    pmf = np.zeros(both.shape[:-1] + (a + 1, m))  # pmf[..., j, s]: s of the first j live
+    pmf[..., 0, :1] = 1.0
+    pmf[..., 1:, :1] = np.cumprod(1.0 - both, axis=-1)[..., None]
+    if m > 1:  # the columns s >= 1 need the recurrence
+        for j in range(a):
+            q = both[..., j, None]
+            pmf[..., j + 1, 1:] = pmf[..., j, 1:] * (1.0 - q) + pmf[..., j, :-1] * q
+    pre, suf = pmf[0, ..., :a, :], pmf[1, ..., a - 1 :: -1, :]  # players before j, after j
+    loo = np.empty(probs.shape + (m,))
+    for s in range(m):
+        loo[..., s] = (pre[..., : s + 1] * suf[..., s::-1]).sum(axis=-1)
+    return pmf[0, ..., a, :], loo
+
+
+def _row_products(csr: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndarray:
+    """Per row of a CSR of 0-based players, the product of ``q`` over them;
+    1 for an empty row.  reduceat reads an empty segment as the element at
+    its start, so only the nonempty rows start segments."""
+    indptr, indices = csr
+    out = np.ones(len(indptr) - 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    out[rows] = np.multiply.reduceat(q[indices], indptr[rows])
+    return out
+
+
+def _multilinear(game: Game, q: np.ndarray) -> float | None:
+    """Owen's multilinear extension of ``game`` at the 0-based profile ``q``,
+    over the sets of its ``_set_csr``, or None for a game without one:
+    sum_e w_e (1 - prod_{i covers e} (1 - q_i)) for coverage,
+    sum_P score_P prod_{a in P} q_a for full obligation, and
+    sum_y q_y + (1 - q_y) P(at least k of N(y) live) for the threshold game."""
+    if isinstance(game, CoverageGame):
+        return float(game._weights @ (1.0 - _row_products(game._set_csr, 1.0 - q)))
+    if isinstance(game, FullObligationGame):
+        return float(game.instance._scores @ _row_products(game._set_csr, q))
+    if not isinstance(game, ThresholdNeighborhoodGame):
+        return None
+    indptr, indices = game._set_csr
+    sizes, k = np.diff(indptr), game.threshold
+    tails = np.zeros(len(sizes))
+    for a in set(sizes.tolist()) - set(range(k)):  # a smaller row never reaches k
+        rows = np.flatnonzero(sizes == a)
+        pmf, _ = _low_order_pmfs(q[indices[indptr[rows, None] + np.arange(a)]], k)
+        tails[rows] = 1.0 - pmf.sum(axis=-1)
+    return float(q.sum() + (1.0 - q) @ tails)
+
+
 def reliability_value(
     game: Game,
     profile: ProfileLike,
@@ -138,14 +202,22 @@ def reliability_value(
 ) -> float:
     """Value of the reliability extension of ``game`` at ``coalition``.
 
-    Exact: members with p in {0, 1} are fixed (always dead or always live),
-    the values of the 2^m liveness outcomes of the other m members come from
-    :meth:`Game.subset_values` and are folded into the full-coalition entry by
-    :func:`liveness_value`, so ``|S|`` is limited by ``subset_cap``; raise
-    the cap deliberately for larger exact runs.
+    Exact.  The five paper games evaluate their multilinear extension at
+    the profile restricted to the coalition, for any ``|S|``.  Other games
+    fix the members with p in {0, 1} (always live or always dead), take the
+    values of the 2^m liveness outcomes of the other m members from
+    :meth:`Game.subset_values` and fold them by :func:`liveness_value`, so
+    there ``|S|`` is limited by ``subset_cap``; raise the cap deliberately
+    for larger exact runs.
     """
     p = as_profile(profile, game.n)
     s = _as_playerset(coalition, game.n)
+    members = np.fromiter(s, np.intp, len(s)) - 1
+    q = np.zeros(game.n)
+    q[members] = np.fromiter(p.values, float, p.n)[members]
+    value = _multilinear(game, q)
+    if value is not None:
+        return value
     if len(s) > subset_cap:
         raise ResourceLimitError(
             f"coalition size {len(s)} exceeds the exact-expectation subset cap ({subset_cap})"

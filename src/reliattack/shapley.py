@@ -42,6 +42,7 @@ from .games import (
 from .reliability import (
     ProfileLike,
     ReliabilityProfile,
+    _low_order_pmfs,
     as_profile,
     liveness_transform,
 )
@@ -229,27 +230,6 @@ def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.
             vals = game._weights[e[g]][:, None] * (np.exp(total[..., None, :] - logs) @ w)
             batch.add(inner, members[g], vals)
     return batch.P * inner
-
-
-def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``probs`` (shape (..., a)), P(s players of the row
-    live) and, for each j, P(s players of the row other than its j-th live),
-    for s < m: shapes (..., m) and (..., a, m).  Prefix and suffix pmfs
-    truncated at m, combined without division, so exact 0s and 1s are safe."""
-    a = probs.shape[-1]
-    both = np.array((probs, probs[..., ::-1]))  # the suffixes are prefixes of the reversed rows
-    pmf = np.zeros(both.shape[:-1] + (a + 1, m))  # pmf[..., j, s]: s of the first j live
-    pmf[..., 0, :1] = 1.0
-    pmf[..., 1:, :1] = np.cumprod(1.0 - both, axis=-1)[..., None]
-    if m > 1:  # the columns s >= 1 need the recurrence
-        for j in range(a):
-            q = both[..., j, None]
-            pmf[..., j + 1, 1:] = pmf[..., j, 1:] * (1.0 - q) + pmf[..., j, :-1] * q
-    pre, suf = pmf[0, ..., :a, :], pmf[1, ..., a - 1 :: -1, :]  # players before j, after j
-    loo = np.empty(probs.shape + (m,))
-    for s in range(m):
-        loo[..., s] = (pre[..., : s + 1] * suf[..., s::-1]).sum(axis=-1)
-    return pmf[0, ..., a, :], loo
 
 
 def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:

@@ -462,11 +462,30 @@ class TestSubsetValues:
     def test_rejects_bad_players(self):
         game = ClosedNeighborhoodGame(path_graph(4))
         table = TableGame(4, {(): 0.0})
-        for players, base in (([1, 1], 0), ([2], 0b10), ([0], 0), ([5], 0), ([1], 1 << 4), ([1.0], 0)):
+        for players, base in (
+            ([1, 1], 0), ([2], 0b10), ([0], 0), ([5], 0), ([1], 1 << 4), ([1.0], 0), ([True, 2], 0),
+        ):
             with pytest.raises(DomainError):
                 game.subset_values(players, base)
             with pytest.raises(DomainError):
                 table.subset_values(players, base)
+        fo = FullObligationGame(CreditInstance.of(4, [((1, 2), 1.0)]))
+        with pytest.raises(DomainError, match=r"^players contains True, expected integers in 1\.\.4$"):
+            fo.subset_values([True, 2])
+        with pytest.raises(DomainError, match=r"^player 2 is repeated or already in the base$"):
+            fo.subset_values([np.int64(2), 2])
+        assert fo.subset_values([np.int64(1), np.int64(2)]).tolist() == fo.subset_values([1, 2]).tolist()
+
+    def test_numpy_integers_in_player_sets(self):
+        # the rule of a single player: numpy integers pass, bools do not
+        game = ClosedNeighborhoodGame(complete_graph(3))
+        costs = CostModel.uniform((0.5,) * 3)
+        assert AttackProblem(game, 1, 0.5, costs, frozenset({np.int64(2)})).exempt == {1, 2}
+        with pytest.raises(DomainError, match=r"^exempt set contains player True, "):
+            AttackProblem(game, 1, 0.5, costs, frozenset({True}))
+        inst = CreditInstance.of(3, [((np.int64(1), 2), 1.0)])
+        assert inst.papers[0][0] == {1, 2} and all(type(a) is int for a in inst.papers[0][0])
+        assert game.value([np.int64(2)]) == game.value([2])
 
 
 class TestCoverageIncidence:

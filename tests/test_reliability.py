@@ -9,22 +9,29 @@ from hypothesis import strategies as st
 from reliattack import (
     ClosedNeighborhoodGame,
     CreditInstance,
+    DistanceCutoffGame,
     DomainError,
+    FullCreditGame,
     FullObligationGame,
     ReliabilityProfile,
     ResourceLimitError,
+    ThresholdNeighborhoodGame,
     complete_graph,
     liveness_transform,
     liveness_value,
     reliability_value,
+    shapley_vector_closed,
 )
 from conftest import (
     TableGame,
     all_coalitions,
     enumerated_value,
     pi_prob,
+    random_credit,
     random_game,
+    random_graph,
     random_profile,
+    random_weighted_graph,
 )
 
 
@@ -188,15 +195,16 @@ class TestReliabilityValue:
 
     def test_certain_members_are_not_enumerated(self, monkeypatch):
         calls = []
-        inner = FullObligationGame.subset_values
+        inner = TableGame.subset_values
 
         def spy(self, players, base=0):
             players = list(players)
             calls.append((players, base))
             return inner(self, players, base)
 
-        monkeypatch.setattr(FullObligationGame, "subset_values", spy)
-        game = FullObligationGame(CreditInstance.of(6, [((1, 2), 1.0), ((2, 5), 2.0)]))
+        monkeypatch.setattr(TableGame, "subset_values", spy)
+        fo = FullObligationGame(CreditInstance.of(6, [((1, 2), 1.0), ((2, 5), 2.0)]))
+        game = TableGame(6, {s: fo.value(s) for s in all_coalitions(6)})
         assert reliability_value(game, ReliabilityProfile.ones(6), {1, 2, 3, 4, 5}) == 3.0
         assert calls == [([], 0b11111)]
         calls.clear()
@@ -225,7 +233,7 @@ class TestReliabilityValue:
         assert reliability_value(game, (0.5, 0.5), {1, 2}) == pytest.approx(1.5, abs=1e-15)
 
     def test_subset_cap(self):
-        game = FullObligationGame(CreditInstance.of(25, [((1,), 1.0)]))
+        game = TableGame(25, {(): 0.0, tuple(range(1, 23)): 1.0})
         with pytest.raises(ResourceLimitError, match="cap"):
             reliability_value(game, ReliabilityProfile.ones(25), set(range(1, 23)))
         # raising the cap deliberately is allowed
@@ -245,3 +253,53 @@ class TestReliabilityValue:
             vb = reliability_value(game, p.with_value(j, b), s)
             vmix = reliability_value(game, p.with_value(j, lam * a + (1 - lam) * b), s)
             assert vmix == pytest.approx(lam * va + (1 - lam) * vb, abs=1e-12)
+
+
+def large_game(rng, variant, n):
+    """A paper game on n players with sparse sets, cheap to build at n = 200."""
+    if variant == "nc1":
+        return ClosedNeighborhoodGame(random_graph(rng, n, 0.05))
+    if variant == "nc2":
+        return ThresholdNeighborhoodGame(random_graph(rng, n, 0.05), rng.randint(1, 4))
+    if variant == "nc3":
+        return DistanceCutoffGame(random_weighted_graph(rng, n, 0.02), rng.uniform(0.5, 2.0))
+    instance = random_credit(rng, n, 300)
+    return FullCreditGame(instance) if variant == "fc" else FullObligationGame(instance)
+
+
+class TestMultilinearValue:
+    """The paper games' closed form of the reliability extension, pinned to
+    the table path and past the table's cap."""
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3", "fc", "fo"])
+    def test_matches_the_table_fold(self, rng, variant):
+        for size in (0, 1, 2, 5, 9, 12, 16):
+            n = rng.randint(size, 16) if size else rng.randint(1, 16)
+            game = random_game(rng, variant, n)
+            pvals = sparse_profile(rng, n) if rng.random() < 0.5 else random_profile(rng, n).values
+            members = sorted(rng.sample(range(1, n + 1), size))
+            table = game.subset_values(members)
+            want = float(liveness_value(table, [pvals[x - 1] for x in members]))
+            got = reliability_value(game, pvals, members)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3", "fc", "fo"])
+    def test_past_the_table_cap(self, rng, variant):
+        n = 200
+        game = large_game(rng, variant, n)
+        for _ in range(3):
+            s = frozenset(rng.sample(range(1, n + 1), rng.randint(21, n)))
+            ones = [float(rng.random() < 0.7) for _ in range(n)]
+            live = {x for x in s if ones[x - 1]}
+            assert reliability_value(game, ones, s) == pytest.approx(game.value(live), rel=1e-12)
+            p = random_profile(rng, n).values
+            q = [p[x - 1] if x in s else 0.0 for x in range(1, n + 1)]
+            total = sum(shapley_vector_closed(game, q))
+            assert reliability_value(game, p, s) == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+    def test_numpy_integer_members(self):
+        game = ThresholdNeighborhoodGame(complete_graph(4), 2)
+        p = (0.3, 0.6, 0.9, 0.5)
+        assert reliability_value(game, p, [np.int64(1), 2]) == reliability_value(game, p, [1, 2])
+        with pytest.raises(DomainError, match=r"^coalition contains player True, "):
+            reliability_value(game, p, [True, 2])
