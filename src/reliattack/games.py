@@ -368,10 +368,10 @@ def _require_two_authors(instance: CreditInstance, x: int) -> None:
 def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
     """``players`` as a list, checked to be distinct players of 1..n outside
     the bitmask ``base``."""
-    if not isinstance(base, int) or not 0 <= base < 1 << n:
+    seen = _integer(base)
+    if seen is None or not 0 <= seen < 1 << n:
         raise DomainError(f"base mask {base!r} is not a coalition of 1..{n}")
     out = []
-    seen = base
     for x in players:
         i = _integer(x)
         if i is None or not 1 <= i <= n:

@@ -13,10 +13,16 @@ for every lambda >= 0 (Boros & Hammer, Discrete Appl. Math. 123, 2002): the
 lower convex hull of the vertices' (cost, value) points, read at cost =
 budget, bounds Sh_x from below on the box's feasible part.  The best
 feasible vertex, and the point where the hull's segment crosses the budget,
-are feasible profiles.  The boxes are evaluated as a stack, the root ones
-together and the two halves of an opened box together.  The search stops
-when the best feasible profile is within 1e-9 of the least bound of the
-boxes still open, so the answer is certified to 1e-9.
+are feasible profiles.  Along a coordinate where all of the corner table's
+differences share a sign, Sh_x is monotone over the whole cube, so every
+point on one side of the baseline is dominated by its projection onto it:
+no higher value at a strictly lower cost.  The root boxes keep only the
+other side there.  The sign is read off each instance's own corner table,
+so the oracle assumes no monotonicity of the game and reads no solver code.
+The boxes are evaluated as a stack, the root ones together and the two
+halves of an opened box together.  The search stops when the best feasible
+profile is within 1e-9 of the least bound of the boxes still open, so the
+answer is certified to 1e-9.
 """
 
 from __future__ import annotations
@@ -119,9 +125,13 @@ def _branch_and_bound(
     ``halve`` cuts a stack of boxes along one axis and mixes the ends at the
     cut as ``reliability._fold`` does, since Sh_x is linear along every axis.
     The roots are [0, 1]^k, valued by the corner table and halved at every
-    baseline b_i < 1; an opened box is halved at its midpoint.  ``push``
-    takes the roots, or an opened box's halves, as one stack.  At most 2^k +
-    ``max_boxes`` boxes are open at a time.
+    baseline b_i < 1, and an opened box is halved at its midpoint.  Where
+    all corner differences along axis i are >= 0, Sh_x never falls as q_i
+    rises, and a point above b_i is dominated by its projection onto b_i,
+    which costs strictly less since R_i > 0: the roots keep only the lower
+    side of b_i.  Where all are <= 0 they keep only the upper side, since
+    L_i > 0.  ``push`` takes the roots, or an opened box's halves, as one
+    stack.  At most 2^k + ``max_boxes`` boxes are open at a time.
     """
     k = len(base_p)
     cap = budget + 1e-12
@@ -206,10 +216,16 @@ def _branch_and_bound(
         hi[::2, axis] = lo[1::2, axis] = s * hi[::2, axis] + (1.0 - s) * lo[::2, axis]
         return halves.reshape((-1,) + values.shape[1:]), lo, hi
 
+    # slopes[i]: the corner differences along axis i, which bound dSh_x/dp_i on the cube
+    low, axes = np.arange(1 << k - 1), np.arange(k)[:, None]
+    low = low >> axes << axes + 1 | low & (1 << axes) - 1
+    slopes = corners[low | 1 << axes] - corners[low]
+    rises, falls = (slopes >= 0).all(axis=1), (slopes <= 0).all(axis=1)
     box = corners.reshape((2,) * k).transpose()[None], np.zeros((1, k)), np.ones((1, k))
     for i, b in enumerate(base_p):
-        if b < 1.0:
-            box = halve(*box, i, b)
+        if rises[i] or falls[i] or b < 1.0:
+            keep = slice(0, None, 2) if rises[i] else slice(1, None, 2) if falls[i] else slice(None)
+            box = tuple(a[keep] for a in halve(*box, i, b))
     push(*box)
 
     opened = 0

@@ -476,6 +476,15 @@ class TestSubsetValues:
             fo.subset_values([np.int64(2), 2])
         assert fo.subset_values([np.int64(1), np.int64(2)]).tolist() == fo.subset_values([1, 2]).tolist()
 
+    def test_base_mask_follows_the_player_rule(self):
+        # numpy integers pass as the base mask, bools do not
+        fo = FullObligationGame(CreditInstance.of(3, [((1, 2), 1.0)]))
+        with pytest.raises(DomainError, match=r"^base mask True is not a coalition of 1\.\.3$"):
+            fo.subset_values([2], True)
+        graph = path_graph(3)
+        for game in (fo, ClosedNeighborhoodGame(graph), ThresholdNeighborhoodGame(graph, 2)):
+            assert game.subset_values([2], np.int64(1)).tolist() == game.subset_values([2], 1).tolist()
+
     def test_numpy_integers_in_player_sets(self):
         # the rule of a single player: numpy integers pass, bools do not
         game = ClosedNeighborhoodGame(complete_graph(3))

@@ -392,15 +392,18 @@ def test_plans_match_the_recorded_fixture():
 @settings(max_examples=40, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_unopened_search_beats_every_feasible_root_vertex(hrng):
-    """With no box opened, the search has still offered every root orthant's
-    best feasible vertex, so neither its plan nor its bound lies above the
-    least budget-feasible point of the grid {0, b_i, 1}^k."""
+    """With no box opened, the search has still offered the best feasible
+    vertex of every root orthant it kept, and a point of an orthant it dropped
+    is no better than its projection onto the baseline, a point of a kept
+    one.  So neither its plan nor its bound lies above the least
+    budget-feasible point of the grid {0, b_i, 1}^k, dropped orthants
+    included, up to the oracle's cap of 6 attackable players."""
     n = hrng.randint(3, 7)
-    game = random_game(hrng, hrng.choice(("nc1", "nc2", "fc", "fo")), n)
+    game = random_game(hrng, hrng.choice(("nc1", "nc2", "nc3", "fc", "fo")), n)
     p_star = tuple(1.0 if hrng.random() < 0.1 else hrng.uniform(0.05, 1.0) for _ in range(n))
     slopes = [tuple(hrng.uniform(0.3, 3.0) for _ in range(n)) for _ in "LR"]
     budget = hrng.uniform(0.0, 1.5)
-    attackable = sorted(hrng.sample(range(2, n + 1), hrng.randint(1, min(n - 1, 4))))
+    attackable = sorted(hrng.sample(range(2, n + 1), hrng.randint(1, min(n - 1, 6))))
     problem = AttackProblem(
         game, 1, budget, CostModel(p_star, *slopes, (0.0,) * n),
         frozenset(range(2, n + 1)) - set(attackable),
@@ -418,6 +421,34 @@ def test_unopened_search_beats_every_feasible_root_vertex(hrng):
     assert plan.total_cost <= budget + 1e-12
     assert plan.achieved <= least + 1e-12
     assert bound <= least + 1e-12
+
+
+class TestDominatedOrthants:
+    """Hand-written corner tables (index bit i for coordinate i) through the
+    branch and bound, whose roots keep one side of the baseline in every
+    coordinate along which all corner differences share a sign."""
+
+    def test_mixed_slopes_keep_the_half_the_baseline_slope_would_drop(self):
+        # f = -0.2 q1 + 0.5 q2 + q1 q2: df/dq1 = q2 - 0.2 is 0.3 at the
+        # baseline, yet the optimum raises q1 once q2 has fallen below 0.2
+        corners = np.array([0.0, -0.2, 0.5, 1.3])
+        point, bound, stopped = oracle._branch_and_bound(
+            corners, np.array([0.5, 0.5]), np.ones(2), np.ones(2), 1.0, 10_000
+        )
+        assert point.tolist() == [1.0, 0.0]
+        assert liveness_value(corners, point) == pytest.approx(-0.2, abs=1e-15)
+        assert not stopped and bound >= -0.2 - 1e-9
+
+    def test_monotone_table_exact_minimum(self):
+        # f = 2 q1 - q2 - q1 q2 rises in q1 and falls in q2; with raising q2
+        # at twice the price, lowering q1 to 0 is the unique optimum
+        corners = np.array([0.0, 2.0, -1.0, 0.0])
+        point, bound, stopped = oracle._branch_and_bound(
+            corners, np.array([0.5, 0.5]), np.ones(2), np.array([1.0, 2.0]), 0.5, 10_000
+        )
+        assert point.tolist() == [0.0, 0.5]
+        assert liveness_value(corners, point) == -0.5
+        assert not stopped and -0.5 - 1e-9 <= bound <= -0.5
 
 
 class TestCornerInterpolation:
@@ -488,8 +519,31 @@ class TestKnapsackLp:
             fractional_knapsack_optimum([1.0], [1.0], -1.0)
 
 
+def golden_changes(recorded: list[dict], entries: list[dict]) -> list[str]:
+    """One line per entry of ``entries`` that differs from the one at its
+    index in ``recorded``: the index, variant, ``max_refinements``, which of
+    corners, search and plan changed, and the largest absolute difference of
+    the plan's numbers (cost, achieved and profile)."""
+    lines = []
+    for i, (entry, was) in enumerate(itertools.zip_longest(entries, recorded)):
+        if entry is None:
+            lines.append(f"case {i}: removed")
+            continue
+        case = entry["case"]
+        head = f"case {i} ({case['game']['variant']}, max_refinements {case['max_refinements']})"
+        if was is None or was["case"] != case:
+            lines.append(f"{head}: new case")
+            continue
+        changed = [key for key in ("corners", "search", "plan") if entry[key] != was[key]]
+        if changed:
+            numbers = [np.array([p[0], p[1], *p[2]]) for p in (entry["plan"], was["plan"])]
+            gap = np.abs(numbers[0] - numbers[1]).max()
+            lines.append(f"{head}: {', '.join(changed)} changed; largest plan difference {gap:.3g}")
+    return lines
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps([{"case": case, **golden_record(case)} for case in golden_cases()], indent=1)
-        + "\n"
-    )
+    entries = [{"case": case, **golden_record(case)} for case in golden_cases()]
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    print("\n".join(golden_changes(recorded, entries)) or "no entry changed")
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
