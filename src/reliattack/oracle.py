@@ -216,16 +216,21 @@ def _branch_and_bound(
         hi[::2, axis] = lo[1::2, axis] = s * hi[::2, axis] + (1.0 - s) * lo[::2, axis]
         return halves.reshape((-1,) + values.shape[1:]), lo, hi
 
-    # slopes[i]: the corner differences along axis i, which bound dSh_x/dp_i on the cube
+    # row i of low: the corners with bit i clear; every slope of Sh_x along
+    # axis i in the cube is a mix of the corner differences of row i
     low, axes = np.arange(1 << k - 1), np.arange(k)[:, None]
-    low = low >> axes << axes + 1 | low & (1 << axes) - 1
+    low = (low >> axes << axes + 1) | (low & (1 << axes) - 1)
     slopes = corners[low | 1 << axes] - corners[low]
     rises, falls = (slopes >= 0).all(axis=1), (slopes <= 0).all(axis=1)
-    box = corners.reshape((2,) * k).transpose()[None], np.zeros((1, k)), np.ones((1, k))
+    box = corners.reshape((2,) * k).transpose()[None].copy(), np.zeros((1, k)), np.ones((1, k))
     for i, b in enumerate(base_p):
-        if rises[i] or falls[i] or b < 1.0:
-            keep = slice(0, None, 2) if rises[i] else slice(1, None, 2) if falls[i] else slice(None)
-            box = tuple(a[keep] for a in halve(*box, i, b))
+        if rises[i] or falls[i]:  # one side of b: its far end moves to b, as in halve
+            values, lo, hi = box
+            ends = np.moveaxis(values, i + 1, 1)
+            ends[:, int(rises[i])] = b * ends[:, 1] + (1.0 - b) * ends[:, 0]
+            (hi if rises[i] else lo)[:, i] = b
+        elif b < 1.0:
+            box = halve(*box, i, b)
     push(*box)
 
     opened = 0
