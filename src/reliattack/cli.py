@@ -25,7 +25,9 @@ from .attacks import (
     removal_no_benefit_check,
 )
 from .errors import DomainError, ResourceLimitError
-from .games import FullObligationGame, Game, _as_finite, _as_int, _as_list, game_from_json
+from .games import (
+    FullObligationGame, Game, _as_finite, _as_int, _as_list, _as_player, game_from_json,
+)
 from .oracle import OracleConfig, fractional_oracle
 from .reliability import ReliabilityProfile
 from .shapley import shapley_closed, shapley_vector_closed
@@ -133,7 +135,7 @@ def _attack_problem(request: dict) -> tuple[AttackProblem, str, bool]:
     exempt: frozenset[int] = frozenset()
     if request.get("pairwise_protect") is not None:
         protect = _as_int(request["pairwise_protect"], "field 'pairwise_protect'")
-        exempt = pairwise_exempt_set(game, protect)
+        exempt = pairwise_exempt_set(game, _as_player(protect, game.n, "field 'pairwise_protect'"))
     large_cutoff = request.get("assume_large_cutoff", False)
     if not isinstance(large_cutoff, bool):
         raise DomainError(f"field 'assume_large_cutoff' must be a boolean, got {large_cutoff!r}")
@@ -264,9 +266,8 @@ def _cmd_reduce_bmc(args) -> int:
 def _cmd_no_benefit(args) -> int:
     game = _load_game(args.game)
     profile = _profile_arg(args.profile, game.n)
-    result = removal_no_benefit_check(
-        game, args.target, args.trials, profile=profile, seed=args.seed
-    )
+    target = _as_player(args.target, game.n, "--target")
+    result = removal_no_benefit_check(game, target, args.trials, profile=profile, seed=args.seed)
     report = {
         "passed": result.passed,
         "trials": result.trials,

@@ -301,25 +301,23 @@ def fractional_oracle(
 def fractional_knapsack_optimum(
     values: Sequence[float], weights: Sequence[float], capacity: float
 ) -> float:
-    """Exact optimum of ``max v.z : w.z <= capacity, 0 <= z <= 1`` via LP.
+    """Exact optimum, to rounding, of ``max v.z : w.z <= capacity, 0 <= z <= 1``.
 
-    The independent check for the knapsack-equivalent credit attacks.
+    The independent check for the knapsack-equivalent credit attacks: it
+    neither sorts nor fills.  By LP duality the optimum is the least value of
+    the convex, piecewise linear g(lam) = lam * capacity + sum_i max(0, v_i -
+    lam * w_i) over lam >= 0, read at lam = 0 and at every kink v_i / w_i > 0.
     """
+    capacity = _as_finite(capacity, "capacity")
     if capacity < 0:
         raise DomainError(f"capacity {capacity} is negative")
     if len(values) != len(weights):
         raise DomainError("values and weights must have equal length")
-    if not values:
-        return 0.0
-    from scipy.optimize import linprog  # loaded here: it costs most of the package import
-
-    res = linprog(
-        c=-np.asarray(values, dtype=np.float64),
-        A_ub=np.asarray(weights, dtype=np.float64)[None, :],
-        b_ub=np.array([capacity], dtype=np.float64),
-        bounds=[(0.0, 1.0)] * len(values),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"knapsack LP failed: {res.message}")
-    return float(-res.fun)
+    v = np.array([_as_finite(x, f"values[{i}]") for i, x in enumerate(values)], dtype=np.float64)
+    w = np.array([_as_finite(x, f"weights[{i}]") for i, x in enumerate(weights)], dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing kink or value is inf, never the least
+        ratio = np.divide(v, w, out=np.zeros_like(v), where=w != 0)
+        kinks = np.append(0.0, ratio[np.isfinite(ratio) & (ratio > 0)])
+        step = max(1, (1 << 16) // max(len(v), 1))  # about 2^16 floats live per block
+        g = lambda lam: lam * capacity + np.maximum(v - lam[:, None] * w, 0.0).sum(axis=1)
+        return min(float(g(kinks[lo:lo + step]).min()) for lo in range(0, len(kinks), step))

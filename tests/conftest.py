@@ -357,6 +357,28 @@ def exact_table_shapley(table: list[Fraction], profile) -> list[Fraction]:
     return out
 
 
+def exact_knapsack(values, weights, capacity) -> Fraction:
+    """max v.z subject to w.z <= capacity and 0 <= z <= 1, in Fractions and
+    without numpy, as the best of the LP's vertices: a set S taken whole
+    (when it fits), or S plus one more item j filled to the capacity, z_j =
+    (capacity - w(S)) / w_j strictly between 0 and 1 (a negative w_j fills
+    from above).  Weights and values of either sign."""
+    v = [Fraction(x) for x in values]
+    w = [Fraction(x) for x in weights]
+    cap = Fraction(capacity)
+    best = Fraction(0)  # z = 0 is feasible since the capacity is >= 0
+    for r in range(len(v) + 1):
+        for taken in itertools.combinations(range(len(v)), r):
+            used = sum((w[i] for i in taken), Fraction(0))
+            value = sum((v[i] for i in taken), Fraction(0))
+            if used <= cap:
+                best = max(best, value)
+            for j in set(range(len(v))) - set(taken):
+                if w[j] != 0 and 0 < (cap - used) / w[j] < 1:
+                    best = max(best, value + (cap - used) / w[j] * v[j])
+    return best
+
+
 def threshold_value(graph, k: int) -> Callable[[frozenset], int]:
     """The threshold game's value in plain Python: the members of S plus the
     players outside S with at least k neighbours in S."""

@@ -596,6 +596,17 @@ class TestMalformedInput:
         assert code == 1
         assert "'target'" in err
 
+    def test_pairwise_protect_out_of_range(self, tmp_path, capsys):
+        code, out, err = run(capsys, "attack", fc_request(tmp_path, pairwise_protect=9))
+        assert code == 1 and out == ""
+        assert "field 'pairwise_protect' 9 outside 1..3" in err
+
+    def test_no_benefit_target_out_of_range(self, tmp_path, capsys):
+        game = write(tmp_path, "fc.json", FC_GAME)
+        code, out, err = run(capsys, "no-benefit", game, "--target", "9")
+        assert code == 1 and out == ""
+        assert "--target 9 outside 1..3" in err
+
     @pytest.mark.parametrize("trials", ["-5", "0"])
     def test_trials_must_be_positive(self, tmp_path, capsys, trials):
         game = write(tmp_path, "fc.json", FC_GAME)

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from reliattack.shapley import _table_shapley, shapley_definitional
 from conftest import (
     coverage_inner,
     cycle_graph,
+    exact_knapsack,
     finite_difference,
     fo_value,
     nc2_inner,
@@ -517,6 +522,65 @@ class TestKnapsackLp:
     def test_negative_capacity(self):
         with pytest.raises(DomainError):
             fractional_knapsack_optimum([1.0], [1.0], -1.0)
+
+    def test_matches_exact_vertex_enumeration(self):
+        # zero weights, values and weights of either sign, and the capacity
+        # in turn 0, inside the total weight, and above it
+        rng = random.Random(2024)
+        pick = lambda lo, hi: rng.choice([0.0, rng.uniform(lo, hi), float(rng.randint(lo, hi))])
+        for case in range(1200):
+            n = rng.randint(0, 8)
+            values = [pick(-2, 5) for _ in range(n)]
+            weights = [pick(-1, 4) for _ in range(n)]
+            total = sum(abs(w) for w in weights)
+            capacity = [0.0, rng.uniform(0.0, total), total + rng.uniform(0.0, 2.0)][case % 3]
+            exact = exact_knapsack(values, weights, capacity)
+            got = fractional_knapsack_optimum(values, weights, capacity)
+            assert abs(got - float(exact)) <= 1e-12, (values, weights, capacity)
+
+    @pytest.mark.parametrize(
+        "values, weights, capacity, message",
+        [
+            ([math.nan], [1.0], 1.0, "values[0] must be a finite number"),
+            ([1.0, 2.0], [1.0, math.inf], 1.0, "weights[1] must be a finite number"),
+            ([1.0], [-math.inf], 1.0, "weights[0] must be a finite number"),
+            ([1.0], [1.0], math.inf, "capacity must be a finite number"),
+            ([True], [1.0], 1.0, "values[0] must be a finite number"),
+            ([1.0], [1.0], True, "capacity must be a finite number"),
+            (["1"], [1.0], 1.0, "values[0] must be a finite number"),
+            ([1.0], [1.0], "1", "capacity must be a finite number"),
+            ([1.0, 2.0], [1.0], 1.0, "values and weights must have equal length"),
+            ([1.0], [1.0], -1.0, "capacity -1.0 is negative"),
+        ],
+        ids=["nan-value", "inf-weight", "-inf-weight", "inf-capacity", "bool-value",
+             "bool-capacity", "str-value", "str-capacity", "unequal-lengths", "negative-capacity"],
+    )
+    def test_malformed_input_names_argument(self, values, weights, capacity, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fractional_knapsack_optimum(values, weights, capacity)
+
+    def test_imports_no_scipy(self, tmp_path):
+        # scipy.optimize added about 48 MB to the process that first called it
+        request = {
+            "game": {"variant": "fo", "n": 3, "papers": [{"authors": [1, 2], "score": 2.0},
+                                                         {"authors": [1, 3], "score": 3.0}]},
+            "target": 1, "budget": 0.5, "mode": "fractional",
+            "cost_model": {"p_star": [0.9, 0.8, 0.7], "L": [1.0, 2.0, 1.0],
+                           "R": [1.0, 1.0, 1.0], "c": [0.0, 0.0, 0.0]},
+        }
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps(request))
+        code = (
+            "import sys\n"
+            "import reliattack, reliattack.cli\n"
+            "reliattack.fractional_knapsack_optimum([3.0, 2.0], [1.0, 2.0], 2.0)\n"
+            f"code = reliattack.cli.main(['oracle-check', {str(path)!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.splitlines()[-1:]) == (0, ["0 []"]), out.stderr
 
 
 def golden_changes(recorded: list[dict], entries: list[dict]) -> list[str]:

@@ -165,8 +165,7 @@ def main() -> int:
                  "side runs from a fresh git archive of its commit",
         "machine": f"{platform.system()} {platform.machine()}, "
                    f"{len(os.sched_getaffinity(0))} CPUs available, no CPU pinning; "
-                   f"Python {platform.python_version()}, numpy {metadata.version('numpy')}, "
-                   f"scipy {metadata.version('scipy')}",
+                   f"Python {platform.python_version()}, numpy {metadata.version('numpy')}",
         "claim": None,
         "notes": None,
         "summary": summarize(runs),
