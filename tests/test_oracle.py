@@ -559,7 +559,7 @@ class TestKnapsackLp:
             fractional_knapsack_optimum(values, weights, capacity)
 
     def test_imports_no_scipy(self, tmp_path):
-        # scipy.optimize added about 48 MB to the process that first called it
+        # importing scipy.optimize costs a process about 48 MB and half a second
         request = {
             "game": {"variant": "fo", "n": 3, "papers": [{"authors": [1, 2], "score": 2.0},
                                                          {"authors": [1, 3], "score": 3.0}]},
