@@ -47,7 +47,6 @@ from .reliability import (
     ReliabilityProfile,
     as_profile,
     liveness_transform,
-    liveness_value,
     reliability_value,
 )
 from .shapley import (

@@ -579,12 +579,11 @@ def covered_weight(
     chosen: Iterable[int],
 ) -> float:
     """Total weight of the elements covered by the chosen sets (1-based ids)."""
+    weights, norm = _validate_cover_input(element_weights, sets, positive_costs=False)
     union: set[int] = set()
     for j in chosen:
-        if not 1 <= j <= len(sets):
-            raise DomainError(f"set id {j} outside 1..{len(sets)}")
-        union |= set(sets[j - 1][0])
-    return float(sum(element_weights[u - 1] for u in union))
+        union |= norm[_as_player(j, len(norm), "set id") - 1][0]
+    return float(sum(weights[u - 1] for u in union))
 
 
 def bmc_reduce(
@@ -644,7 +643,7 @@ def bmc_solve_exact(
         for i, w in enumerate(weights, start=1)
     ]
     instance = CreditInstance.of(max(len(norm), 1), [paper for paper in papers if paper[0]])
-    table = FullCreditGame(instance).subset_values(range(1, len(norm) + 1))
+    table = FullCreditGame(instance).subset_values()
     masks = _affordable_masks([cost for _, cost in norm], budget)
     neg_weight, chosen = _best_affordable(masks, -table[masks])
     return tuple(j + 1 for j in chosen), -neg_weight

@@ -171,8 +171,8 @@ def _cmd_shapley(args) -> int:
         "profile": list(profile.values),
     }
     if args.player is not None:
-        report["player"] = args.player
-        report["value"] = shapley_closed(game, profile, args.player)
+        report["player"] = player = _as_player(args.player, game.n, "--player")
+        report["value"] = shapley_closed(game, profile, player)
     else:
         report["values"] = list(shapley_vector_closed(game, profile))
     _emit(report, args.format)

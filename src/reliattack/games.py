@@ -365,24 +365,6 @@ def _require_two_authors(instance: CreditInstance, x: int) -> None:
 # games
 
 
-def _table_players(n: int, players: Iterable[int], base: int) -> list[int]:
-    """``players`` as a list, checked to be distinct players of 1..n outside
-    the bitmask ``base``."""
-    seen = _integer(base)
-    if seen is None or not 0 <= seen < 1 << n:
-        raise DomainError(f"base mask {base!r} is not a coalition of 1..{n}")
-    out = []
-    for x in players:
-        i = _integer(x)
-        if i is None or not 1 <= i <= n:
-            raise DomainError(f"players contains {x!r}, expected integers in 1..{n}")
-        if seen >> (i - 1) & 1:
-            raise DomainError(f"player {i} is repeated or already in the base")
-        seen |= 1 << (i - 1)
-        out.append(i)
-    return out
-
-
 def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
     return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
 
@@ -422,12 +404,12 @@ def _hits(rows: Sequence[np.ndarray], players: Iterable[int], size: int) -> np.n
     return np.bincount(np.concatenate(idx), minlength=size)
 
 
-def _codes(rows: Sequence[np.ndarray], players: Sequence[int], size: int) -> np.ndarray:
-    """Per element, the bitmask of the indices i whose ``players[i]`` has it
-    in their row."""
+def _codes(rows: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Per element, the bitmask coalition of the players whose row holds it
+    (``rows[x]`` for player x; ``rows[0]`` is not read)."""
     codes = np.zeros(size, np.int64)
-    for i, x in enumerate(players):
-        codes[rows[x]] |= 1 << i
+    for x in range(1, len(rows)):
+        codes[rows[x]] |= 1 << (x - 1)
     return codes
 
 
@@ -451,25 +433,6 @@ def _popcount(m: int) -> np.ndarray:
     return counts
 
 
-def _coverage_values(
-    rows: Sequence[np.ndarray], weights: np.ndarray, players: list[int], base: int
-) -> np.ndarray:
-    """Subset table of a covered-by-any game: a coalition earns the weight of
-    every element in the row of at least one member.
-
-    Elements covered by ``base`` give a constant; every other element adds
-    its weight at the code of its coverers among ``players`` in ``c``, and
-    the coalition T misses exactly the elements whose code lies inside the
-    complement of T, so ``value[T] = const + zeta(c)[full] - zeta(c)[full ^ T]``.
-    """
-    covered = _hits(rows, _players_of(base), len(weights)) > 0
-    codes = _codes(rows, players, len(weights))
-    c = np.bincount(codes[~covered], weights=weights[~covered], minlength=1 << len(players))
-    c[0] = 0.0  # elements that no player here covers never count
-    z = _zeta(c)
-    return weights[covered].sum() + (z[-1] - z[::-1])
-
-
 class Game(ABC):
     """A coalition value function on players ``1..n`` with ``value({}) == 0``."""
 
@@ -484,15 +447,12 @@ class Game(ABC):
         """Coalition value for a bitmask coalition (bit i-1 <=> player i)."""
 
     @abstractmethod
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        """Values of the 2^m coalitions between ``base`` and ``base`` plus the
-        m ``players``.
-
-        Entry r is the value of the bitmask coalition ``base`` together with
-        ``players[i]`` for every set bit i of r, the submask order that
-        :func:`reliattack.reliability.liveness_transform` reads.  The players
-        must be distinct and outside ``base``.  The five paper games fill it
-        with numpy transforms, without a :meth:`value_mask` call per entry.
+    def subset_values(self) -> np.ndarray:
+        """Float64 values of all 2^n coalitions: entry r is the value of the
+        bitmask coalition r, the submask order that
+        :func:`reliattack.reliability.liveness_transform` reads.  The five
+        paper games fill it with numpy transforms, without a
+        :meth:`value_mask` call per entry.
         """
 
 
@@ -535,9 +495,17 @@ class CoverageGame(Game):
         covered = _hits(self._covers, _players_of(mask), len(self._weights)) > 0
         return float(self._weights[covered].sum())
 
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        players = _table_players(self.n, players, base)
-        return _coverage_values(self._covers, self._weights, players, base)
+    def subset_values(self) -> np.ndarray:
+        """Each element adds its weight at the code of its coverers in ``c``;
+        the coalition T misses exactly the elements whose code lies inside
+        the complement of T, so ``value[T] = zeta(c)[full] - zeta(c)[full ^ T]``.
+        """
+        codes = _codes(self._covers, len(self._weights))
+        c = np.bincount(codes, weights=self._weights, minlength=1 << self.n)
+        c = c.astype(np.float64, copy=False)  # integer when there are no elements
+        c[0] = 0.0  # elements that no player covers never count
+        z = _zeta(c)
+        return z[-1] - z[::-1]
 
 
 @dataclass(frozen=True)
@@ -604,34 +572,17 @@ class ThresholdNeighborhoodGame(Game):
         and N(y) for every neighbour y, that is N[x] - 1."""
         return tuple(row - 1 for row in self.graph._closed_rows)
 
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        """Outside players are grouped by the code of their neighbors among
-        ``players``, their neighbor count in ``base`` and their own bit; each
-        group costs one pass over the 2^m entries."""
-        players = _table_players(self.n, players, base)
-        m, size = len(players), self.n + 1
-        codes = _codes(self._rows, players, size)
-        in_base = _hits(self._rows, _players_of(base), size)
-        own = np.zeros(size, np.int64)
-        own[players] = 1 << np.arange(m, dtype=np.int64)
-        outside = np.ones(size, bool)
-        outside[0] = False
-        outside[sorted(_players_of(base))] = False
-        groups, counts = np.unique(
-            np.stack([codes, in_base, own], axis=1)[outside], axis=0, return_counts=True
-        )
-        pop = _popcount(m)
-        r = np.arange(1 << m)
-        total = pop + base.bit_count()
-        for (code, b, bit), count in zip(groups.tolist(), counts.tolist()):
-            need = self.threshold - b
-            if need <= 0:
-                total += count if bit == 0 else count * ((r & bit) == 0)
-            elif need <= pop[code]:
-                hit = pop[r & code] >= need
-                if bit:
-                    hit &= (r & bit) == 0
-                total += count * hit
+    def subset_values(self) -> np.ndarray:
+        """A player outside the coalition r counts when at least k of its
+        neighbors lie in r: one pass over the 2^n entries per player whose
+        degree reaches k."""
+        k, r = self.threshold, np.arange(1 << self.n)
+        pop = _popcount(self.n)
+        total = pop.copy()  # the cached counts stay as they are
+        codes = _codes(self._rows, self.n + 1)
+        for y, code in enumerate(codes[1:].tolist()):
+            if pop[code] >= k:
+                total += (pop[r & code] >= k) & ((r >> y & 1) == 0)
         return total.astype(np.float64)
 
 
@@ -716,18 +667,13 @@ class FullObligationGame(Game):
         inside = _hits(inst._rows, _players_of(mask), len(inst.papers)) == np.diff(self._set_csr[0])
         return float(inst._scores[inside].sum())
 
-    def subset_values(self, players: Iterable[int], base: int = 0) -> np.ndarray:
-        """Papers whose authors all lie in ``base`` plus ``players`` add their
-        score at the code of their authors among ``players``; entry T is then
-        the subset sum at T."""
-        players = _table_players(self.n, players, base)
+    def subset_values(self) -> np.ndarray:
+        """Each paper adds its score at the code of its authors; entry T is
+        then the subset sum at T."""
         inst = self.instance
-        size = len(inst.papers)
-        reach = _hits(inst._rows, [*players, *_players_of(base)], size)
-        inside = reach == np.diff(self._set_csr[0])
-        codes = _codes(inst._rows, players, size)
-        c = np.bincount(codes[inside], weights=inst._scores[inside], minlength=1 << len(players))
-        return _zeta(c.astype(np.float64, copy=False))  # integer when no paper is inside
+        codes = _codes(inst._rows, len(inst.papers))
+        c = np.bincount(codes, weights=inst._scores, minlength=1 << self.n)
+        return _zeta(c.astype(np.float64, copy=False))  # integer when there are no papers
 
 
 # ---------------------------------------------------------------------------

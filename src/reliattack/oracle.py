@@ -84,8 +84,9 @@ def _corner_shapley(
 
     Sh_x is multilinear in every p_j (Owen 1972), so these corner values
     determine it: its value where the players of ``cols`` take the
-    probabilities q is ``liveness_value(corners, q)``, the top entry of
-    their liveness transform, in O(2^k) per profile.
+    probabilities q is ``liveness_transform(corners, q)[..., -1]``, the top
+    entry of their liveness transform, which ``_fold`` reads alone in O(2^k)
+    per profile.
     """
     k = len(cols)
     profiles = np.repeat(baseline[None, :], 1 << k, axis=0)
@@ -111,8 +112,8 @@ def _branch_and_bound(
     budget: float,
     max_boxes: int,
 ) -> tuple[np.ndarray, float, bool]:
-    """Minimise ``liveness_value(corners, q)`` over the points q of [0, 1]^k
-    whose :func:`_cost_of` is within ``budget``, k >= 1.
+    """Minimise ``liveness_transform(corners, q)[..., -1]`` over the points q
+    of [0, 1]^k whose :func:`_cost_of` is within ``budget``, k >= 1.
 
     Returns the best point found, a lower bound on the minimum and whether
     the search stopped at ``max_boxes`` opened boxes with that bound more
@@ -277,9 +278,7 @@ def fractional_oracle(
     costs = problem.costs
     baseline = np.array(costs.p_star, dtype=np.float64)
     cols = np.array([j - 1 for j in attackable], dtype=np.int64)
-    corners = _corner_shapley(
-        game.subset_values(range(1, n + 1)), problem.target, baseline, cols
-    )
+    corners = _corner_shapley(game.subset_values(), problem.target, baseline, cols)
     if k == 0:
         return AttackPlan(0.0, float(corners[0]), profile=ReliabilityProfile(tuple(baseline)))
     base_p = baseline[cols]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .games import (
     Coalition,
     CoverageGame,
@@ -26,8 +26,6 @@ from .games import (
     _as_player,
     _as_playerset,
 )
-
-DEFAULT_SUBSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -76,16 +74,6 @@ def as_profile(p: ProfileLike, n: int | None = None) -> ReliabilityProfile:
     return prof
 
 
-def _checked(table, probs) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``probs`` as floats and the broadcast batch shape of a liveness fold."""
-    probs = np.asarray(probs, dtype=np.float64)
-    m = probs.shape[-1]
-    size = np.shape(table)[-1]
-    if size != 1 << m:
-        raise DomainError(f"table of {size} entries does not span 2^{m} submasks")
-    return probs, np.broadcast_shapes(np.shape(table)[:-1], probs.shape[:-1])
-
-
 def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Reliability extension of set functions given as tables over submasks.
 
@@ -98,9 +86,12 @@ def liveness_transform(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
     ``sum_{U <= T} table[U] * pi(U, T, probs)``, pi as in the module
     docstring.
     """
-    probs, batch = _checked(table, probs)
-    size = np.shape(table)[-1]
+    probs = np.asarray(probs, dtype=np.float64)
     m = probs.shape[-1]
+    size = np.shape(table)[-1]
+    if size != 1 << m:
+        raise DomainError(f"table of {size} entries does not span 2^{m} submasks")
+    batch = np.broadcast_shapes(np.shape(table)[:-1], probs.shape[:-1])
     out = np.array(np.broadcast_to(table, batch + (size,)), dtype=np.float64)
     for i in range(m):
         halves = out.reshape(batch + (size >> (i + 1), 2, 1 << i))
@@ -120,23 +111,6 @@ def _fold(table: np.ndarray, probs) -> np.ndarray:
     for p in probs:
         table = p * table[1::2] + (1.0 - p) * table[0::2]
     return table
-
-
-def liveness_value(table: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """The top entry of :func:`liveness_transform`, ``[..., -1]``, alone.
-
-    Folds the players into the table in turn by :func:`_fold`, O(2^m) per
-    row.  Every step is the butterfly's own product-sum on the entries the
-    top one depends on, so the result equals the full transform's bit for
-    bit.
-    """
-    probs, batch = _checked(table, probs)
-    table = np.asarray(table, dtype=np.float64)
-    # submasks first, and the table's leading axes padded to the batch's, so
-    # that a step over a batch of rows reads whole rows
-    pad = (1,) * (len(batch) + 1 - table.ndim)
-    out = _fold(np.moveaxis(table.reshape(pad + table.shape), -1, 0), np.moveaxis(probs, -1, 0))
-    return np.array(np.broadcast_to(out[0], batch))
 
 
 def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +145,9 @@ def _row_products(csr: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndarr
     return out
 
 
-def _multilinear(game: Game, q: np.ndarray) -> float | None:
+def _multilinear(game: Game, q: np.ndarray) -> float:
     """Owen's multilinear extension of ``game`` at the 0-based profile ``q``,
-    over the sets of its ``_set_csr``, or None for a game without one:
+    over the sets of its ``_set_csr``:
     sum_e w_e (1 - prod_{i covers e} (1 - q_i)) for coverage,
     sum_P score_P prod_{a in P} q_a for full obligation, and
     sum_y q_y + (1 - q_y) P(at least k of N(y) live) for the threshold game."""
@@ -182,53 +156,30 @@ def _multilinear(game: Game, q: np.ndarray) -> float | None:
     if isinstance(game, FullObligationGame):
         return float(game.instance._scores @ _row_products(game._set_csr, q))
     if not isinstance(game, ThresholdNeighborhoodGame):
-        return None
+        raise DomainError(
+            f"no closed form for game variant {game.variant!r}; use shapley_definitional"
+        )
     indptr, indices = game._set_csr
     sizes, k = np.diff(indptr), game.threshold
     tails = np.zeros(len(sizes))
-    for a in set(sizes.tolist()) - set(range(k)):  # a smaller row never reaches k
+    for a in {a for a in sizes.tolist() if a >= k}:  # a smaller row never reaches k
         rows = np.flatnonzero(sizes == a)
         pmf, _ = _low_order_pmfs(q[indices[indptr[rows, None] + np.arange(a)]], k)
         tails[rows] = 1.0 - pmf.sum(axis=-1)
     return float(q.sum() + (1.0 - q) @ tails)
 
 
-def reliability_value(
-    game: Game,
-    profile: ProfileLike,
-    coalition: Coalition,
-    *,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> float:
+def reliability_value(game: Game, profile: ProfileLike, coalition: Coalition) -> float:
     """Value of the reliability extension of ``game`` at ``coalition``.
 
-    Exact.  The five paper games evaluate their multilinear extension at
-    the profile restricted to the coalition, for any ``|S|``.  Other games
-    fix the members with p in {0, 1} (always live or always dead), take the
-    values of the 2^m liveness outcomes of the other m members from
-    :meth:`Game.subset_values` and fold them by :func:`liveness_value`, so
-    there ``|S|`` is limited by ``subset_cap``; raise the cap deliberately
-    for larger exact runs.
+    Exact, for any ``|S|``: the five paper games evaluate their multilinear
+    extension at the profile restricted to the coalition.  Any other game
+    raises :class:`DomainError`; :func:`liveness_transform` on its
+    :meth:`Game.subset_values` gives its values instead.
     """
     p = as_profile(profile, game.n)
     s = _as_playerset(coalition, game.n)
     members = np.fromiter(s, np.intp, len(s)) - 1
     q = np.zeros(game.n)
     q[members] = np.fromiter(p.values, float, p.n)[members]
-    value = _multilinear(game, q)
-    if value is not None:
-        return value
-    if len(s) > subset_cap:
-        raise ResourceLimitError(
-            f"coalition size {len(s)} exceeds the exact-expectation subset cap ({subset_cap})"
-        )
-    base = 0
-    players, probs = [], []
-    for x in sorted(s):
-        prob = p[x]
-        if prob == 1.0:
-            base |= 1 << (x - 1)  # always live
-        elif prob:  # always dead when 0: never enumerated
-            players.append(x)
-            probs.append(prob)
-    return float(liveness_value(game.subset_values(players, base), probs))
+    return _multilinear(game, q)

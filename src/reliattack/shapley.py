@@ -95,7 +95,7 @@ def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> Shap
         raise ResourceLimitError(
             f"n = {n} exceeds the definitional-oracle player cap ({_TABLE_PLAYER_CAP})"
         )
-    table = game.subset_values(range(1, n + 1))
+    table = game.subset_values()
     if profile is not None:
         table = liveness_transform(table, as_profile(profile, n).values)
     return ShapleyVector(tuple(float(_table_shapley(table, x)) for x in range(1, n + 1)))

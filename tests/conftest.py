@@ -29,7 +29,7 @@ from reliattack import (
     shapley_closed,
 )
 from reliattack.attacks import RemovalCheck, _affordable_masks
-from reliattack.games import Coalition, _as_playerset, _players_of, _table_players
+from reliattack.games import Coalition, _as_playerset, _players_of
 from reliattack.reliability import ProfileLike, as_profile
 
 # Every property test draws the same examples on every run: the examples come
@@ -120,12 +120,9 @@ def random_game(rng: random.Random, variant: str, n: int):
     raise ValueError(variant)
 
 
-def loop_table(game, players, base):
-    """The reference subset table: one ``value_mask`` call per entry."""
-    return np.array([
-        game.value_mask(base | sum(1 << (x - 1) for i, x in enumerate(players) if r >> i & 1))
-        for r in range(1 << len(players))
-    ])
+def loop_table(game):
+    """The reference subset table: one ``value_mask`` call per coalition."""
+    return np.array([game.value_mask(mask) for mask in range(1 << game.n)])
 
 
 class TableGame(Game):
@@ -152,8 +149,8 @@ class TableGame(Game):
         except KeyError:
             raise DomainError(f"table has no value for coalition {sorted(key)}") from None
 
-    def subset_values(self, players, base=0):
-        return loop_table(self, _table_players(self.n, players, base), base)
+    def subset_values(self):
+        return loop_table(self)
 
 
 def enumerated_value(value_mask, pvals, smask):

@@ -643,6 +643,23 @@ class TestBmc:
         with pytest.raises(ResourceLimitError, match="cap"):
             bmc_solve_exact([1], sets, 1)
 
+    def test_covered_weight_validates_its_sets(self):
+        assert covered_weight([1, 5], [([1, 2], 0), ([2], 3)], [2]) == 5.0
+        for sets, field in (
+            ([([0], 1)], r"^set 1 references element 0, expected 1\.\.2$"),
+            ([([-1], 1)], r"^set 1 references element -1, expected 1\.\.2$"),
+            ([([3], 1)], r"^set 1 references element 3, expected 1\.\.2$"),
+            ([([True], 1)], r"^element of set 1 must be an integer, got True$"),
+        ):
+            with pytest.raises(DomainError, match=field):
+                covered_weight([1, 5], sets, [1])
+        for chosen, field in (
+            ([3], r"^set id 3 outside 1\.\.2$"),
+            ([True], r"^set id must be an integer, got True$"),
+        ):
+            with pytest.raises(DomainError, match=field):
+                covered_weight([1, 5], [([1], 1), ([2], 1)], chosen)
+
     def test_input_validation(self):
         with pytest.raises(DomainError, match="weight"):
             bmc_reduce([0], [], 1, 1)

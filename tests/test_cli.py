@@ -607,6 +607,12 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert "--target 9 outside 1..3" in err
 
+    def test_shapley_player_out_of_range(self, tmp_path, capsys):
+        game = write(tmp_path, "fc.json", FC_GAME)
+        code, out, err = run(capsys, "shapley", game, "--player", "9")
+        assert code == 1 and out == ""
+        assert "--player 9 outside 1..3" in err
+
     @pytest.mark.parametrize("trials", ["-5", "0"])
     def test_trials_must_be_positive(self, tmp_path, capsys, trials):
         game = write(tmp_path, "fc.json", FC_GAME)

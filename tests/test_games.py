@@ -360,13 +360,15 @@ class TestJson:
                 game_from_json(bad)
 
 
-def random_split(rng, n):
-    """Random ``players`` in random order and a random ``base`` mask outside them."""
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    m = rng.randint(0, n)
-    base = sum(1 << (x - 1) for x in order[m:] if rng.random() < 0.5)
-    return order[:m], base
+def assert_loop_table(game, exact: bool) -> None:
+    """``game.subset_values()`` against the ``value_mask`` loop over all 2^n
+    coalitions: float64 both, the same bytes when ``exact``, else within 1e-12."""
+    got, want = game.subset_values(), loop_table(game)
+    assert got.dtype == want.dtype == np.float64 and got.shape == (1 << game.n,)
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestSubsetValues:
@@ -375,33 +377,16 @@ class TestSubsetValues:
 
     @pytest.mark.parametrize("variant", ["nc1", "nc21", "nc22", "nc23", "nc3", "fc", "fo"])
     def test_matches_value_mask_loop(self, rng, variant):
-        for _ in range(40):
-            n = rng.randint(1, 9)
-            game = random_game(rng, variant, n)
-            players, base = random_split(rng, n)
-            got = game.subset_values(players, base)
-            expected = loop_table(game, players, base)
-            assert got.dtype == np.float64 and got.shape == expected.shape
-            if variant in ("fc", "fo"):
-                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
-            else:
-                assert got.tolist() == expected.tolist()
-
-    def test_no_players(self, rng):
-        for variant in ("nc1", "nc22", "nc3", "fc", "fo"):
-            game = random_game(rng, variant, 6)
-            for base in (0, 0b101101, 0b111111):
-                got = game.subset_values([], base)
-                assert got.tolist() == pytest.approx([game.value_mask(base)], abs=1e-12)
+        for i in range(40):
+            game = random_game(rng, variant, 1 + i % 9)
+            assert_loop_table(game, exact=variant not in ("fc", "fo"))
 
     def test_table_game_loops_over_value_mask(self, rng):
         n = 5
         table = {coalition: float(rng.randint(0, 9)) for coalition in all_coalitions(n)}
         table[frozenset()] = 0.0
         game = TableGame(n, table)
-        for _ in range(10):
-            players, base = random_split(rng, n)
-            assert game.subset_values(players, base).tolist() == loop_table(game, players, base).tolist()
+        assert game.subset_values().tolist() == [game.value(s) for s in all_coalitions(n)]
 
     def test_tie_at_cutoff_and_isolated_players(self):
         # 0.4 + 0.6 reaches the cutoff 1.0 exactly; player 5 has no edge
@@ -412,26 +397,22 @@ class TestSubsetValues:
             ThresholdNeighborhoodGame(plain, k) for k in (1, 2, 3)
         ]
         for game in games:
-            for players, base in (([5, 1, 3], 0), ([4, 1], 0b10100), ([5], 0b00110)):
-                got = game.subset_values(players, base)
-                assert got.tolist() == loop_table(game, players, base).tolist()
-        assert nc3.subset_values([1]).tolist() == [0.0, 3.0]
+            assert_loop_table(game, exact=True)
+        assert nc3.subset_values()[[0b1, 0b10000]].tolist() == [3.0, 1.0]
 
     def test_papers_reaching_outside(self):
-        # papers with authors outside base and players; author 6 has no paper
+        # papers of one to three authors; author 6 has no paper
         inst = CreditInstance.of(
             6, [((1, 2), 1.5), ((2, 3, 4), 2.25), ((5,), 0.5), ((1, 4), 3.0), ((3,), 1.0)]
         )
         for game in (FullCreditGame(inst), FullObligationGame(inst)):
-            for players, base in (([4, 2], 0b00001), ([6, 3], 0), ([3, 1, 6], 0b01010)):
-                got = game.subset_values(players, base)
-                assert got == pytest.approx(loop_table(game, players, base), rel=1e-12, abs=1e-12)
+            assert_loop_table(game, exact=False)
         fo = FullObligationGame(inst)
-        assert fo.subset_values([4, 2], 0b00001).tolist() == [0.0, 3.0, 1.5, 4.5]
-        empty = CreditInstance.of(3, [])
-        for game in (FullCreditGame(empty), FullObligationGame(empty)):
-            got = game.subset_values([1, 3], 0b10)
-            assert got.dtype == np.float64 and got.tolist() == [0.0] * 4
+        assert fo.subset_values()[[0b1, 0b1001, 0b11, 0b1011]].tolist() == [0.0, 3.0, 1.5, 4.5]
+        for n in (1, 3):  # no papers: a float64 table of zeros
+            empty = CreditInstance.of(n, [])
+            for game in (FullCreditGame(empty), FullObligationGame(empty)):
+                assert_loop_table(game, exact=True)
 
     def test_oracle_and_definitional_tables(self, rng, monkeypatch):
         from reliattack import AttackProblem, CostModel, OracleConfig, fractional_oracle
@@ -458,32 +439,6 @@ class TestSubsetValues:
             assert len(seen) == 2
             for table in seen:
                 assert table == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_rejects_bad_players(self):
-        game = ClosedNeighborhoodGame(path_graph(4))
-        table = TableGame(4, {(): 0.0})
-        for players, base in (
-            ([1, 1], 0), ([2], 0b10), ([0], 0), ([5], 0), ([1], 1 << 4), ([1.0], 0), ([True, 2], 0),
-        ):
-            with pytest.raises(DomainError):
-                game.subset_values(players, base)
-            with pytest.raises(DomainError):
-                table.subset_values(players, base)
-        fo = FullObligationGame(CreditInstance.of(4, [((1, 2), 1.0)]))
-        with pytest.raises(DomainError, match=r"^players contains True, expected integers in 1\.\.4$"):
-            fo.subset_values([True, 2])
-        with pytest.raises(DomainError, match=r"^player 2 is repeated or already in the base$"):
-            fo.subset_values([np.int64(2), 2])
-        assert fo.subset_values([np.int64(1), np.int64(2)]).tolist() == fo.subset_values([1, 2]).tolist()
-
-    def test_base_mask_follows_the_player_rule(self):
-        # numpy integers pass as the base mask, bools do not
-        fo = FullObligationGame(CreditInstance.of(3, [((1, 2), 1.0)]))
-        with pytest.raises(DomainError, match=r"^base mask True is not a coalition of 1\.\.3$"):
-            fo.subset_values([2], True)
-        graph = path_graph(3)
-        for game in (fo, ClosedNeighborhoodGame(graph), ThresholdNeighborhoodGame(graph, 2)):
-            assert game.subset_values([2], np.int64(1)).tolist() == game.subset_values([2], 1).tolist()
 
     def test_numpy_integers_in_player_sets(self):
         # the rule of a single player: numpy integers pass, bools do not

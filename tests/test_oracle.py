@@ -33,7 +33,6 @@ from reliattack import (
     game_from_json,
     greedy_fractional_attack,
     liveness_transform,
-    liveness_value,
     ThresholdNeighborhoodGame,
     shapley_closed,
 )
@@ -263,14 +262,12 @@ def test_bound_below_dense_grid_minimum(rng, variant, k):
         attackable = sorted(rng.sample(range(2, n + 1), k))
         cols = np.array(attackable) - 1
         base_p, base_l, base_r = (np.array(v)[cols] for v in (p_star, *slopes))
-        corners = oracle._corner_shapley(
-            game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols
-        )
+        corners = oracle._corner_shapley(game.subset_values(), 1, np.array(p_star), cols)
         point, bound, stopped = oracle._branch_and_bound(
             corners, base_p, base_l, base_r, budget, 10_000
         )
         assert not stopped
-        assert bound >= liveness_value(corners, point) - 1e-9
+        assert bound >= liveness_transform(corners, point)[..., -1] - 1e-9
         least = None
         for q in itertools.product(steps, repeat=k):
             cost = sum(
@@ -341,9 +338,7 @@ def golden_record(case: dict) -> dict:
     problem = AttackProblem(game, case["target"], case["budget"], costs, frozenset(case["exempt"]))
     cols = np.array(problem.attackable(), dtype=np.int64) - 1
     baseline = np.array(case["p_star"])
-    corners = oracle._corner_shapley(
-        game.subset_values(range(1, n + 1)), case["target"], baseline, cols
-    )
+    corners = oracle._corner_shapley(game.subset_values(), case["target"], baseline, cols)
     plan = fractional_oracle(problem, OracleConfig(max_refinements=case["max_refinements"]))
     return {
         "corners": corners.tolist(),
@@ -416,13 +411,11 @@ def test_unopened_search_beats_every_feasible_root_vertex(hrng):
     plan = fractional_oracle(problem, OracleConfig(max_refinements=0))
     cols = np.array(attackable) - 1
     base_p, base_l, base_r = (np.array(v)[cols] for v in (p_star, *slopes))
-    corners = oracle._corner_shapley(
-        game.subset_values(range(1, n + 1)), 1, np.array(p_star), cols
-    )
+    corners = oracle._corner_shapley(game.subset_values(), 1, np.array(p_star), cols)
     _, bound, _ = oracle._branch_and_bound(corners, base_p, base_l, base_r, budget, 0)
     grid = np.array(list(itertools.product(*[(0.0, b, 1.0) for b in base_p])))
     feasible = grid[oracle._cost_of(grid, base_p, base_l, base_r) <= budget]
-    least = liveness_value(corners, feasible).min()
+    least = liveness_transform(corners, feasible)[..., -1].min()
     assert plan.total_cost <= budget + 1e-12
     assert plan.achieved <= least + 1e-12
     assert bound <= least + 1e-12
@@ -441,7 +434,7 @@ class TestDominatedOrthants:
             corners, np.array([0.5, 0.5]), np.ones(2), np.ones(2), 1.0, 10_000
         )
         assert point.tolist() == [1.0, 0.0]
-        assert liveness_value(corners, point) == pytest.approx(-0.2, abs=1e-15)
+        assert liveness_transform(corners, point)[..., -1] == pytest.approx(-0.2, abs=1e-15)
         assert not stopped and -0.2 - 1e-9 <= bound <= -0.2 + 1e-15
 
     def test_monotone_table_exact_minimum(self):
@@ -452,7 +445,7 @@ class TestDominatedOrthants:
             corners, np.array([0.5, 0.5]), np.ones(2), np.array([1.0, 2.0]), 0.5, 10_000
         )
         assert point.tolist() == [0.0, 0.5]
-        assert liveness_value(corners, point) == -0.5
+        assert liveness_transform(corners, point)[..., -1] == -0.5
         assert not stopped and -0.5 - 1e-9 <= bound <= -0.5
 
 

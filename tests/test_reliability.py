@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,20 +9,19 @@ from hypothesis import strategies as st
 
 from reliattack import (
     ClosedNeighborhoodGame,
-    CreditInstance,
     DistanceCutoffGame,
     DomainError,
     FullCreditGame,
     FullObligationGame,
     ReliabilityProfile,
-    ResourceLimitError,
     ThresholdNeighborhoodGame,
     complete_graph,
     liveness_transform,
-    liveness_value,
     reliability_value,
     shapley_vector_closed,
 )
+from reliattack.reliability import _fold
+
 from conftest import (
     TableGame,
     all_coalitions,
@@ -130,8 +130,9 @@ class TestLivenessTransform:
 
 
 class TestLivenessValue:
-    """The top entry alone, by the halving fold, against the full transform's
-    last entry, bit for bit."""
+    """The top entry alone, by the oracle's halving fold ``_fold`` (submasks
+    and probabilities on the first axis), against the full transform's last
+    entry, bit for bit."""
 
     def test_equals_top_entry(self, rng):
         np_rng = np.random.default_rng(rng.randrange(1 << 30))
@@ -139,7 +140,7 @@ class TestLivenessValue:
             table = np_rng.uniform(-2.0, 3.0, 1 << m)
             for probs in (np_rng.random(m), sparse_profile(rng, m)):
                 np.testing.assert_array_equal(
-                    liveness_value(table, probs), liveness_transform(table, probs)[..., -1]
+                    _fold(table, probs)[0], liveness_transform(table, probs)[-1]
                 )
 
     @pytest.mark.parametrize("m", [0, 1, 3, 6])
@@ -147,36 +148,24 @@ class TestLivenessValue:
         np_rng = np.random.default_rng(rng.randrange(1 << 30))
         tables = np_rng.uniform(-1.0, 2.0, (4, 1 << m))
         probs = np_rng.random((4, m))
-        for table, prob in (
-            (tables, probs),  # one profile per table
-            (tables[0], probs),  # one table, many profiles
-            (tables, probs[0]),  # many tables, one profile
-            (tables[:, None, :], probs[None, :3, :]),  # a 4 x 3 grid of pairs
-            (tables[0], probs[0]),
+        for table, prob, folded in (
+            (tables, probs, _fold(tables.T, probs.T)),  # one profile per table
+            (tables[0], probs, _fold(tables[0, :, None], probs.T)),  # one table, many profiles
+            (tables, probs[0], _fold(tables.T, probs[0])),  # many tables, one profile
         ):
-            got = liveness_value(table, prob)
             want = liveness_transform(table, prob)[..., -1]
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.broadcast_to(folded[0], want.shape), want)
 
     def test_certain_players_pick_one_entry(self):
         table = np.arange(16.0) ** 2 - 7.0
         for mask in range(16):
             probs = [float(mask >> i & 1) for i in range(4)]
-            assert liveness_value(table, probs) == table[mask]
+            assert _fold(table, probs)[0] == table[mask]
 
     def test_input_is_not_modified(self):
         table = np.array([0.0, 1.0, 2.0, 4.0])
-        liveness_value(table, [0.5, 0.5])
+        _fold(table, [0.5, 0.5])
         assert table.tolist() == [0.0, 1.0, 2.0, 4.0]
-
-    def test_size_mismatch_raises_like_the_transform(self):
-        errors = []
-        for fold in (liveness_transform, liveness_value):
-            with pytest.raises(DomainError) as err:
-                fold(np.zeros(8), [0.5, 0.5])
-            errors.append(str(err.value))
-        assert errors[0] == errors[1]
 
 
 class TestReliabilityValue:
@@ -193,26 +182,6 @@ class TestReliabilityValue:
                 expected, rel=1e-12, abs=1e-12
             )
 
-    def test_certain_members_are_not_enumerated(self, monkeypatch):
-        calls = []
-        inner = TableGame.subset_values
-
-        def spy(self, players, base=0):
-            players = list(players)
-            calls.append((players, base))
-            return inner(self, players, base)
-
-        monkeypatch.setattr(TableGame, "subset_values", spy)
-        fo = FullObligationGame(CreditInstance.of(6, [((1, 2), 1.0), ((2, 5), 2.0)]))
-        game = TableGame(6, {s: fo.value(s) for s in all_coalitions(6)})
-        assert reliability_value(game, ReliabilityProfile.ones(6), {1, 2, 3, 4, 5}) == 3.0
-        assert calls == [([], 0b11111)]
-        calls.clear()
-        p = (1.0, 0.5, 0.0, 0.25, 1.0, 0.0)
-        value = reliability_value(game, p, {1, 2, 3, 4, 5, 6})
-        assert calls == [([2, 4], 0b10001)]
-        assert value == pytest.approx(0.5 * 1.0 + 0.5 * 2.0, abs=1e-15)
-
     def test_certain_profiles_reduce_to_char_value(self, rng):
         for variant in ("nc1", "nc2", "nc3", "fc", "fo"):
             n = rng.randint(2, 6)
@@ -224,22 +193,17 @@ class TestReliabilityValue:
                 )
 
     def test_single_player_bernoulli(self):
+        # only the paper games have the closed form; a table game is folded
+        # by the caller, liveness_transform on its subset table
         game = TableGame(1, {(): 0.0, (1,): 1.0})
-        assert reliability_value(game, (0.6,), {1}) == pytest.approx(0.6, abs=1e-15)
+        with pytest.raises(DomainError, match=r"'table'; use shapley_definitional$"):
+            reliability_value(game, (0.6,), {1})
+        assert liveness_transform(game.subset_values(), [0.6])[-1] == pytest.approx(0.6, abs=1e-15)
 
     def test_k2_by_hand(self):
         game = ClosedNeighborhoodGame(complete_graph(2))
         # four liveness outcomes: one worthless, three worth 2/2/2
         assert reliability_value(game, (0.5, 0.5), {1, 2}) == pytest.approx(1.5, abs=1e-15)
-
-    def test_subset_cap(self):
-        game = TableGame(25, {(): 0.0, tuple(range(1, 23)): 1.0})
-        with pytest.raises(ResourceLimitError, match="cap"):
-            reliability_value(game, ReliabilityProfile.ones(25), set(range(1, 23)))
-        # raising the cap deliberately is allowed
-        reliability_value(
-            game, ReliabilityProfile.ones(25), set(range(1, 23)), subset_cap=22
-        )
 
     def test_multilinear_in_each_coordinate(self, rng):
         for _ in range(10):
@@ -278,8 +242,8 @@ class TestMultilinearValue:
             game = random_game(rng, variant, n)
             pvals = sparse_profile(rng, n) if rng.random() < 0.5 else random_profile(rng, n).values
             members = sorted(rng.sample(range(1, n + 1), size))
-            table = game.subset_values(members)
-            want = float(liveness_value(table, [pvals[x - 1] for x in members]))
+            q = [pvals[x - 1] if x in members else 0.0 for x in range(1, n + 1)]
+            want = liveness_transform(game.subset_values(), q)[-1]
             got = reliability_value(game, pvals, members)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -296,6 +260,21 @@ class TestMultilinearValue:
             q = [p[x - 1] if x in s else 0.0 for x in range(1, n + 1)]
             total = sum(shapley_vector_closed(game, q))
             assert reliability_value(game, p, s) == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+    def test_threshold_above_every_degree_allocates_nothing_per_unit_of_k(self):
+        # no row of K5 reaches k = 6 or more, so k = 10^5 reads no row; the
+        # row sizes are the only thing compared with k
+        graph, p = complete_graph(5), (0.3, 0.6, 0.9, 0.5, 0.2)
+        want = reliability_value(ThresholdNeighborhoodGame(graph, 6), p, range(1, 6))
+        game = ThresholdNeighborhoodGame(graph, 10**5)
+        tracemalloc.start()
+        try:
+            got = reliability_value(game, p, range(1, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == pytest.approx(sum(p), abs=1e-15)
+        assert peak < 1 << 20
 
     def test_numpy_integer_members(self):
         game = ThresholdNeighborhoodGame(complete_graph(4), 2)

@@ -17,7 +17,10 @@ The record goes to ``BENCH_<label>.json`` at the root of the repository:
 the commits, commands, seeds, order and machine, every run's result, and
 per workload and metric each side's quartiles and median, the change of
 the median in percent and the number of pairs in which the change read
-lower.  ``what``, ``claim`` and ``notes`` are left empty for the reader's
+lower.  Each end-to-end metric of the untraced runs also carries its
+``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether the
+change's median is no worse than the parent's median times (1 + bound) in
+the metric's ``better`` direction.  ``what``, ``claim`` and ``notes`` are left empty for the reader's
 account of the runs.
 """
 
@@ -91,9 +94,11 @@ def _quartiles(values: list[float]) -> list[float]:
     return out
 
 
-def summarize(runs: list[dict]) -> dict:
+def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
     """Per workload: correctness, operation counts and, per metric, both
-    sides' quartiles over the pairs in which both sides produced it."""
+    sides' quartiles over the pairs in which both sides produced it; for a
+    metric named in ``end_to_end`` (its ``BENCHMARK.json`` entry by name),
+    also its bound and whether the change's median keeps within it."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -123,6 +128,13 @@ def summarize(runs: list[dict]) -> dict:
                 "pairs_change_lower": sum(c < p for p, c in pairs),
                 "pairs": len(pairs),
             }
+            spec = end_to_end.get(metric)
+            if spec:
+                sign = 1.0 if spec["better"] == "lower" else -1.0
+                out[metric]["bound"] = spec["bound"]
+                out[metric]["within_bound"] = (
+                    sign * change[1] <= sign * parent[1] * (1.0 + sign * spec["bound"])
+                )
     return summary
 
 
@@ -168,8 +180,8 @@ def main() -> int:
                    f"Python {platform.python_version()}, numpy {metadata.version('numpy')}",
         "claim": None,
         "notes": None,
-        "summary": summarize(runs),
-        "traced_summary": summarize(traced),
+        "summary": summarize(runs, {metric["name"]: metric for metric in bench["end_to_end"]}),
+        "traced_summary": summarize(traced, {}),
         "runs": runs,
         "traced_runs": traced,
     }
