@@ -20,8 +20,8 @@ the median in percent and the number of pairs in which the change read
 lower.  Each end-to-end metric of the untraced runs also carries its
 ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether the
 change's median is no worse than the parent's median times (1 + bound) in
-the metric's ``better`` direction.  ``what``, ``claim`` and ``notes`` are left empty for the reader's
-account of the runs.
+the metric's ``better`` direction.  ``what``, ``claim`` and ``notes`` are
+left empty for the reader's account of the runs.
 """
 
 from __future__ import annotations
