@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -559,7 +560,10 @@ def _validate_cover_input(
 ) -> tuple[list[int], list[tuple[frozenset[int], float]]]:
     """The element weights as positive integers, and the sets as
     (members, cost) with integer members in range and integer costs
-    (positive if ``positive_costs``, else nonnegative)."""
+    (positive if ``positive_costs``, else nonnegative).  The weights,
+    counted once per element and once more per set that holds it, must sum
+    within the float range: that sum is the total score of the papers that
+    :func:`bmc_reduce` builds, and it bounds every covered weight."""
     weights = [
         _at_least(w, f"weight of element {i}", 1) for i, w in enumerate(element_weights, start=1)
     ]
@@ -570,6 +574,11 @@ def _validate_cover_input(
             if not 1 <= u <= len(weights):
                 raise DomainError(f"set {j} references element {u!r}, expected 1..{len(weights)}")
         norm.append((members, float(_at_least(cost, f"cost of set {j}", int(positive_costs)))))
+    if sum(weights) + sum(weights[u - 1] for members, _ in norm for u in members) > sys.float_info.max:
+        raise DomainError(
+            "element weights sum past the largest float, counted once per element"
+            " and once more per set that holds it"
+        )
     return weights, norm
 
 

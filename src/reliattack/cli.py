@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 malformed input, 2 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -198,6 +199,13 @@ def _cmd_oracle_check(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise DomainError(f"oracle config {args.config} must be a JSON object, got {config!r}")
+    fields = [f.name for f in dataclasses.fields(OracleConfig)]
+    unknown = [key for key in config if key not in fields]
+    if unknown:
+        raise DomainError(
+            f"oracle config {args.config} has unknown field {unknown[0]!r};"
+            f" the fields are {', '.join(fields)}"
+        )
     cfg = OracleConfig(**config)
     cap = os.environ.get(ORACLE_CAP_ENV, "6")
     if not cap.strip().isdecimal():

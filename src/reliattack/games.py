@@ -307,6 +307,9 @@ class CreditInstance:
             if score < 0:
                 raise DomainError(f"paper score {score} is negative")
             norm.append((authors, float(score)))
+        # every coalition value and Shapley value is at most this total
+        if not math.isfinite(sum(score for _, score in norm)):
+            raise DomainError("paper scores sum past the largest float")
         object.__setattr__(self, "papers", tuple(norm))
 
     @classmethod

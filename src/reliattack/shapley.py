@@ -379,19 +379,50 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     """The entry for x is the inner sum of Sh_x = p_x * inner.  For j != x,
     dSh_x/dp_j = -p_x * sum over the elements e covered by x and j of
     w_e * E[1 / ((1 + L)(2 + L))], where L counts the live coverers of e
-    other than x and j."""
-    inner, slopes = 0.0, np.zeros(game.n)
-    batch = _Batch(np.fromiter(p.values, float, p.n)[None])
-    for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, game._covers[x]):
-        weights = game._weights[e[g]]
-        for logs, sums, t, w in blocks:
-            rest = sums[0] - np.log1p(p[x] * (t - 1.0))
-            inner += weights @ (np.exp(rest) @ w)
+    other than x and j.
+
+    x's element sets run in a few padded blocks, not one block per set
+    size.  Sorted by size, the sets fill each block in turn while rows *
+    width * nodes stays within ``_BLOCK_ELEMENTS``.  A block is as wide as
+    its widest set and takes that set's Gauss-Legendre rule, which is exact
+    for the narrower sets too.  A narrower set is padded with probability-0
+    entries: log1p(0 * (t - 1)) is exactly -0.0, a factor of exactly 1 in
+    every product, and the scatter skips them.  x's own probability is set
+    to 0 too, which leaves x out of L.  A lone set wider than the cap is cut
+    along its nodes by :func:`_owen_nodes`.  The members' probabilities are
+    gathered once per call and sliced per block.
+    """
+    indptr = game._set_csr[0]
+    rows = game._covers[x]
+    rows = rows[np.argsort(indptr[rows + 1] - indptr[rows], kind="stable")]
+    members, sizes = _csr_rows(game._set_csr, rows)
+    P = np.fromiter(p.values, float, p.n)
+    px, P[x - 1] = P[x - 1], 0.0
+    probs = P[members]
+    # sets i..j - 1 share a block when (j - i) * cost[j - 1] is within the cap,
+    # that is when first[j - 1] <= i; first increases strictly with j
+    cost = sizes * ((sizes - 1) // 2 + 1)
+    first = np.arange(1, len(rows) + 1) - _BLOCK_ELEMENTS // cost
+    ends = np.cumsum(sizes)
+    own, pairs = np.zeros(len(rows)), np.zeros(len(members))
+    i = 0
+    while i < len(rows):
+        j = max(i + 1, int(first.searchsorted(i, "right")))
+        lo, hi, a = ends[i] - sizes[i], ends[j - 1], sizes[j - 1]
+        real = np.arange(a) < sizes[i:j, None]
+        block = np.zeros(real.shape)
+        block[real] = probs[lo:hi]
+        t, w = _gauss_legendre((a - 1) // 2 + 1)
+        for logs, rest, t, w in _owen_nodes(block, t, w, max(1, _BLOCK_ELEMENTS // block.size)):
+            own[i:j] += np.exp(rest) @ w
             # x's own column is meaningless here; its entry is the inner sum
-            pairs = weights[:, None] * (np.exp(rest[:, None, :] - logs[0]) @ (w * (1.0 - t)))
-            slopes += np.bincount(members[g].ravel(), pairs.ravel(), minlength=game.n)
-    out = 0.0 - p[x] * slopes  # unlike -y, 0.0 - y keeps unrelated players at +0.0
-    out[x - 1] = inner
+            loo = rest[:, None, :] - logs
+            pairs[lo:hi] += (np.exp(loo, out=loo) @ (w * (1.0 - t)))[real]
+        i = j
+    weights = game._weights[rows]
+    slopes = np.bincount(members, np.repeat(weights, sizes) * pairs, minlength=game.n)
+    out = 0.0 - px * slopes  # unlike -y, 0.0 - y keeps unrelated players at +0.0
+    out[x - 1] = weights @ own
     return tuple(out.tolist())
 
 
@@ -408,12 +439,14 @@ def shapley_gradient_nc1(graph: Graph, profile: ProfileLike, x: int) -> tuple[fl
 def shapley_gradient(game: Game, profile: ProfileLike, x: int) -> tuple[float, ...]:
     """Gradient of the closed-form Shapley value of x in every p_j.
 
-    Analytic for the coverage games (nc1, nc3 and fc).  For the threshold
-    and full-obligation games entry j is ``Sh_x(p_j = 1) - Sh_x(p_j = 0)``
-    of the closed form: Sh_x is multilinear in every p_j (Owen 1972), so
-    this two-point difference is the derivative exactly.  Only the players
-    of x's sets enter Sh_x, so their two points form one batch of profiles
-    (in pieces of at most 2 * 128 rows) and every other entry is 0.
+    Analytic for the coverage games (nc1, nc3 and fc): x's element sets,
+    sorted by size, run in a few blocks, each padded to its widest set
+    (see :func:`_coverage_gradient`).  For the threshold and
+    full-obligation games entry j is ``Sh_x(p_j = 1) - Sh_x(p_j = 0)`` of
+    the closed form: Sh_x is multilinear in every p_j (Owen 1972), so this
+    two-point difference is the derivative exactly.  Only the players of
+    x's sets enter Sh_x, so their two points form one batch of profiles (in
+    pieces of at most 2 * 128 rows) and every other entry is 0.
     """
     p, x = as_profile(profile, game.n), _as_player(x, game.n)
     if isinstance(game, CoverageGame):

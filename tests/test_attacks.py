@@ -678,6 +678,11 @@ class TestBmc:
             bmc_reduce([1], [({1}, 1)], 0, 1)
         with pytest.raises(DomainError, match="element"):
             bmc_reduce([1], [({2}, 1)], 1, 1)
+        # the reduction scores the element 2 * 10**308; alone it is in range
+        big = 10**308
+        with pytest.raises(DomainError, match="element weights sum past the largest float"):
+            bmc_reduce([big], [({1}, 1)], 1, 1)
+        assert bmc_solve_exact([big], [], 1) == ((), 0.0)
 
     def test_reduction_soundness_exhaustive(self, rng):
         for _ in range(8):

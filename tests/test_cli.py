@@ -581,6 +581,11 @@ class TestMalformedInput:
             ({"max_refinements": 2.5}, "max_refinements"),
             ({"max_refinements": "10"}, "max_refinements"),
             ([{"grid_resolution": 0.25}], "cfg.json must be a JSON object"),
+            (
+                {"bogus": 1},
+                "unknown field 'bogus'; the fields are"
+                " grid_resolution, swap_step, max_refinements, tolerance",
+            ),
         ],
     )
     def test_oracle_config_fields(self, tmp_path, capsys, config, field):
@@ -590,6 +595,18 @@ class TestMalformedInput:
         code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
         assert code == 1 and out == ""
         assert field in err
+
+    def test_totals_past_the_float_range(self, tmp_path, capsys):
+        # every score and weight is finite, but not their sum: the fo report
+        # held inf, and reduce-bmc named one of its own papers
+        game = {"variant": "fo", "n": 2, "papers": [{"authors": [1], "score": 1e308}] * 2}
+        code, out, err = run(capsys, "shapley", write(tmp_path, "g.json", game))
+        assert code == 1 and out == ""
+        assert "paper scores sum past the largest float" in err
+        bmc = {**BMC, "elements": [{"weight": 1e308}, {"weight": 1e308}]}
+        code, out, err = run(capsys, "reduce-bmc", write(tmp_path, "bmc.json", bmc))
+        assert code == 1 and out == ""
+        assert "element weights sum past the largest float" in err
 
     def test_non_integral_target(self, tmp_path, capsys):
         code, _, err = run(capsys, "attack", fc_request(tmp_path, target=1.5))

@@ -237,6 +237,12 @@ class TestCoauthors:
         with pytest.raises(DomainError):
             CreditInstance.of(2, [((3,), 1.0)])
 
+    def test_scores_must_sum_within_the_float_range(self):
+        # each score is finite, but the grand coalition's value is not
+        with pytest.raises(DomainError, match="paper scores sum past the largest float"):
+            CreditInstance.of(2, [((1,), 1e308), ((2,), 1e308)])
+        CreditInstance.of(2, [((1,), 1e308), ((2,), 7e307)])
+
 
 def induced_subgraph_to_credit(graph: Graph) -> CreditInstance:
     """One two-author paper per edge, scored by the edge weight, so that the

@@ -684,7 +684,69 @@ def _integral_game(rng, variant, n):
     return FullCreditGame(instance) if variant == "fc" else FullObligationGame(instance)
 
 
+def _assert_pinned_to_the_pmf(game, p, x):
+    """``shapley_gradient`` on a coverage game against the exact pmf
+    reference at rel/abs 1e-12, and +0.0 wherever the reference is 0."""
+    reference = coverage_gradient(game, p, x)
+    grad = shapley_gradient(game, p, x)
+    assert grad == pytest.approx([float(r) for r in reference], rel=1e-12, abs=1e-12)
+    assert all(
+        (g, math.copysign(1.0, g)) == (0.0, 1.0) for g, r in zip(grad, reference) if r == 0
+    ), (game, x)
+
+
 class TestGradients:
+    @pytest.mark.parametrize(
+        "case", ["nc1", "nc3", "fc", "isolated", "star-200", "credit-edge-cases", "no-papers"]
+    )
+    def test_coverage_matches_the_pmf_reference(self, rng, case):
+        # the exact reference costs about a second per star-200 target at
+        # float profiles, so that case checks one draw at its hub, player 1
+        draws = 0
+        while draws < (1 if case == "star-200" else 12):
+            game, p = _vector_case(rng, case)
+            if game.variant not in ("nc1", "nc3", "fc"):
+                continue
+            draws += 1
+            for x in [1] if case == "star-200" else range(1, game.n + 1):
+                _assert_pinned_to_the_pmf(game, p, x)
+
+    def test_sets_of_five_sizes_share_one_block(self, rng):
+        # player 1's sets have 2 to 6 coverers: its closed neighbourhood and
+        # those of its neighbours 2..6, which carry 0..4 leaves; in fc its
+        # papers have 1 to 6 authors.  Either way they fit one padded block
+        edges, leaf = [(1, y) for y in range(2, 7)], 7
+        for y in range(3, 7):
+            edges += [(y, z) for z in range(leaf, leaf + y - 2)]
+            leaf += y - 2
+        papers = [(range(1, a + 1), a / 4) for a in range(1, 7)] + [((2, 7), 1.0)]
+        games = [
+            ClosedNeighborhoodGame(Graph.of(leaf - 1, edges)),
+            FullCreditGame(CreditInstance.of(8, papers)),
+        ]
+        for game in games:
+            sizes = [len(game._coverers[e]) for e in game._covers[1].tolist()]
+            assert len(set(sizes)) >= 5, sizes
+            assert len(sizes) * 6 * 3 <= shapley._BLOCK_ELEMENTS  # 6 wide, 3 nodes
+            for _ in range(6):
+                p = _with_certain_players(rng, random_profile(rng, game.n))
+                for x in range(1, game.n + 1):
+                    _assert_pinned_to_the_pmf(game, p, x)
+
+    def test_hub_set_split_along_its_nodes(self, rng):
+        # the hub's own set (301 coverers, 151 nodes) exceeds a block, so it
+        # runs in node slices after the block of its 300 two-wide leaf sets;
+        # players 302..305 lie outside its distance-two ball.  Dyadic
+        # probabilities keep the exact reference fast
+        assert 301 * 151 > shapley._BLOCK_ELEMENTS
+        edges = [(1, y) for y in range(2, 302)] + [(302, 303), (303, 304)]
+        game = ClosedNeighborhoodGame(Graph.of(305, edges))
+        values = [rng.choice((0.0, 1.0, 0.125, 0.375, 0.5, 0.875)) for _ in range(305)]
+        for hub in (0.5, 0.0):
+            p = ReliabilityProfile((hub, *values[1:]))
+            for x in (1, 2):
+                _assert_pinned_to_the_pmf(game, p, x)
+
     def test_restricted_loop_is_unchanged(self, rng):
         for _ in range(20):
             n = rng.randint(1, 12)

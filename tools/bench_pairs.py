@@ -20,8 +20,11 @@ the median in percent and the number of pairs in which the change read
 lower.  Each end-to-end metric of the untraced runs also carries its
 ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether the
 change's median is no worse than the parent's median times (1 + bound) in
-the metric's ``better`` direction.  ``what``, ``claim`` and ``notes`` are
-left empty for the reader's account of the runs.
+the metric's ``better`` direction, and ``gain_shown``: whether the change
+reads better in at least 9 of 10 pairs, ties counting for neither, and its
+median is better than the parent's by more than the parent's Q3 - Q1.
+``what``, ``claim`` and ``notes`` are left empty for the reader's account
+of the runs.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
     """Per workload: correctness, operation counts and, per metric, both
     sides' quartiles over the pairs in which both sides produced it; for a
     metric named in ``end_to_end`` (its ``BENCHMARK.json`` entry by name),
-    also its bound and whether the change's median keeps within it."""
+    also its bound, whether the change's median keeps within it and whether
+    the runs show a gain by the claim rule."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
@@ -134,6 +138,11 @@ def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
                 out[metric]["bound"] = spec["bound"]
                 out[metric]["within_bound"] = (
                     sign * change[1] <= sign * parent[1] * (1.0 + sign * spec["bound"])
+                )
+                better = sum(sign * c < sign * p for p, c in pairs)
+                out[metric]["gain_shown"] = (
+                    10 * better >= 9 * len(pairs)
+                    and sign * (parent[1] - change[1]) > parent[2] - parent[0]
                 )
     return summary
 
