@@ -414,7 +414,8 @@ def removal_no_benefit_check(
     Applies to the centrality variants and the full-credit game, where the
     no-benefit theorems hold.  ``trials=None`` enumerates every removal
     subset; an integer samples that many random subsets (seeded), at least
-    one.
+    one.  The enumeration is refused above ``_WINDOW_CAP`` players in x's
+    window, the cap of the exhaustive removal search.
     """
     if not isinstance(game, (CoverageGame, ThresholdNeighborhoodGame)):
         raise DomainError(
@@ -430,6 +431,11 @@ def removal_no_benefit_check(
     others = [j for j in range(1, game.n + 1) if j != x]
     window = sorted(pairwise_exempt_set(game, x) - {x})
     if trials is None:
+        if len(window) > _WINDOW_CAP:
+            raise ResourceLimitError(
+                f"{len(window)} players in the window of player {x} exceed the"
+                f" exhaustive-search cap ({_WINDOW_CAP}); sample them with trials"
+            )
         # a subset's value depends only on its players in x's window, so the
         # first subset of the enumeration with a given value holds no others
         subsets: Iterable[frozenset[int]] = (

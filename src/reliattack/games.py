@@ -390,6 +390,26 @@ def _csr_rows(csr: tuple[np.ndarray, ...], rows: np.ndarray) -> tuple[np.ndarray
     return indices[offsets + np.arange(len(offsets))], sizes
 
 
+# Cap on the entries of one block (profiles * rows * |A| * cost, such as
+# nodes), so that large buckets, sets and batches are processed in pieces.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _size_groups(csr: tuple[np.ndarray, ...], rows: np.ndarray, cost):
+    """The nonempty rows ``rows`` of a CSR of sets, bucketed by their size a
+    in increasing order, each bucket cut in order into groups of at most
+    ``_BLOCK_ELEMENTS // (a * cost(a))`` rows (at least one).  Yields each
+    group's rows and their 0-based players, of shape (rows, a)."""
+    indptr, indices = csr
+    sizes = indptr[rows + 1] - indptr[rows]
+    # np.unique would import numpy.ma, about 15 ms for a short-lived process
+    for a in sorted(set(sizes.tolist()) - {0}):
+        bucket = rows[sizes == a]
+        step = max(1, _BLOCK_ELEMENTS // (a * cost(a)))
+        for group in (bucket[i : i + step] for i in range(0, len(bucket), step)):
+            yield group, indices[indptr[group, None] + np.arange(a)]
+
+
 def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
     """Per element 0..size-1, the sorted indices of the rows that hold it."""
     flat = np.concatenate((np.empty(0, np.intp), *rows))  # an empty list of rows too

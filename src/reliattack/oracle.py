@@ -52,13 +52,12 @@ class OracleConfig:
     ``max_refinements`` caps the boxes the branch and bound opens; a plan
     that reaches the cap before its certificate carries the note
     ``"stopped at max_refinements"``.  ``tolerance`` is the solver-oracle
-    gap that ``oracle-check`` accepts.  ``grid_resolution`` and
-    ``swap_step`` are validated but steer nothing; they are kept so that
-    configuration files that set them stay valid.
+    gap that ``oracle-check`` accepts.  ``grid_resolution`` is validated
+    but steers nothing; it is kept so that configuration files that set it
+    stay valid.
     """
 
     grid_resolution: float = 1.0 / 64.0
-    swap_step: float = 1e-3
     max_refinements: int = 10_000
     tolerance: float = 1e-6
 
@@ -67,8 +66,6 @@ class OracleConfig:
             raise DomainError(
                 f"grid_resolution {self.grid_resolution} outside (0, 1/4]"
             )
-        if _as_finite(self.swap_step, "swap_step") <= 0:
-            raise DomainError("swap_step must be positive")
         if _as_int(self.max_refinements, "max_refinements") < 0:
             raise DomainError("max_refinements must be nonnegative")
         if _as_finite(self.tolerance, "tolerance") <= 0:

@@ -25,6 +25,7 @@ from .games import (
     ThresholdNeighborhoodGame,
     _as_player,
     _as_playerset,
+    _size_groups,
 )
 
 
@@ -159,12 +160,11 @@ def _multilinear(game: Game, q: np.ndarray) -> float:
         raise DomainError(
             f"no closed form for game variant {game.variant!r}; use shapley_definitional"
         )
-    indptr, indices = game._set_csr
-    sizes, k = np.diff(indptr), game.threshold
+    sizes, k = np.diff(game._set_csr[0]), game.threshold
     tails = np.zeros(len(sizes))
-    for a in {a for a in sizes.tolist() if a >= k}:  # a smaller row never reaches k
-        rows = np.flatnonzero(sizes == a)
-        pmf, _ = _low_order_pmfs(q[indices[indptr[rows, None] + np.arange(a)]], k)
+    # a row smaller than k never reaches k; the pmfs hold about a * k entries per row
+    for rows, members in _size_groups(game._set_csr, np.flatnonzero(sizes >= k), lambda a: k):
+        pmf, _ = _low_order_pmfs(q[members], k)
         tails[rows] = 1.0 - pmf.sum(axis=-1)
     return float(q.sum() + (1.0 - q) @ tails)
 

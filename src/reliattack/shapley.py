@@ -33,10 +33,12 @@ from .games import (
     Game,
     Graph,
     ThresholdNeighborhoodGame,
+    _BLOCK_ELEMENTS,
     _as_player,
     _csr_rows,
     _popcount,
     _require_two_authors,
+    _size_groups,
     coauthor_contributions,
 )
 from .reliability import (
@@ -111,11 +113,6 @@ def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> Shap
 # Gauss-Legendre quadrature computes them exactly.  The coverage games
 # (nc1, nc3, fc) and the threshold game nc2 all read these integrals.
 
-# Cap on the entries of one block (profiles * rows * |A| * nodes), so that
-# large buckets, sets and batches are processed in pieces.
-_BLOCK_ELEMENTS = 1 << 15
-
-
 @lru_cache(maxsize=256)
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of q-point Gauss-Legendre quadrature on [0, 1],
@@ -170,37 +167,30 @@ class _Batch:
 
 
 def _owen_blocks(csr: tuple[np.ndarray, ...], batch: _Batch, rows: np.ndarray, extra: int = 0):
-    """Owen's integrand over the sets ``rows`` of a CSR of sets, in blocks.
+    """Owen's integrand over the sets ``rows`` of a CSR of sets, in groups.
 
-    The rows are bucketed by the size a of their set A.  The integrands
-    have degree a - 1 + ``extra`` (extra is 0 for the coverage games and 1
-    for nc2), so Q = (a - 1 + extra) // 2 + 1 nodes integrate them exactly.
-    A bucket is cut into groups of rows that share a block of about
+    The integrand of a set A of size a has degree a - 1 + ``extra`` (extra
+    is 0 for the coverage games and 1 for nc2), so Q = (a - 1 + extra) // 2
+    + 1 nodes integrate it exactly.  The rows run in the groups of
+    :func:`reliattack.games._size_groups` at a cost of Q per entry, about
     ``_BLOCK_ELEMENTS`` entries per profile, the same for every batch.  A
-    group yields ``(g, e, members, probs, blocks)``: its slice g of the
-    bucket's rows e (g.start == 0 opens a bucket), the rows' 0-based players
-    and their probabilities, of shapes (rows, a) and (profiles, rows, a),
-    and its node blocks (all Q nodes, or some of them when one set alone is
-    larger).  A node block is ``(logs, total, t, w)``: log(1 - p_z + p_z t)
-    at the block's nodes t, of shape (profiles, rows, a, len(t)), its sum
-    over each set, and the nodes and their weights w.  An integral is the
-    sum of its weighted values over all the node blocks of its set.  A
-    caller leaves a player's factor out of the product by subtracting its
-    log from the total; every factor is at least t > 0, so exact 0s and 1s
-    are safe.
+    group yields ``(rows, members, probs, blocks)``: its rows, their 0-based
+    players and their probabilities, of shapes (rows, a) and (profiles,
+    rows, a), and its node blocks (all Q nodes, or some of them when one
+    set alone is larger).  A node block is ``(logs, total, t, w)``: log(1 -
+    p_z + p_z t) at the block's nodes t, of shape (profiles, rows, a,
+    len(t)), its sum over each set, and the nodes and their weights w.  An
+    integral is the sum of its weighted values over all the node blocks of
+    its set.  A caller leaves a player's factor out of the product by
+    subtracting its log from the total; every factor is at least t > 0, so
+    exact 0s and 1s are safe.
     """
-    indptr, indices = csr
-    sizes = indptr[rows + 1] - indptr[rows]
-    # np.unique would import numpy.ma, about 15 ms for a short-lived process
-    for a in sorted(set(sizes.tolist()) - {0}):
-        t, w = _gauss_legendre((a - 1 + extra) // 2 + 1)
-        e = rows[sizes == a]
-        members = indices[indptr[e, None] + np.arange(a)]
+    nodes = lambda a: (a - 1 + extra) // 2 + 1
+    for group, members in _size_groups(csr, rows, nodes):
+        a = members.shape[1]
+        t, w = _gauss_legendre(nodes(a))
         probs = batch.take(members)
-        step = max(1, _BLOCK_ELEMENTS // (a * len(t)))
-        span = max(1, _BLOCK_ELEMENTS // a)  # nodes per block of one set
-        for g in (slice(i, i + step) for i in range(0, len(e), step)):
-            yield g, e, members, probs, _owen_nodes(probs[:, g], t, w, span)
+        yield group, members, probs, _owen_nodes(probs, t, w, max(1, _BLOCK_ELEMENTS // a))
 
 
 def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
@@ -225,10 +215,10 @@ def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.
     """p_x * sum over the elements e that x covers of w_e * E[1 / (1 + live
     coverers of e other than x)], over the elements ``sets``."""
     inner = np.zeros(batch.P.shape)
-    for g, e, members, _, blocks in _owen_blocks(game._set_csr, batch, sets):
+    for e, members, _, blocks in _owen_blocks(game._set_csr, batch, sets):
         for logs, total, _, w in blocks:
-            vals = game._weights[e[g]][:, None] * (np.exp(total[..., None, :] - logs) @ w)
-            batch.add(inner, members[g], vals)
+            vals = game._weights[e][:, None] * (np.exp(total[..., None, :] - logs) @ w)
+            batch.add(inner, members, vals)
     return batch.P * inner
 
 
@@ -244,25 +234,19 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     inner = np.zeros(batch.P.shape)
     indptr = game._set_csr[0]
     inner[:, batch.columns(sets[indptr[sets + 1] - indptr[sets] == 0])] = 1.0  # isolated: own term
-    for g, ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
-        if g.start == 0:  # a new bucket: the threshold's correction for all its rows
-            a = members.shape[1]
-            k = min(game.threshold, a + 1)
-            s1 = np.arange(1.0, k)
-            py = batch.take(ys)[..., None]
-            # the pmfs hold a * (k - 1) entries per row and profile: in chunks of rows
-            full, pair0 = np.empty(py.shape[:2] + (k - 1,)), np.empty(py.shape[:2] + (a,))
-            chunk = max(1, _BLOCK_ELEMENTS // (len(py) * a * k))
-            for c in (slice(i, i + chunk) for i in range(0, len(ys), chunk)):
-                full[:, c], loo = _low_order_pmfs(probs[:, c], k - 1)
-                pair0[:, c] = k * py[:, c] * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
-        own, pair = full[:, g] @ (1.0 - k / s1), pair0[:, g]
+    for ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
+        k = min(game.threshold, members.shape[1] + 1)
+        s1 = np.arange(1.0, k)
+        py = batch.take(ys)[..., None]
+        full, loo = _low_order_pmfs(probs, k - 1)  # the threshold's correction
+        own = full @ (1.0 - k / s1)
+        pair = k * py * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
         for logs, total, t, w in blocks:
             f = np.exp(total[..., None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
-            pair += f[..., 0] - k * py[:, g] * f[..., 1]
+            pair += f[..., 0] - k * py * f[..., 1]
             own += k * (np.exp(total) @ w)
-        batch.add(inner, ys[g], own)
-        batch.add(inner, members[g], pair)
+        batch.add(inner, ys, own)
+        batch.add(inner, members, pair)
     return batch.P * inner
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -518,6 +519,17 @@ class TestRemovalNoBenefit:
                 game, rng.randint(1, game.n), None, profile=p
             )
             assert check.passed, (variant, check)
+
+    def test_exhaustive_refuses_a_window_above_the_cap(self):
+        # the hub's window holds the 29 leaves: 2^29 subsets used to be
+        # enumerated one frozenset at a time, with no end in sight
+        game = nc1(star_graph(30, center=1))
+        assert len(pairwise_exempt_set(game, 1) - {1}) == 29 > attacks._WINDOW_CAP
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"29 players .* cap \(16\)"):
+            removal_no_benefit_check(game, 1, None)
+        assert time.perf_counter() - start < 1.0
+        assert removal_no_benefit_check(game, 1, 50).passed  # sampling stays open
 
     def test_threshold_two_removal_counterexample(self):
         # with threshold 2 on the path 1-2-3, player 1 needs player 3 alive

@@ -570,11 +570,10 @@ class TestMalformedInput:
         assert code == 1 and out == ""
         assert f"cost model vector {vector} has 4 entries, p* has 3" in err
 
-    # a NaN swap_step used to keep the swap descent from ever stopping
     @pytest.mark.parametrize(
         "config, field",
         [
-            ({"swap_step": math.nan}, "swap_step"),
+            ({"swap_step": 1e-3}, "swap_step"),
             ({"tolerance": math.nan}, "tolerance"),
             ({"tolerance": math.inf}, "tolerance"),
             ({"max_refinements": True}, "max_refinements"),
@@ -584,7 +583,7 @@ class TestMalformedInput:
             (
                 {"bogus": 1},
                 "unknown field 'bogus'; the fields are"
-                " grid_resolution, swap_step, max_refinements, tolerance",
+                " grid_resolution, max_refinements, tolerance",
             ),
         ],
     )
@@ -595,6 +594,12 @@ class TestMalformedInput:
         code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
         assert code == 1 and out == ""
         assert field in err
+
+    def test_swap_step_is_an_unknown_field(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg.json", {"grid_resolution": 0.25, "swap_step": 1e-3})
+        code, out, err = run(capsys, "oracle-check", fc_request(tmp_path), "--config", cfg)
+        assert (code, out) == (1, "")
+        assert "unknown field 'swap_step'" in err
 
     def test_totals_past_the_float_range(self, tmp_path, capsys):
         # every score and weight is finite, but not their sum: the fo report

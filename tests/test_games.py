@@ -31,6 +31,7 @@ from reliattack import (
     shapley_vector_closed,
     star_center,
 )
+from reliattack import games
 from reliattack.games import Game
 
 from conftest import (
@@ -479,6 +480,29 @@ class TestCoverageIncidence:
             covers = {(x, e) for x in range(game.n + 1) for e in game._covers[x].tolist()}
             coverers = {(x, e) for e in range(size) for x in game._coverers[e].tolist()}
             assert covers == coverers
+
+
+class TestSizeGroups:
+    def test_buckets_by_size_in_groups_within_the_cap(self, monkeypatch):
+        # rows 0..6 of sizes 2, 0, 1, 2, 2, 1, 2; row 1 is empty
+        rows = [[0, 1], [], [2], [3, 4], [0, 5], [6], [1, 2]]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        csr = (indptr, np.array(sum(rows, []), dtype=np.intp))
+        monkeypatch.setattr(games, "_BLOCK_ELEMENTS", 6)
+        out = list(games._size_groups(csr, np.array([6, 5, 4, 3, 2, 1, 0]), lambda a: 1))
+        # at most 6 // a rows a group: one group of size 1, two of size 2
+        assert [(g.tolist(), m.tolist()) for g, m in out] == [
+            ([5, 2], [[6], [2]]),
+            ([6, 4, 3], [[1, 2], [0, 5], [3, 4]]),
+            ([0], [[0, 1]]),
+        ]
+        assert list(games._size_groups(csr, np.array([1]), lambda a: a)) == []
+
+    def test_a_costly_row_still_forms_a_group(self):
+        csr = (np.array([0, 3, 6]), np.arange(6))
+        big = games._BLOCK_ELEMENTS
+        out = list(games._size_groups(csr, np.array([0, 1]), lambda a: big))
+        assert [g.tolist() for g, _ in out] == [[0], [1]]
 
 
 def _player_entry_points():

@@ -57,7 +57,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = OracleConfig()
         assert cfg.grid_resolution == 1 / 64
-        assert cfg.swap_step == 1e-3
         assert cfg.max_refinements == 10_000
         assert cfg.tolerance == 1e-6
 
@@ -67,12 +66,9 @@ class TestConfig:
         with pytest.raises(DomainError):
             OracleConfig(grid_resolution=0.0)
         with pytest.raises(DomainError):
-            OracleConfig(swap_step=0.0)
-        with pytest.raises(DomainError):
             OracleConfig(tolerance=-1.0)
         for field, bad in (
             ("grid_resolution", math.nan),
-            ("swap_step", math.nan),
             ("tolerance", math.nan),
             ("tolerance", math.inf),
             ("max_refinements", True),
@@ -119,7 +115,8 @@ class TestFractionalOracle:
         plan = fractional_oracle(problem, cfg)
         assert plan.total_cost <= problem.budget + 1e-9
         assert all(0.0 <= v <= 1.0 for v in plan.profile.values)
-        # no pairwise swap of size swap_step improves by more than tolerance
+        # no pairwise swap of size 1e-3 improves by more than tolerance
+        step = 1e-3
         attackable = problem.attackable()
         base_value = shapley_definitional(game, plan.profile)[1]
         for i in attackable:
@@ -127,8 +124,8 @@ class TestFractionalOracle:
                 if i == j:
                     continue
                 moved = {
-                    i: min(1.0, max(0.0, plan.profile[i] - cfg.swap_step)),
-                    j: min(1.0, max(0.0, plan.profile[j] + cfg.swap_step)),
+                    i: min(1.0, max(0.0, plan.profile[i] - step)),
+                    j: min(1.0, max(0.0, plan.profile[j] + step)),
                 }
                 cand = plan.profile.with_values(moved)
                 if cm.profile_cost(cand) > problem.budget + 1e-12:

@@ -20,6 +20,7 @@ from reliattack import (
     reliability_value,
     shapley_vector_closed,
 )
+from reliattack import games
 from reliattack.reliability import _fold
 
 from conftest import (
@@ -275,6 +276,34 @@ class TestMultilinearValue:
             tracemalloc.stop()
         assert got == want == pytest.approx(sum(p), abs=1e-15)
         assert peak < 1 << 20
+
+    def test_threshold_pmfs_stay_within_a_block(self):
+        # K120 with k = 60: one bucket of 120 rows whose pmfs hold a * k
+        # entries each.  Run as one block it peaked at about 27 MB
+        game, p = ThresholdNeighborhoodGame(complete_graph(120), 60), [0.5, 0.3, 0.8] * 40
+        want = sum(shapley_vector_closed(game, p))
+        tracemalloc.start()
+        try:
+            got = reliability_value(game, p, range(1, 121))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(want, rel=1e-9)
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_threshold_in_small_groups(self, rng, monkeypatch, cap):
+        # with a tiny block every bucket runs in groups of one or a few rows
+        monkeypatch.setattr(games, "_BLOCK_ELEMENTS", cap)
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            game = ThresholdNeighborhoodGame(random_graph(rng, n), rng.randint(1, 6))
+            pvals = sparse_profile(rng, n) if rng.random() < 0.5 else random_profile(rng, n).values
+            members = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            q = [pvals[x - 1] if x in members else 0.0 for x in range(1, n + 1)]
+            want = liveness_transform(game.subset_values(), q)[-1]
+            got = reliability_value(game, pvals, members)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_numpy_integer_members(self):
         game = ThresholdNeighborhoodGame(complete_graph(4), 2)

@@ -33,7 +33,7 @@ from reliattack import (
     shapley_gradient_nc1,
     shapley_vector_closed,
 )
-from reliattack import shapley
+from reliattack import games, shapley
 
 from conftest import (
     TableGame,
@@ -505,6 +505,20 @@ class TestVectorPath:
                 exact = [fo_value(game, p, x) for x in range(1, game.n + 1)]
             exact = [float(v) for v in exact]
             assert list(vector) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3", "fc", "fo"])
+    def test_small_groups_keep_the_values(self, rng, monkeypatch, variant):
+        # a tiny block cuts every bucket of equal-size sets into many groups
+        cases = []
+        for _ in range(8):
+            n = rng.randint(1, 30)
+            game = random_game(rng, variant, n)
+            cases.append((game, _with_certain_players(rng, random_profile(rng, n))))
+        default = [list(shapley_vector_closed(game, p)) for game, p in cases]
+        monkeypatch.setattr(games, "_BLOCK_ELEMENTS", 3)
+        for (game, p), want in zip(cases, default):
+            got = list(shapley_vector_closed(game, p))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestBatch:

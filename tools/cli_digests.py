@@ -12,6 +12,10 @@ warning, so that two checkouts can be compared::
     python3 ../parent/tools/cli_digests.py > old.txt
     cmp old.txt new.txt
 
+``tests/cli_digests.txt`` holds the lines of seeds 1, 2 and 3, and CI
+compares the tool's output with it.  A change that alters a report on
+purpose regenerates that file and names the changed lines.
+
 Other seeds are given as arguments: ``python3 tools/cli_digests.py 4 5``.
 """
 
