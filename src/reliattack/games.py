@@ -399,7 +399,9 @@ def _size_groups(csr: tuple[np.ndarray, ...], rows: np.ndarray, cost):
     """The nonempty rows ``rows`` of a CSR of sets, bucketed by their size a
     in increasing order, each bucket cut in order into groups of at most
     ``_BLOCK_ELEMENTS // (a * cost(a))`` rows (at least one).  Yields each
-    group's rows and their 0-based players, of shape (rows, a)."""
+    group's rows and their 0-based players, member-major: of shape (a,
+    rows), C-contiguous, column i the players of row ``group[i]``, so that
+    a sum over a set's members runs over the leading axis."""
     indptr, indices = csr
     sizes = indptr[rows + 1] - indptr[rows]
     # np.unique would import numpy.ma, about 15 ms for a short-lived process
@@ -407,7 +409,7 @@ def _size_groups(csr: tuple[np.ndarray, ...], rows: np.ndarray, cost):
         bucket = rows[sizes == a]
         step = max(1, _BLOCK_ELEMENTS // (a * cost(a)))
         for group in (bucket[i : i + step] for i in range(0, len(bucket), step)):
-            yield group, indices[indptr[group, None] + np.arange(a)]
+            yield group, indices[indptr[group] + np.arange(a)[:, None]]
 
 
 def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:

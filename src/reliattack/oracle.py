@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -101,6 +102,20 @@ def _cost_of(
     return (below * base_l + above * base_r).sum(axis=-1)
 
 
+@lru_cache(maxsize=None)  # k is at most the attackable cap
+def _cube(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of a k-box and its axes, as read-only arrays: bits[v, i]
+    is set where vertex v takes the upper end of axis i, and row i of low
+    and high holds the corners with bit i of their index clear and set."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    low, axes = np.arange(1 << k - 1), np.arange(k)[:, None]
+    low = (low >> axes << axes + 1) | (low & (1 << axes) - 1)
+    out = bits, low, low | 1 << axes
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _branch_and_bound(
     corners: np.ndarray,
     base_p: np.ndarray,
@@ -133,8 +148,7 @@ def _branch_and_bound(
     """
     k = len(base_p)
     cap = budget + 1e-12
-    # vertex v of a box takes the upper end of axis i where bits[v, i] is set
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    bits, low, high = _cube(k)
     best: list = []  # [value, cost, point as a tuple]
     heap: list = []
     floor = np.inf  # the least bound of the boxes never pushed
@@ -172,7 +186,7 @@ def _branch_and_bound(
             """Positive when g lies below the chord from h to j."""
             return (xs[g] - xs[h]) * (ys[j] - ys[h]) - (ys[g] - ys[h]) * (xs[j] - xs[h])
 
-        segments = []  # per crossing box, t and the ends of its hull segment over the budget
+        segments = []  # per crossing box, t and the vertices that end its hull segment over the budget
         for i in crossing.tolist():
             stair = order[i, stairs[i]]
             xs, ys = costs[i, stair].tolist(), flat[i, stair].tolist()
@@ -184,10 +198,11 @@ def _branch_and_bound(
             a, b = next((h, j) for h, j in itertools.pairwise(hull) if xs[j] > budget)
             t = (budget - xs[a]) / (xs[b] - xs[a])
             bounds[i] = ys[a] + t * (ys[b] - ys[a])
-            segments.append((t, points[i, stair[a]], points[i, stair[b]]))
+            segments.append((t, stair[a], stair[b]))
         at = {i: c for c, i in enumerate(crossing.tolist())}  # box -> its row among the crossing
         if segments:
-            t, u, w = map(np.array, zip(*segments))
+            t, *ends = zip(*segments)
+            t, (u, w) = np.array(t), points[crossing, np.array(ends)]
             cross = np.clip(u + t[:, None] * (w - u), lo[crossing], hi[crossing])
             cross_values = _fold(corners[:, None], cross.T)[0].tolist()
             cross_costs = _cost_of(cross, base_p, base_l, base_r).tolist()
@@ -214,18 +229,16 @@ def _branch_and_bound(
         hi[::2, axis] = lo[1::2, axis] = s * hi[::2, axis] + (1.0 - s) * lo[::2, axis]
         return halves.reshape((-1,) + values.shape[1:]), lo, hi
 
-    # row i of low: the corners with bit i clear; every slope of Sh_x along
-    # axis i in the cube is a mix of the corner differences of row i
-    low, axes = np.arange(1 << k - 1), np.arange(k)[:, None]
-    low = (low >> axes << axes + 1) | (low & (1 << axes) - 1)
-    slopes = corners[low | 1 << axes] - corners[low]
+    # every slope of Sh_x along axis i in the cube is a mix of the corner
+    # differences of row i
+    slopes = corners[high] - corners[low]
     rises, falls = (slopes >= 0).all(axis=1), (slopes <= 0).all(axis=1)
     box = corners.reshape((2,) * k).transpose()[None].copy(), np.zeros((1, k)), np.ones((1, k))
     for i, b in enumerate(base_p):
         if rises[i] or falls[i]:  # one side of b: its far end moves to b, as in halve
             values, lo, hi = box
-            ends = np.moveaxis(values, i + 1, 1)
-            ends[:, int(rises[i])] = b * ends[:, 1] + (1.0 - b) * ends[:, 0]
+            at = (slice(None),) * (i + 1)
+            values[at + (int(rises[i]),)] = b * values[at + (1,)] + (1.0 - b) * values[at + (0,)]
             (hi if rises[i] else lo)[:, i] = b
         elif b < 1.0:
             box = halve(*box, i, b)

@@ -72,16 +72,27 @@ class ShapleyVector:
 _TABLE_PLAYER_CAP = 16
 
 
+@lru_cache(maxsize=32)
+def _marginals(n: int, x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coalitions S of n players without x, S + x, and the weights |S|!
+    (n - 1 - |S|)! / n!, as read-only arrays; 32 entries hold a whole
+    vector at n = 16 in about 12 MB."""
+    xbit = 1 << (x - 1)
+    rest = np.nonzero((np.arange(1 << n) & xbit) == 0)[0]
+    weights = np.array([factorial(s) * factorial(n - 1 - s) / factorial(n) for s in range(n)])
+    out = rest, rest | xbit, weights[_popcount(n)[rest]]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _table_shapley(table: np.ndarray, x: int) -> np.ndarray:
     """Shapley value of player x from values over all 2^n coalitions on the
     last axis of ``table`` (bit i of an index is player i + 1); leading axes
     broadcast.  The marginals v(S + x) - v(S) over the coalitions S without
     x, weighted by |S|! (n - 1 - |S|)! / n!, in O(2^n) per row."""
-    n = table.shape[-1].bit_length() - 1
-    xbit = 1 << (x - 1)
-    rest = np.nonzero((np.arange(1 << n) & xbit) == 0)[0]
-    weights = np.array([factorial(s) * factorial(n - 1 - s) / factorial(n) for s in range(n)])
-    return (table[..., rest | xbit] - table[..., rest]) @ weights[_popcount(n)[rest]]
+    rest, with_x, weights = _marginals(table.shape[-1].bit_length() - 1, x)
+    return (table[..., with_x] - table[..., rest]) @ weights
 
 
 def shapley_definitional(game: Game, profile: ProfileLike | None = None) -> ShapleyVector:
@@ -154,8 +165,10 @@ class _Batch:
         return players if self.col is None else self.col[players]
 
     def take(self, players: np.ndarray) -> np.ndarray:
-        """The probabilities of ``players``, of shape (profiles,) + players.shape."""
-        return self.P[:, self.columns(players)]
+        """The probabilities of ``players``, of shape (profiles,) +
+        players.shape, C-contiguous (unlike ``P[:, cols]`` for several
+        profiles)."""
+        return np.take(self.P, self.columns(players), axis=1)
 
     def add(self, inner: np.ndarray, players: np.ndarray, vals: np.ndarray) -> None:
         """``inner[b, column of players[i]] += vals[b, i]``, added per
@@ -175,29 +188,33 @@ def _owen_blocks(csr: tuple[np.ndarray, ...], batch: _Batch, rows: np.ndarray, e
     :func:`reliattack.games._size_groups` at a cost of Q per entry, about
     ``_BLOCK_ELEMENTS`` entries per profile, the same for every batch.  A
     group yields ``(rows, members, probs, blocks)``: its rows, their 0-based
-    players and their probabilities, of shapes (rows, a) and (profiles,
-    rows, a), and its node blocks (all Q nodes, or some of them when one
-    set alone is larger).  A node block is ``(logs, total, t, w)``: log(1 -
-    p_z + p_z t) at the block's nodes t, of shape (profiles, rows, a,
-    len(t)), its sum over each set, and the nodes and their weights w.  An
-    integral is the sum of its weighted values over all the node blocks of
-    its set.  A caller leaves a player's factor out of the product by
-    subtracting its log from the total; every factor is at least t > 0, so
-    exact 0s and 1s are safe.
+    players and their probabilities, member-major, of shapes (a, rows) and
+    (profiles, a, rows), and its node blocks (all Q nodes, or some of them
+    when one set alone is larger; see :func:`_owen_nodes`).  An integral is
+    the sum of its weighted values over all the node blocks of its set.  A
+    caller leaves a player's factor out of the product by subtracting its
+    log from the total; every factor is at least t > 0, so exact 0s and 1s
+    are safe.
     """
     nodes = lambda a: (a - 1 + extra) // 2 + 1
     for group, members in _size_groups(csr, rows, nodes):
-        a = members.shape[1]
+        a = len(members)
         t, w = _gauss_legendre(nodes(a))
         probs = batch.take(members)
         yield group, members, probs, _owen_nodes(probs, t, w, max(1, _BLOCK_ELEMENTS // a))
 
 
 def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
+    """The node blocks of sets whose probabilities ``probs`` are of shape
+    (..., a, rows), column i one set's: ``span`` nodes of ``t`` at a time.
+    A node block is ``(logs, total, t, w)``: log(1 - p_z + p_z t) at the
+    block's nodes t, of shape (..., a, rows, len(t)), its sum over each
+    set's members, the leading axis a, of shape (..., rows, len(t)), and
+    the nodes and their weights w."""
     for q in range(0, len(t), span):
         nodes = t[q : q + span]
         logs = np.log1p(probs[..., None] * (nodes - 1.0))
-        yield logs, logs.sum(axis=-2), nodes, w[q : q + span]
+        yield logs, logs.sum(axis=-3), nodes, w[q : q + span]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +234,8 @@ def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.
     inner = np.zeros(batch.P.shape)
     for e, members, _, blocks in _owen_blocks(game._set_csr, batch, sets):
         for logs, total, _, w in blocks:
-            vals = game._weights[e][:, None] * (np.exp(total[..., None, :] - logs) @ w)
+            f = total[..., None, :, :] - logs
+            vals = game._weights[e] * (np.exp(f, out=f) @ w)
             batch.add(inner, members, vals)
     return batch.P * inner
 
@@ -235,15 +253,16 @@ def _nc2_vector(game: ThresholdNeighborhoodGame, batch: _Batch, sets: np.ndarray
     indptr = game._set_csr[0]
     inner[:, batch.columns(sets[indptr[sets + 1] - indptr[sets] == 0])] = 1.0  # isolated: own term
     for ys, members, probs, blocks in _owen_blocks(game._set_csr, batch, sets, 1):
-        k = min(game.threshold, members.shape[1] + 1)
+        k = min(game.threshold, len(members) + 1)
         s1 = np.arange(1.0, k)
-        py = batch.take(ys)[..., None]
+        py = batch.take(ys)[:, None]
         full, loo = _low_order_pmfs(probs, k - 1)  # the threshold's correction
         own = full @ (1.0 - k / s1)
         pair = k * py * (loo @ (1.0 / (s1 * (s1 + 1.0)))) - loo @ (1.0 / s1)
         for logs, total, t, w in blocks:
-            f = np.exp(total[..., None, :] - logs) @ np.stack((w, w * (1.0 - t)), axis=1)
-            pair += f[..., 0] - k * py * f[..., 1]
+            f = total[..., None, :, :] - logs
+            np.exp(f, out=f)
+            pair += f @ w - k * py * (f @ (w * (1.0 - t)))
             own += k * (np.exp(total) @ w)
         batch.add(inner, ys, own)
         batch.add(inner, members, pair)
@@ -310,7 +329,7 @@ def shapley_closed(game: Game, profile: ProfileLike, player: int) -> float:
     """
     p = as_profile(profile, game.n)
     player = _as_player(player, game.n)
-    return float(_shapley_batch(game, np.fromiter(p.values, float, p.n), player)[0])
+    return float(_shapley_batch(game, p._array, player)[0])
 
 
 def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
@@ -318,8 +337,7 @@ def shapley_vector_closed(game: Game, profile: ProfileLike) -> ShapleyVector:
     all of its sets at once."""
     prof = as_profile(profile, game.n)
     kernel = _kernel(game)
-    # np.fromiter converts the tuple about twice as fast as np.array
-    batch = _Batch(np.fromiter(prof.values, float, prof.n)[None])
+    batch = _Batch(prof._array[None])
     sets = np.arange(len(game._set_csr[0]) - 1)
     return ShapleyVector(tuple(kernel(game, batch, sets)[0].tolist()))
 
@@ -372,15 +390,19 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     for the narrower sets too.  A narrower set is padded with probability-0
     entries: log1p(0 * (t - 1)) is exactly -0.0, a factor of exactly 1 in
     every product, and the scatter skips them.  x's own probability is set
-    to 0 too, which leaves x out of L.  A lone set wider than the cap is cut
-    along its nodes by :func:`_owen_nodes`.  The members' probabilities are
-    gathered once per call and sliced per block.
+    to 0 too, which leaves x out of L.  A block is member-major, of shape
+    (width, rows) like the groups of the vector kernels, and is filled and
+    read through the transposed view of its row-major mask of real entries.
+    A lone set wider than the cap is cut along its nodes by
+    :func:`_owen_nodes`.  The members' probabilities are gathered once per
+    call, from the profile's array with x's entry zeroed on a copy, and
+    sliced per block.
     """
     indptr = game._set_csr[0]
     rows = game._covers[x]
     rows = rows[np.argsort(indptr[rows + 1] - indptr[rows], kind="stable")]
     members, sizes = _csr_rows(game._set_csr, rows)
-    P = np.fromiter(p.values, float, p.n)
+    P = p._array.copy()
     px, P[x - 1] = P[x - 1], 0.0
     probs = P[members]
     # sets i..j - 1 share a block when (j - i) * cost[j - 1] is within the cap,
@@ -393,15 +415,15 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     while i < len(rows):
         j = max(i + 1, int(first.searchsorted(i, "right")))
         lo, hi, a = ends[i] - sizes[i], ends[j - 1], sizes[j - 1]
-        real = np.arange(a) < sizes[i:j, None]
-        block = np.zeros(real.shape)
-        block[real] = probs[lo:hi]
+        real = np.arange(a) < sizes[i:j, None]  # row-major, as members are
+        block = np.zeros((a, j - i))
+        block.T[real] = probs[lo:hi]
         t, w = _gauss_legendre((a - 1) // 2 + 1)
         for logs, rest, t, w in _owen_nodes(block, t, w, max(1, _BLOCK_ELEMENTS // block.size)):
             own[i:j] += np.exp(rest) @ w
-            # x's own column is meaningless here; its entry is the inner sum
-            loo = rest[:, None, :] - logs
-            pairs[lo:hi] += (np.exp(loo, out=loo) @ (w * (1.0 - t)))[real]
+            # x's own pair value is meaningless here; its entry is the inner sum
+            loo = rest - logs
+            pairs[lo:hi] += (np.exp(loo, out=loo) @ (w * (1.0 - t))).T[real]
         i = j
     weights = game._weights[rows]
     slopes = np.bincount(members, np.repeat(weights, sizes) * pairs, minlength=game.n)
@@ -436,7 +458,7 @@ def shapley_gradient(game: Game, profile: ProfileLike, x: int) -> tuple[float, .
     if isinstance(game, CoverageGame):
         return _coverage_gradient(game, p, x)
     _kernel(game)  # a game without a closed form stops here
-    base, out, window = np.fromiter(p.values, float, p.n), np.zeros(game.n), _window(game, x)
+    base, out, window = p._array, np.zeros(game.n), _window(game, x)
     step = isqrt(_BLOCK_ELEMENTS // 2)
     for cols in (window[i : i + step] for i in range(0, len(window), step)):
         i = np.arange(len(cols))

@@ -490,13 +490,28 @@ class TestSizeGroups:
         csr = (indptr, np.array(sum(rows, []), dtype=np.intp))
         monkeypatch.setattr(games, "_BLOCK_ELEMENTS", 6)
         out = list(games._size_groups(csr, np.array([6, 5, 4, 3, 2, 1, 0]), lambda a: 1))
-        # at most 6 // a rows a group: one group of size 1, two of size 2
+        # at most 6 // a rows a group: one group of size 1, two of size 2;
+        # members are member-major, column i the players of row group[i]
         assert [(g.tolist(), m.tolist()) for g, m in out] == [
-            ([5, 2], [[6], [2]]),
-            ([6, 4, 3], [[1, 2], [0, 5], [3, 4]]),
-            ([0], [[0, 1]]),
+            ([5, 2], [[6, 2]]),
+            ([6, 4, 3], [[1, 0, 3], [2, 5, 4]]),
+            ([0], [[0], [1]]),
         ]
         assert list(games._size_groups(csr, np.array([1]), lambda a: a)) == []
+
+    def test_groups_are_member_major_and_contiguous(self, rng, monkeypatch):
+        monkeypatch.setattr(games, "_BLOCK_ELEMENTS", 100)  # buckets span several groups
+        graph = random_graph(rng, 40, 0.2)
+        indptr, indices = csr = ClosedNeighborhoodGame(graph)._set_csr
+        rows = np.arange(len(indptr) - 1)
+        seen = []
+        for group, members in games._size_groups(csr, rows, lambda a: a // 2 + 1):
+            assert members.flags.c_contiguous
+            assert members.shape == (indptr[group[0] + 1] - indptr[group[0]], len(group))
+            for i, row in enumerate(group.tolist()):
+                assert members[:, i].tolist() == indices[indptr[row] : indptr[row + 1]].tolist()
+            seen += group.tolist()
+        assert sorted(seen) == rows[np.diff(indptr) > 0].tolist()
 
     def test_a_costly_row_still_forms_a_group(self):
         csr = (np.array([0, 3, 6]), np.arange(6))

@@ -18,6 +18,7 @@ from reliattack import (
     complete_graph,
     liveness_transform,
     reliability_value,
+    shapley_gradient,
     shapley_vector_closed,
 )
 from reliattack import games
@@ -49,6 +50,37 @@ class TestProfile:
         with pytest.raises(DomainError):
             p[0]
         assert p.with_value(2, 0.5).values == (0.2, 0.5)
+
+
+class TestProfileArray:
+    """The profile's private array, converted once and shared by the closed
+    forms, the gradient and ``reliability_value``."""
+
+    def test_read_only_equal_and_cached(self, rng):
+        p = random_profile(rng, 7)
+        arr = p._array
+        assert arr.dtype == np.float64 and arr.tolist() == list(p.values)
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        assert p._array is arr
+
+    @pytest.mark.parametrize("variant", ["nc1", "nc2", "nc3", "fc", "fo"])
+    def test_gradient_leaves_it_and_later_vectors_unchanged(self, rng, variant):
+        n = 8
+        game = random_game(rng, variant, n)
+        p = random_profile(rng, n)
+        before = p._array.copy()
+        for x in range(1, n + 1):
+            shapley_gradient(game, p, x)
+        assert np.array_equal(p._array, before)
+        fresh = ReliabilityProfile(p.values)
+        assert shapley_vector_closed(game, p).values == shapley_vector_closed(game, fresh).values
+
+    def test_equality_and_hash_ignore_it(self, rng):
+        p = random_profile(rng, 5)
+        p._array
+        fresh = ReliabilityProfile(p.values)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
 class TestPiProb:

@@ -529,12 +529,21 @@ class TestBatch:
         "case",
         [
             "nc1", "nc2-k1", "nc2-k2", "nc2-k3", "nc3", "fc", "fo",
-            "isolated", "star-200", "credit-edge-cases", "no-papers", "K20",
+            "isolated", "star-200", "credit-edge-cases", "no-papers", "K20", "star-301",
         ],
     )
     def test_rows_equal_single_calls(self, rng, case):
-        for _ in range(2 if case == "star-200" else 6):
-            if case == "K20":
+        for _ in range(2 if case.startswith("star") else 6):
+            if case == "star-301":
+                # the hub's set has 301 coverers and 151 nodes, so _owen_nodes
+                # cuts it along its nodes
+                assert 301 * 151 > shapley._BLOCK_ELEMENTS
+                graph = star_graph(301)
+                game = rng.choice(
+                    [ClosedNeighborhoodGame(graph), ThresholdNeighborhoodGame(graph, rng.randint(1, 3))]
+                )
+                p = _with_certain_players(rng, random_profile(rng, 301))
+            elif case == "K20":
                 # x's sets take about 20 * 19 * 10 entries per profile, so the
                 # 48 rows run in several pieces
                 game = ThresholdNeighborhoodGame(complete_graph(20), rng.randint(1, 6))

@@ -86,3 +86,16 @@ class TestBenchPairsSummary:
         assert "gain_shown" not in out["w"]["shapley.gradient_s"]
         assert out["w"]["all_correct"] is True
         assert out["w"]["failed_ops"] == {"parent": 0, "change": 0}
+
+
+class TestBenchPairsMachine:
+    def test_records_whether_runs_write_bytecode(self, bench_pairs, monkeypatch):
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        assert bench_pairs.machine().endswith(
+            "; no bytecode written (PYTHONDONTWRITEBYTECODE set)"
+        )
+        # Python reads an empty value as unset
+        for unset in (lambda: monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", ""),
+                      lambda: monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")):
+            unset()
+            assert bench_pairs.machine().endswith("; bytecode written")

@@ -14,10 +14,11 @@ runs (``--trace 1``, 5 s) of the traced workloads, all of them unless given.
 A run that exits nonzero or outlasts 15 minutes is recorded with an error.
 
 The record goes to ``BENCH_<label>.json`` at the root of the repository:
-the commits, commands, seeds, order and machine, every run's result, and
-per workload and metric each side's quartiles and median, the change of
-the median in percent and the number of pairs in which the change read
-lower.  Each end-to-end metric of the untraced runs also carries its
+the commits, commands, seeds, order and machine (with whether the runs
+write bytecode, which they inherit from ``PYTHONDONTWRITEBYTECODE``),
+every run's result, and per workload and metric each side's quartiles and
+median, the change of the median in percent and the number of pairs in
+which the change read lower.  Each end-to-end metric of the untraced runs also carries its
 ``bound`` from ``BENCHMARK.json`` and ``within_bound``: whether the
 change's median is no worse than the parent's median times (1 + bound) in
 the metric's ``better`` direction, and ``gain_shown``: whether the change
@@ -83,6 +84,19 @@ def _pairs(archives: dict, workloads, seeds, seconds: float, trace: int) -> list
                 print(f"{workload} seed {seed} {side}: {run['elapsed_s']} s, "
                       f"correct {result.get('correct')}", file=sys.stderr)
     return runs
+
+
+def machine() -> str:
+    """The platform, CPUs, Python and numpy of the runs, and whether they
+    write bytecode.  The runs inherit ``PYTHONDONTWRITEBYTECODE``; with it
+    set to a non-empty string, every ``cli-requests`` process compiles
+    ``src/`` again, so its times are not comparable with runs that write
+    ``__pycache__``."""
+    bytecode = ("no bytecode written (PYTHONDONTWRITEBYTECODE set)"
+                if os.environ.get("PYTHONDONTWRITEBYTECODE") else "bytecode written")
+    return (f"{platform.system()} {platform.machine()}, "
+            f"{len(os.sched_getaffinity(0))} CPUs available, no CPU pinning; "
+            f"Python {platform.python_version()}, numpy {metadata.version('numpy')}; {bytecode}")
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -184,9 +198,7 @@ def main() -> int:
         "order": "alternating: odd seeds run parent first, even seeds run change first; per seed "
                  "the workloads one after the other, both sides of a workload back to back; each "
                  "side runs from a fresh git archive of its commit",
-        "machine": f"{platform.system()} {platform.machine()}, "
-                   f"{len(os.sched_getaffinity(0))} CPUs available, no CPU pinning; "
-                   f"Python {platform.python_version()}, numpy {metadata.version('numpy')}",
+        "machine": machine(),
         "claim": None,
         "notes": None,
         "summary": summarize(runs, {metric["name"]: metric for metric in bench["end_to_end"]}),
