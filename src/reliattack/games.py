@@ -9,6 +9,7 @@ machinery iterates over.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from abc import ABC, abstractmethod
@@ -158,15 +159,10 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in wadj)
 
     @cached_property
-    def _closed_rows(self) -> tuple[np.ndarray, ...]:
-        """Per player, its closed neighborhood as a sorted index array
-        (entry 0 is empty)."""
-        return _index_rows([()] + [a | {x} for x, a in enumerate(self._adj) if x])
-
-    @cached_property
     def _closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_closed_rows`` in CSR form (row 0 is empty)."""
-        return _csr(self._closed_rows)
+        """The closed neighborhood N[x] of each player x as a CSR, row x - 1.
+        It is symmetric, so it is its own transpose."""
+        return _csr(a | {x} for x, a in enumerate(self._adj) if x)
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Sequence[float]]) -> "Graph":
@@ -220,8 +216,12 @@ def ball(graph: Graph, coalition: Coalition, radius: float) -> frozenset[int]:
     """Players within (weighted) shortest-path distance ``radius`` of the
     coalition; distance ties at exactly ``radius`` are included.
 
-    Unweighted graphs use hop distance.  An empty coalition has an empty ball.
+    Unweighted graphs use hop distance.  An empty coalition has an empty ball,
+    and an infinite radius gives the coalition's whole component.
     """
+    # NaN compares false with everything, so it would leave the coalition alone
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or radius != radius:
+        raise DomainError(f"radius must be a number, got {radius!r}")
     if radius < 0:
         raise DomainError(f"radius {radius} is negative")
     s = _as_playerset(coalition, graph.n)
@@ -318,14 +318,15 @@ class CreditInstance:
         return cls(n, tuple((tuple(a), s) for a, s in scored))
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        """Per author, the indices of their papers (entry 0 is empty)."""
-        return _transpose(_index_rows(authors for authors, _ in self.papers), self.n + 1)
+    def _author_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The authors of each paper as a CSR, one row per paper."""
+        return _csr(authors for authors, _ in self.papers)
 
     @cached_property
-    def _author_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The authors of each paper in CSR form, one row per paper."""
-        return _csr(_index_rows(authors for authors, _ in self.papers))
+    def _paper_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The papers of each author x, row x - 1: the transpose of
+        ``_author_csr``."""
+        return _transpose(self._author_csr, self.n)
 
     @cached_property
     def _scores(self) -> np.ndarray:
@@ -333,7 +334,7 @@ class CreditInstance:
 
     def papers_of(self, x: int) -> list[int]:
         """Indices (0-based into ``papers``) of the papers authored by x."""
-        return self._rows[_as_player(x, self.n)].tolist()
+        return _row(self._paper_csr, _as_player(x, self.n) - 1).tolist()
 
     def coauthors(self, x: int) -> frozenset[int]:
         out: set[int] = set()
@@ -368,17 +369,21 @@ def _require_two_authors(instance: CreditInstance, x: int) -> None:
 # games
 
 
-def _index_rows(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, ...]:
-    return tuple(np.fromiter(sorted(s), np.intp) for s in sets)
-
-
-def _csr(rows: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR form of index rows of players: row pointer, and the 0-based
-    players of each row in row order."""
+def _csr(sets: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR of sets of players 1..n, one row per set in order: a pair
+    (indptr, indices) with the sorted 0-based players of set i at
+    ``indices[indptr[i] : indptr[i + 1]]``.  Every game states its incidence
+    as one CSR; the other direction is that CSR's transpose."""
+    rows = [sorted(s) for s in sets]
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    # the leading empty array lets an empty list of rows concatenate
-    return indptr, np.concatenate((np.empty(0, np.intp), *rows)) - 1
+    return indptr, np.fromiter(itertools.chain.from_iterable(rows), np.intp, indptr[-1]) - 1
+
+
+def _row(csr: tuple[np.ndarray, ...], i: int) -> np.ndarray:
+    """The 0-based members of row i of a CSR."""
+    indptr, indices = csr
+    return indices[indptr[i] : indptr[i + 1]]
 
 
 def _csr_rows(csr: tuple[np.ndarray, ...], rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,6 +393,35 @@ def _csr_rows(csr: tuple[np.ndarray, ...], rows: np.ndarray) -> tuple[np.ndarray
     sizes = indptr[rows + 1] - indptr[rows]
     offsets = np.repeat(indptr[rows] - (np.cumsum(sizes) - sizes), sizes)
     return indices[offsets + np.arange(len(offsets))], sizes
+
+
+def _transpose(csr: tuple[np.ndarray, ...], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR whose row j, for j in 0..size-1, holds the rows of ``csr``
+    that contain j, in increasing order."""
+    indptr, indices = csr
+    owners = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    out = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=size), out=out[1:])
+    return out, owners[np.argsort(indices, kind="stable")]
+
+
+def _row_sums(csr: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
+    """Per row of a CSR, the sum of ``values`` (indexed by 0-based player)
+    over its members, in the dtype of ``values``; 0 for an empty row.
+    reduceat reads an empty segment as the element at its start, so only
+    the nonempty rows start segments."""
+    indptr, indices = csr
+    out = np.zeros(len(indptr) - 1, dtype=values.dtype)
+    rows = np.flatnonzero(np.diff(indptr))
+    out[rows] = np.add.reduceat(values[indices], indptr[rows])
+    return out
+
+
+def _flags(mask: int, n: int) -> np.ndarray:
+    """1 for each 0-based player of the bitmask coalition ``mask``, else 0."""
+    flags = np.zeros(n, dtype=np.int64)
+    flags[[x - 1 for x in _players_of(mask)]] = 1
+    return flags
 
 
 # Cap on the entries of one block (profiles * rows * |A| * cost, such as
@@ -410,32 +444,6 @@ def _size_groups(csr: tuple[np.ndarray, ...], rows: np.ndarray, cost):
         step = max(1, _BLOCK_ELEMENTS // (a * cost(a)))
         for group in (bucket[i : i + step] for i in range(0, len(bucket), step)):
             yield group, indices[indptr[group] + np.arange(a)[:, None]]
-
-
-def _transpose(rows: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
-    """Per element 0..size-1, the sorted indices of the rows that hold it."""
-    flat = np.concatenate((np.empty(0, np.intp), *rows))  # an empty list of rows too
-    owners = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-    ends = np.cumsum(np.bincount(flat, minlength=size))
-    # splitting at all size ends leaves one empty piece after the last
-    return tuple(np.split(owners[np.argsort(flat, kind="stable")], ends)[:-1])
-
-
-def _hits(rows: Sequence[np.ndarray], players: Iterable[int], size: int) -> np.ndarray:
-    """Per element, how many of ``players`` have it in their row."""
-    idx = [rows[x] for x in players]
-    if not idx:
-        return np.zeros(size, np.int64)
-    return np.bincount(np.concatenate(idx), minlength=size)
-
-
-def _codes(rows: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """Per element, the bitmask coalition of the players whose row holds it
-    (``rows[x]`` for player x; ``rows[0]`` is not read)."""
-    codes = np.zeros(size, np.int64)
-    for x in range(1, len(rows)):
-        codes[rows[x]] |= 1 << (x - 1)
-    return codes
 
 
 def _zeta(table: np.ndarray) -> np.ndarray:
@@ -485,39 +493,34 @@ class CoverageGame(Game):
     """Weighted coverage: a coalition earns the weight of every element that
     at least one member covers.
 
-    A subclass supplies the incidence as ``_covers``, per player the sorted
-    array of the elements it covers (entry 0 is empty), and ``_weights``, one
-    weight per element.  Who covers an element, ``_coverers``, is read off
-    the transpose of ``_covers`` and never recomputed, so the value, the
-    closed forms and the exempt set all see one relation.  The sets of the
-    closed form are the coverer sets, one per element, and the sets that
-    involve x are the elements x covers.
+    A subclass supplies the incidence as ``_covers``, a CSR whose row x - 1
+    holds the 0-based elements that player x covers, and ``_weights``, one
+    weight per element.  Who covers an element, ``_set_csr``, is the
+    transpose of ``_covers`` and never recomputed, so the value, the closed
+    forms and the exempt set all see one relation.  The sets of the closed
+    form are the coverer sets, one per element, and the sets that involve x
+    are the elements x covers.
     """
 
-    _covers: tuple[np.ndarray, ...]
+    _covers: tuple[np.ndarray, np.ndarray]
 
     @property
-    def _sets_of(self) -> tuple[np.ndarray, ...]:
+    def _sets_of(self) -> tuple[np.ndarray, np.ndarray]:
         return self._covers
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """Unless a subclass says otherwise, the elements are the players
-        1..n, each of weight 1 (element 0 is never covered)."""
-        return np.ones(self.n + 1)
-
-    @cached_property
-    def _coverers(self) -> tuple[np.ndarray, ...]:
-        """Per element, the sorted players that cover it."""
-        return _transpose(self._covers, len(self._weights))
+        """Unless a subclass says otherwise, the elements are the players,
+        each of weight 1."""
+        return np.ones(self.n)
 
     @cached_property
     def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_coverers`` in CSR form, one row per element."""
-        return _csr(self._coverers)
+        """The coverers of each element, one row per element."""
+        return _transpose(self._covers, len(self._weights))
 
     def value_mask(self, mask: int) -> float:
-        covered = _hits(self._covers, _players_of(mask), len(self._weights)) > 0
+        covered = _row_sums(self._set_csr, _flags(mask, self.n)) > 0
         return float(self._weights[covered].sum())
 
     def subset_values(self) -> np.ndarray:
@@ -525,7 +528,7 @@ class CoverageGame(Game):
         the coalition T misses exactly the elements whose code lies inside
         the complement of T, so ``value[T] = zeta(c)[full] - zeta(c)[full ^ T]``.
         """
-        codes = _codes(self._covers, len(self._weights))
+        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
         c = np.bincount(codes, weights=self._weights, minlength=1 << self.n)
         c = c.astype(np.float64, copy=False)  # integer when there are no elements
         c[0] = 0.0  # elements that no player covers never count
@@ -544,18 +547,15 @@ class ClosedNeighborhoodGame(CoverageGame):
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def _covers(self) -> tuple[np.ndarray, ...]:
-        return self.graph._closed_rows
-
     # N[.] comes from symmetric integer adjacency with no float sums, so y is
-    # in N[x] exactly when x is in N[y]: the rows are their own transpose
-    _coverers = _covers
-
+    # in N[x] exactly when x is in N[y]: the CSR is its own transpose.  It is
+    # kept on the graph, so that the games shapley_gradient_nc1 builds per
+    # call share it
     @property
-    def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        # on the graph, so that the games shapley_gradient_nc1 builds per call share it
+    def _covers(self) -> tuple[np.ndarray, np.ndarray]:
         return self.graph._closed_csr
+
+    _set_csr = _covers
 
 
 @dataclass(frozen=True)
@@ -576,26 +576,20 @@ class ThresholdNeighborhoodGame(Game):
         return self.graph.n
 
     def value_mask(self, mask: int) -> float:
-        members = _players_of(mask)
-        reached = _hits(self._rows, members, self.n + 1) >= self.threshold
-        reached[list(members)] = True
+        inside = _flags(mask, self.n)
+        reached = (_row_sums(self._set_csr, inside) >= self.threshold) | (inside > 0)
         return float(reached.sum())
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, ...]:
-        """Per player, its neighbors (entry 0 is empty)."""
-        return _index_rows(self.graph._adj)
 
     @cached_property
     def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """The sets of the closed form: N(y), row y - 1 for each player y."""
-        return _csr(self._rows[1:])
+        return _csr(self.graph._adj[1:])
 
-    @cached_property
-    def _sets_of(self) -> tuple[np.ndarray, ...]:
+    @property
+    def _sets_of(self) -> tuple[np.ndarray, np.ndarray]:
         """Per player x, the rows of the sets that involve x: x's own N(x)
-        and N(y) for every neighbour y, that is N[x] - 1."""
-        return tuple(row - 1 for row in self.graph._closed_rows)
+        and N(y) for every neighbour y, that is N[x]."""
+        return self.graph._closed_csr
 
     def subset_values(self) -> np.ndarray:
         """A player outside the coalition r counts when at least k of its
@@ -604,8 +598,8 @@ class ThresholdNeighborhoodGame(Game):
         k, r = self.threshold, np.arange(1 << self.n)
         pop = _popcount(self.n)
         total = pop.copy()  # the cached counts stay as they are
-        codes = _codes(self._rows, self.n + 1)
-        for y, code in enumerate(codes[1:].tolist()):
+        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
+        for y, code in enumerate(codes.tolist()):
             if pop[code] >= k:
                 total += (pop[r & code] >= k) & ((r >> y & 1) == 0)
         return total.astype(np.float64)
@@ -616,15 +610,15 @@ class DistanceCutoffGame(CoverageGame):
     """Value of S is the size of the ball of radius ``cutoff`` around S in a
     weighted graph (distance ties at the cutoff included).
 
-    Player x covers the ball computed from x.  Float path sums are not
-    symmetric (0.1 + 0.2 + 0.3 > 0.6), so at a tie y may lie in the ball of
-    x while x misses the ball of y; the coverers of y are therefore the
-    transpose of the balls, not the ball of y.
+    Player x covers the ball computed from x, row x - 1 of ``_covers``.
+    Float path sums are not symmetric (0.1 + 0.2 + 0.3 > 0.6), so at a tie y
+    may lie in the ball of x while x misses the ball of y; the coverers of y
+    are therefore the transpose of the balls, not the ball of y.
     """
 
     graph: Graph
     cutoff: float
-    _covers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _covers: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     variant = "nc3"
 
     def __post_init__(self) -> None:
@@ -634,8 +628,8 @@ class DistanceCutoffGame(CoverageGame):
             raise DomainError(
                 f"cutoff (field 'd_cut') must be a finite positive number, got {self.cutoff}"
             )
-        balls = [ball(self.graph, {x}, self.cutoff) for x in range(1, self.graph.n + 1)]
-        object.__setattr__(self, "_covers", _index_rows([()] + balls))
+        balls = (ball(self.graph, {x}, self.cutoff) for x in range(1, self.graph.n + 1))
+        object.__setattr__(self, "_covers", _csr(balls))
 
     @property
     def n(self) -> int:
@@ -654,8 +648,8 @@ class FullCreditGame(CoverageGame):
         return self.instance.n
 
     @property
-    def _covers(self) -> tuple[np.ndarray, ...]:
-        return self.instance._rows
+    def _covers(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.instance._paper_csr
 
     @property
     def _weights(self) -> np.ndarray:
@@ -668,7 +662,11 @@ class FullCreditGame(CoverageGame):
 
 @dataclass(frozen=True)
 class FullObligationGame(Game):
-    """A coalition earns a paper only if it contains all of its authors."""
+    """A coalition earns a paper only if it contains all of its authors.
+
+    The sets of the closed form are the papers' author sets,
+    ``_author_csr``; the sets that involve x are x's papers, its transpose
+    ``_paper_csr``."""
 
     instance: CreditInstance
     variant = "fo"
@@ -679,25 +677,21 @@ class FullObligationGame(Game):
 
     @property
     def _set_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sets of the closed form: the authors of each paper."""
         return self.instance._author_csr
 
     @property
-    def _sets_of(self) -> tuple[np.ndarray, ...]:
-        """Per author, their papers."""
-        return self.instance._rows
+    def _sets_of(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.instance._paper_csr
 
     def value_mask(self, mask: int) -> float:
-        inst = self.instance
-        inside = _hits(inst._rows, _players_of(mask), len(inst.papers)) == np.diff(self._set_csr[0])
-        return float(inst._scores[inside].sum())
+        inside = _row_sums(self._set_csr, _flags(mask, self.n)) == np.diff(self._set_csr[0])
+        return float(self.instance._scores[inside].sum())
 
     def subset_values(self) -> np.ndarray:
         """Each paper adds its score at the code of its authors; entry T is
         then the subset sum at T."""
-        inst = self.instance
-        codes = _codes(inst._rows, len(inst.papers))
-        c = np.bincount(codes, weights=inst._scores, minlength=1 << self.n)
+        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
+        c = np.bincount(codes, weights=self.instance._scores, minlength=1 << self.n)
         return _zeta(c.astype(np.float64, copy=False))  # integer when there are no papers
 
 

@@ -38,6 +38,7 @@ from .games import (
     _csr_rows,
     _popcount,
     _require_two_authors,
+    _row,
     _size_groups,
     coauthor_contributions,
 )
@@ -224,8 +225,8 @@ def _owen_nodes(probs: np.ndarray, t: np.ndarray, w: np.ndarray, span: int):
 # coverage games and nc2 by Owen's integral, fo by one product per paper.
 # A kernel returns an array of the batch's shape, the value of each
 # column's player at each profile; the value of x is exact when every set
-# of ``_sets_of[x]`` is among those passed.  The whole vector passes every
-# set, and the value of one player x passes only x's sets.
+# in row x - 1 of ``_sets_of`` is among those passed.  The whole vector
+# passes every set, and the value of one player x passes only x's sets.
 
 
 def _coverage_vector(game: CoverageGame, batch: _Batch, sets: np.ndarray) -> np.ndarray:
@@ -294,7 +295,7 @@ def _kernel(game: Game):
 def _window(game: Game, x: int) -> np.ndarray:
     """x and the members of x's sets, 0-based and sorted: the players whose
     probabilities enter Sh_x."""
-    members, _ = _csr_rows(game._set_csr, game._sets_of[x])
+    members, _ = _csr_rows(game._set_csr, _row(game._sets_of, x - 1))
     return np.array(sorted({x - 1, *members.tolist()}), dtype=np.intp)
 
 
@@ -305,7 +306,7 @@ def _shapley_batch(game: Game, p: np.ndarray, x: int, window=None, rows=None) ->
     x's window and of ``window``, and runs as many profiles at a time as
     keep its blocks within ``_BLOCK_ELEMENTS`` entries.  A row gives the
     same floats as the call at its profile alone."""
-    kernel, sets = _kernel(game), game._sets_of[x]
+    kernel, sets = _kernel(game), _row(game._sets_of, x - 1)
     if rows is None:
         return kernel(game, _Batch(p[None]), sets)[:, x - 1]
     indptr = game._set_csr[0]
@@ -399,7 +400,7 @@ def _coverage_gradient(game: CoverageGame, p: ReliabilityProfile, x: int) -> tup
     sliced per block.
     """
     indptr = game._set_csr[0]
-    rows = game._covers[x]
+    rows = _row(game._covers, x - 1)
     rows = rows[np.argsort(indptr[rows + 1] - indptr[rows], kind="stable")]
     members, sizes = _csr_rows(game._set_csr, rows)
     P = p._array.copy()

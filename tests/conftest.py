@@ -29,7 +29,7 @@ from reliattack import (
     shapley_closed,
 )
 from reliattack.attacks import RemovalCheck, _affordable_masks
-from reliattack.games import Coalition, _as_playerset, _players_of
+from reliattack.games import Coalition, _as_playerset, _players_of, _row
 from reliattack.reliability import ProfileLike, as_profile
 
 # Every property test draws the same examples on every run: the examples come
@@ -219,8 +219,8 @@ def coverage_inner(game, profile, x) -> Fraction:
     the live coverers of e other than x.  Exact rational arithmetic on the
     float profile and weights."""
     total = Fraction(0)
-    for e in game._covers[x].tolist():
-        others = [z for z in game._coverers[e].tolist() if z != x]
+    for e in _row(game._covers, x - 1).tolist():
+        others = [z + 1 for z in _row(game._set_csr, e).tolist() if z + 1 != x]
         total += Fraction(float(game._weights[e])) * _moments(profile, others)[0]
     return total
 
@@ -231,9 +231,9 @@ def coverage_gradient(game, profile, x) -> list[Fraction]:
     elements e covered by x and j of w_e * E[1 / ((1 + L)(2 + L))], with L
     the live coverers of e other than x and j.  Exact, as above."""
     out = [Fraction(0)] * game.n
-    for e in game._covers[x].tolist():
+    for e in _row(game._covers, x - 1).tolist():
         w = Fraction(float(game._weights[e]))
-        others = [z for z in game._coverers[e].tolist() if z != x]
+        others = [z + 1 for z in _row(game._set_csr, e).tolist() if z + 1 != x]
         for j in others:
             out[j - 1] -= w * _moments(profile, [z for z in others if z != j])[1]
     out = [Fraction(profile[x]) * v for v in out]

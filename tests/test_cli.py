@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -439,7 +440,7 @@ class TestMalformedInput:
     )
     def test_non_finite_budget(self, tmp_path, capsys, budget):
         path = fc_request(tmp_path)
-        text = open(path).read().replace('"budget": 0.5', f'"budget": {budget}')
+        text = Path(path).read_text().replace('"budget": 0.5', f'"budget": {budget}')
         assert budget in text
         (tmp_path / "request.json").write_text(text)
         code, out, err = run(capsys, "attack", path)
@@ -555,7 +556,7 @@ class TestMalformedInput:
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
     def test_non_finite_cost_model(self, tmp_path, capsys, vector, entry, bad):
-        request = json.loads(open(fc_request(tmp_path, mode="removal")).read())
+        request = json.loads(Path(fc_request(tmp_path, mode="removal")).read_text())
         request["game"]["variant"] = "fo"
         request["cost_model"][vector][1] = bad
         code, out, err = run(capsys, "attack", write(tmp_path, "request.json", request))
@@ -564,7 +565,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("vector", ["L", "R", "c"])
     def test_cost_model_lengths(self, tmp_path, capsys, vector):
-        request = json.loads(open(fc_request(tmp_path)).read())
+        request = json.loads(Path(fc_request(tmp_path)).read_text())
         request["cost_model"][vector].append(1.0)
         code, out, err = run(capsys, "attack", write(tmp_path, "request.json", request))
         assert code == 1 and out == ""

@@ -106,6 +106,20 @@ class TestBall:
         with pytest.raises(DomainError):
             ball(path_graph(3), {1}, -0.1)
 
+    @pytest.mark.parametrize("radius", [math.nan, True, False, "1", None, 1j])
+    def test_malformed_radius(self, radius):
+        # NaN compares false with every distance and once returned {1}; True
+        # read as radius 1 and a string raised a bare TypeError
+        graph = Graph.of(3, [(1, 2, 0.5), (2, 3, 0.5)])
+        with pytest.raises(DomainError, match=r"^radius must be a number, got "):
+            ball(graph, {1}, radius)
+
+    def test_infinite_radius_spans_the_component(self):
+        graph = Graph.of(4, [(1, 2, 0.5), (2, 3, 1e300)])
+        assert ball(graph, {1}, math.inf) == {1, 2, 3}
+        assert ball(graph, {4}, math.inf) == {4}
+        assert ball(path_graph(3), {1}, 1) == ball(path_graph(3), {1}, np.int64(1))
+
     def test_two_edge_tie_at_cutoff(self):
         # 0.4 + 0.6 == 1.0 exactly: player 3 sits on the cutoff and is in;
         # the direct edge (1, 3) is longer, and player 4 lies beyond the cutoff
@@ -113,8 +127,8 @@ class TestBall:
         assert ball(g, {1}, 1.0) == {1, 2, 3}
         assert ball(g, {3}, 1.0) == {1, 2, 3, 4}
         game = DistanceCutoffGame(g, 1.0)
-        assert game._covers[1].tolist() == [1, 2, 3]
-        assert game._covers[4].tolist() == [2, 3, 4]
+        assert (games._row(game._covers, 0) + 1).tolist() == [1, 2, 3]
+        assert (games._row(game._covers, 3) + 1).tolist() == [2, 3, 4]
         assert game.value({4}) == 3
 
 
@@ -459,27 +473,94 @@ class TestSubsetValues:
         assert game.value([np.int64(2)]) == game.value([2])
 
 
+def _csr_cases(rng):
+    """Sets of players 1..n with a size n: the edge cases (no rows, empty
+    rows, a player in no row, n above the largest player), then random."""
+    yield [], 0
+    yield [], 3
+    yield [set(), set()], 2
+    yield [{1, 2}, set(), {4}], 4
+    yield [{2}], 5
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        rows = rng.randint(0, 8)
+        yield [set(rng.sample(range(1, n + 1), rng.randint(0, n))) for _ in range(rows)], n
+
+
+class TestCsr:
+    def test_rows_transpose_and_sums_match_python_sets(self, rng):
+        for sets, n in _csr_cases(rng):
+            csr = games._csr(sets)
+            indptr, indices = csr
+            assert indptr.tolist()[0] == 0 and len(indptr) == len(sets) + 1
+            assert [games._row(csr, i).tolist() for i in range(len(sets))] == [
+                sorted(x - 1 for x in s) for s in sets
+            ]
+            rows, sizes = games._csr_rows(csr, np.arange(len(sets))[::-1])
+            assert rows.tolist() == sum((sorted(x - 1 for x in s) for s in sets[::-1]), [])
+            assert sizes.tolist() == [len(s) for s in sets[::-1]]
+            t = games._transpose(csr, n)
+            assert len(t[0]) == n + 1
+            assert [games._row(t, j).tolist() for j in range(n)] == [
+                [i for i, s in enumerate(sets) if j + 1 in s] for j in range(n)
+            ]
+            back = games._transpose(t, len(sets))
+            assert back[0].tolist() == indptr.tolist() and back[1].tolist() == indices.tolist()
+            values = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
+            sums = games._row_sums(csr, values)
+            assert sums.dtype == np.int64
+            assert sums.tolist() == [sum(int(values[x - 1]) for x in s) for s in sets]
+
+    def test_codes_are_the_or_of_the_members_bits(self, rng):
+        for sets, n in _csr_cases(rng):
+            codes = games._row_sums(games._csr(sets), 1 << np.arange(n))
+            expected = []
+            for s in sets:
+                code = 0
+                for x in s:
+                    code |= 1 << (x - 1)
+                expected.append(code)
+            assert codes.tolist() == expected
+            mask = rng.getrandbits(n) if n else 0
+            assert games._flags(mask, n).tolist() == [mask >> i & 1 for i in range(n)]
+
+
 class TestCoverageIncidence:
     def test_coverers_transpose_covers(self, rng):
         # path sums from 4 reach 1 at exactly 0.6; from 1 they reach 4 at
         # 0.6000000000000001, past the cutoff
         tie = DistanceCutoffGame(Graph.of(4, [(1, 2, 0.1), (2, 3, 0.2), (3, 4, 0.3)]), 0.6)
-        assert tie._covers[1].tolist() == [1, 2, 3] and tie._covers[4].tolist() == [1, 2, 3, 4]
-        assert tie._coverers[1].tolist() == [1, 2, 3, 4] and tie._coverers[4].tolist() == [2, 3, 4]
-        games = [tie, FullCreditGame(CreditInstance.of(3, []))] + [
+        covers = lambda x: (games._row(tie._covers, x - 1) + 1).tolist()
+        coverers = lambda y: (games._row(tie._set_csr, y - 1) + 1).tolist()
+        assert covers(1) == [1, 2, 3] and covers(4) == [1, 2, 3, 4]
+        assert coverers(1) == [1, 2, 3, 4] and coverers(4) == [2, 3, 4]
+        cases = [tie, FullCreditGame(CreditInstance.of(3, []))] + [
             random_game(rng, variant, rng.randint(1, 8))
             for variant in ("nc1", "nc3", "fc")
             for _ in range(10)
         ]
-        for game in games:
+        for game in cases:
             size = len(game._weights)
-            assert len(game._covers) == game.n + 1 and len(game._covers[0]) == 0
-            assert len(game._coverers) == size
-            for row in (*game._covers, *game._coverers):
-                assert (np.diff(row) > 0).all()
-            covers = {(x, e) for x in range(game.n + 1) for e in game._covers[x].tolist()}
-            coverers = {(x, e) for e in range(size) for x in game._coverers[e].tolist()}
+            assert len(game._covers[0]) == game.n + 1 and len(game._set_csr[0]) == size + 1
+            for indptr, indices in (game._covers, game._set_csr):
+                for i in range(len(indptr) - 1):
+                    assert (np.diff(indices[indptr[i] : indptr[i + 1]]) > 0).all()
+            covers = {(x, e) for x in range(game.n) for e in games._row(game._covers, x).tolist()}
+            coverers = {(x, e) for e in range(size) for x in games._row(game._set_csr, e).tolist()}
             assert covers == coverers
+
+    def test_sets_of_holds_the_sets_that_involve_x(self, rng):
+        # the rows of _sets_of[x - 1] are the sets of _set_csr that hold x,
+        # and for nc2 also x's own N(x)
+        for variant in ("nc1", "nc21", "nc22", "nc3", "fc", "fo"):
+            for _ in range(10):
+                game = random_game(rng, variant, rng.randint(1, 8))
+                sets = [games._row(game._set_csr, i) for i in range(len(game._set_csr[0]) - 1)]
+                for x in range(1, game.n + 1):
+                    rows = {i for i, members in enumerate(sets) if x - 1 in members}
+                    if variant.startswith("nc2"):
+                        rows.add(x - 1)
+                    assert games._row(game._sets_of, x - 1).tolist() == sorted(rows)
 
 
 class TestSizeGroups:

@@ -743,12 +743,13 @@ class TestGradients:
             edges += [(y, z) for z in range(leaf, leaf + y - 2)]
             leaf += y - 2
         papers = [(range(1, a + 1), a / 4) for a in range(1, 7)] + [((2, 7), 1.0)]
-        games = [
+        cases = [
             ClosedNeighborhoodGame(Graph.of(leaf - 1, edges)),
             FullCreditGame(CreditInstance.of(8, papers)),
         ]
-        for game in games:
-            sizes = [len(game._coverers[e]) for e in game._covers[1].tolist()]
+        for game in cases:
+            covered = games._row(game._covers, 0).tolist()
+            sizes = [len(games._row(game._set_csr, e)) for e in covered]
             assert len(set(sizes)) >= 5, sizes
             assert len(sizes) * 6 * 3 <= shapley._BLOCK_ELEMENTS  # 6 wide, 3 nodes
             for _ in range(6):
