@@ -405,15 +405,16 @@ def _transpose(csr: tuple[np.ndarray, ...], size: int) -> tuple[np.ndarray, np.n
     return out, owners[np.argsort(indices, kind="stable")]
 
 
-def _row_sums(csr: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
-    """Per row of a CSR, the sum of ``values`` (indexed by 0-based player)
-    over its members, in the dtype of ``values``; 0 for an empty row.
-    reduceat reads an empty segment as the element at its start, so only
-    the nonempty rows start segments."""
+def _row_reduce(csr: tuple[np.ndarray, ...], values: np.ndarray, ufunc=np.add) -> np.ndarray:
+    """Per row of a CSR, ``ufunc`` (a sum by default, or ``np.multiply``)
+    over ``values`` at its members (indexed by 0-based player), in the dtype
+    of ``values``; the ufunc's identity for an empty row.  reduceat reads an
+    empty segment as the element at its start, so only the nonempty rows
+    start segments."""
     indptr, indices = csr
-    out = np.zeros(len(indptr) - 1, dtype=values.dtype)
+    out = np.full(len(indptr) - 1, ufunc.identity, dtype=values.dtype)
     rows = np.flatnonzero(np.diff(indptr))
-    out[rows] = np.add.reduceat(values[indices], indptr[rows])
+    out[rows] = ufunc.reduceat(values[indices], indptr[rows])
     return out
 
 
@@ -520,7 +521,7 @@ class CoverageGame(Game):
         return _transpose(self._covers, len(self._weights))
 
     def value_mask(self, mask: int) -> float:
-        covered = _row_sums(self._set_csr, _flags(mask, self.n)) > 0
+        covered = _row_reduce(self._set_csr, _flags(mask, self.n)) > 0
         return float(self._weights[covered].sum())
 
     def subset_values(self) -> np.ndarray:
@@ -528,7 +529,7 @@ class CoverageGame(Game):
         the coalition T misses exactly the elements whose code lies inside
         the complement of T, so ``value[T] = zeta(c)[full] - zeta(c)[full ^ T]``.
         """
-        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
+        codes = _row_reduce(self._set_csr, 1 << np.arange(self.n))
         c = np.bincount(codes, weights=self._weights, minlength=1 << self.n)
         c = c.astype(np.float64, copy=False)  # integer when there are no elements
         c[0] = 0.0  # elements that no player covers never count
@@ -577,7 +578,7 @@ class ThresholdNeighborhoodGame(Game):
 
     def value_mask(self, mask: int) -> float:
         inside = _flags(mask, self.n)
-        reached = (_row_sums(self._set_csr, inside) >= self.threshold) | (inside > 0)
+        reached = (_row_reduce(self._set_csr, inside) >= self.threshold) | (inside > 0)
         return float(reached.sum())
 
     @cached_property
@@ -598,7 +599,7 @@ class ThresholdNeighborhoodGame(Game):
         k, r = self.threshold, np.arange(1 << self.n)
         pop = _popcount(self.n)
         total = pop.copy()  # the cached counts stay as they are
-        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
+        codes = _row_reduce(self._set_csr, 1 << np.arange(self.n))
         for y, code in enumerate(codes.tolist()):
             if pop[code] >= k:
                 total += (pop[r & code] >= k) & ((r >> y & 1) == 0)
@@ -684,13 +685,13 @@ class FullObligationGame(Game):
         return self.instance._paper_csr
 
     def value_mask(self, mask: int) -> float:
-        inside = _row_sums(self._set_csr, _flags(mask, self.n)) == np.diff(self._set_csr[0])
+        inside = _row_reduce(self._set_csr, _flags(mask, self.n)) == np.diff(self._set_csr[0])
         return float(self.instance._scores[inside].sum())
 
     def subset_values(self) -> np.ndarray:
         """Each paper adds its score at the code of its authors; entry T is
         then the subset sum at T."""
-        codes = _row_sums(self._set_csr, 1 << np.arange(self.n))
+        codes = _row_reduce(self._set_csr, 1 << np.arange(self.n))
         c = np.bincount(codes, weights=self.instance._scores, minlength=1 << self.n)
         return _zeta(c.astype(np.float64, copy=False))  # integer when there are no papers
 

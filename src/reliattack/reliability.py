@@ -26,6 +26,7 @@ from .games import (
     ThresholdNeighborhoodGame,
     _as_player,
     _as_playerset,
+    _row_reduce,
     _size_groups,
 )
 
@@ -146,17 +147,6 @@ def _low_order_pmfs(probs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return pmf[0, ..., a, :, :], loo
 
 
-def _row_products(csr: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndarray:
-    """Per row of a CSR of 0-based players, the product of ``q`` over them;
-    1 for an empty row.  reduceat reads an empty segment as the element at
-    its start, so only the nonempty rows start segments."""
-    indptr, indices = csr
-    out = np.ones(len(indptr) - 1)
-    rows = np.flatnonzero(np.diff(indptr))
-    out[rows] = np.multiply.reduceat(q[indices], indptr[rows])
-    return out
-
-
 def _multilinear(game: Game, q: np.ndarray) -> float:
     """Owen's multilinear extension of ``game`` at the 0-based profile ``q``,
     over the sets of its ``_set_csr``:
@@ -164,9 +154,9 @@ def _multilinear(game: Game, q: np.ndarray) -> float:
     sum_P score_P prod_{a in P} q_a for full obligation, and
     sum_y q_y + (1 - q_y) P(at least k of N(y) live) for the threshold game."""
     if isinstance(game, CoverageGame):
-        return float(game._weights @ (1.0 - _row_products(game._set_csr, 1.0 - q)))
+        return float(game._weights @ (1.0 - _row_reduce(game._set_csr, 1.0 - q, np.multiply)))
     if isinstance(game, FullObligationGame):
-        return float(game.instance._scores @ _row_products(game._set_csr, q))
+        return float(game.instance._scores @ _row_reduce(game._set_csr, q, np.multiply))
     if not isinstance(game, ThresholdNeighborhoodGame):
         raise DomainError(
             f"no closed form for game variant {game.variant!r}; use shapley_definitional"

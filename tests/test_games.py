@@ -507,13 +507,15 @@ class TestCsr:
             back = games._transpose(t, len(sets))
             assert back[0].tolist() == indptr.tolist() and back[1].tolist() == indices.tolist()
             values = np.array([rng.randint(-9, 9) for _ in range(n)], dtype=np.int64)
-            sums = games._row_sums(csr, values)
+            sums = games._row_reduce(csr, values)
             assert sums.dtype == np.int64
             assert sums.tolist() == [sum(int(values[x - 1]) for x in s) for s in sets]
+            products = games._row_reduce(csr, values, np.multiply)
+            assert products.tolist() == [math.prod(int(values[x - 1]) for x in s) for s in sets]
 
     def test_codes_are_the_or_of_the_members_bits(self, rng):
         for sets, n in _csr_cases(rng):
-            codes = games._row_sums(games._csr(sets), 1 << np.arange(n))
+            codes = games._row_reduce(games._csr(sets), 1 << np.arange(n))
             expected = []
             for s in sets:
                 code = 0
